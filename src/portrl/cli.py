@@ -1,40 +1,48 @@
 """Command-line entry points: run a campaign, regenerate a report, or
 validate a config and its data without training."""
 
-from __future__ import annotations
+import os
+
+# One BLAS thread per process, set before anything loads numpy: campaign
+# workers are forked and inherit the parent's already-started BLAS thread
+# pool, so setting these later has no effect. A value the user set wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .experiment import aggregate, emit_report, load_campaign, load_config, max_fapv, run_campaign
-from .market_data import align_assets, load_manifest, load_ohlc_csv, split_periods
+from .experiment import aggregate, emit_report, load_campaign, load_config, max_fapv, prepare, run_campaign
+from .normalization import DATA_MAX, KINDS, LAST_CLOSE, LAST_PRICE
 
 
 def _print_table(report) -> None:
     header = f"{'method':<14}{'FAPV':>22}{'MDD':>22}{'SR (excess)':>24}{'max FAPV':>12}"
     print(header)
     print("-" * len(header))
+    mean_fapv = {}
     for kind in sorted(report.methods):
         method = report.methods[kind]
         agg = aggregate(method.results)
+        mean_fapv[kind] = agg["fapv"][0]
         cells = [f"{agg[name][0]:.4f} +- {agg[name][1]:.4f}" for name in ("fapv", "mdd", "sharpe_excess")]
         print(f"{kind:<14}{cells[0]:>22}{cells[1]:>22}{cells[2]:>24}{max_fapv(method.results):>12.4f}")
         if method.failures:
             print(f"  warning: {len(method.failures)} failed run(s): "
                   + ", ".join(f"seed {seed}" for seed, _ in method.failures))
+    if set(KINDS) <= set(mean_fapv):
+        leads = mean_fapv[DATA_MAX] >= max(mean_fapv[LAST_CLOSE], mean_fapv[LAST_PRICE])
+        print(f"\ndata_max mean FAPV >= both state normalizations: {leads}")
 
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.runs is not None:
-        config.runs = args.runs
-    if args.steps is not None:
-        config.steps = args.steps
-    if args.workers is not None:
-        config.workers = args.workers
+    overrides = {name: getattr(args, name) for name in ("runs", "steps", "workers") if getattr(args, name) is not None}
+    config = replace(config, **overrides)
     report = run_campaign(config)
-    out_dir = Path(args.out) if args.out else Path(f"campaign_{config.normalization}")
+    out_dir = Path(args.out) if args.out else Path("campaign_" + "-".join(config.methods))
     emit_report(report, out_dir)
     print(f"campaign written to {out_dir}")
     _print_table(report)
@@ -50,23 +58,14 @@ def _cmd_report(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
-    entries, manifest_alignment = load_manifest(config.manifest)
-    series = [load_ohlc_csv(csv_path, ticker) for ticker, csv_path in entries]
-    alignment = config.alignment or manifest_alignment or "intersect"
-    frame = align_assets(series, alignment)
-    split = split_periods(
-        frame,
-        (config.train_start, config.train_end),
-        (config.test_start, config.test_end),
-        config.time_window,
-    )
-    print(f"ok: {frame.n_assets} assets aligned ({alignment}), calendar {frame.dates[0]}..{frame.dates[-1]}")
-    print(f"ok: train slice {split.train.n_steps} rows ({split.train.dates[0]}..{split.train.dates[-1]})")
-    print(f"ok: test slice {split.test.n_steps} rows incl. {config.time_window - 1}-row prefix "
-          f"({split.test.dates[0]}..{split.test.dates[-1]})")
-    print(f"ok: {split.train.n_steps - config.time_window} decidable training steps, "
-          f"{split.test.n_steps - config.time_window} decidable test steps")
-    print(f"ok: normalization '{config.normalization}', {config.runs} run(s), {config.steps} training steps")
+    for kind in config.methods:
+        train, test, _ = prepare(replace(config, normalization=kind))
+    window = config.time_window
+    print(f"ok: {train.n_assets} assets aligned: {', '.join(train.tickers)}")
+    print(f"ok: train slice {train.n_steps} rows ({train.dates[0]}..{train.dates[-1]})")
+    print(f"ok: test slice {test.n_steps} rows incl. {window - 1}-row prefix ({test.dates[0]}..{test.dates[-1]})")
+    print(f"ok: {train.n_steps - window} decidable training steps, {test.n_steps - window} decidable test steps")
+    print(f"ok: normalization '{config.normalization}', {config.runs} run(s) each, {config.steps} training steps")
     return 0
 
 
@@ -76,7 +75,7 @@ def main(argv=None) -> int:
 
     run_parser = sub.add_parser("run", help="run a campaign from a config file")
     run_parser.add_argument("config")
-    run_parser.add_argument("--out", help="output directory (default campaign_<method>)")
+    run_parser.add_argument("--out", help="output directory (default campaign_<method>[-<method>...])")
     run_parser.add_argument("--workers", type=int, default=None)
     run_parser.add_argument("--runs", type=int, default=None)
     run_parser.add_argument("--steps", type=int, default=None)

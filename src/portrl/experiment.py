@@ -1,34 +1,53 @@
 """Config-driven campaign runner.
 
-A campaign is N seeded train/backtest runs of one normalization method.
-Each run is fully determined by (config, seed): the pipeline loads and
-aligns the manifest's assets, splits train/test, fits/applies the
-normalization, trains the policy, and backtests with online learning.
-Reports carry per-run metrics, per-method aggregates (mean and 95%
-normal CI half-width of the mean), and plot-ready sample lists. Wall
-times go to a separate timings file so every other emitted byte is
-reproducible from (config, seed) alone.
+A campaign is N seeded train/backtest runs of each normalization method
+the config lists. Each run is fully determined by (config, method,
+seed): the pipeline loads and aligns the manifest's assets, splits
+train/test, fits/applies the normalization, trains the policy, and
+backtests with online learning. Reports carry per-run metrics,
+per-method aggregates (mean and 95% normal CI half-width of the mean),
+and plot-ready sample lists. Wall times go to a separate timings file so
+every other emitted byte is reproducible from (config, seed) alone.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass, field, fields, replace
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .market_data import align_assets, load_manifest, load_ohlc_csv, split_periods
-from .normalization import DATA_MAX, KINDS, apply_data_max, fit_data_max, scheme_from_kind
+from .market_data import MarketFrame, align_assets, load_manifest, load_ohlc_csv, split_periods
+from .normalization import DATA_MAX, KINDS, NormalizationScheme, apply_data_max, fit_data_max, scheme_from_kind
 from .policy import init_policy
 from .training import Trainer, TrainerConfig, Trajectory
 
 REPORT_FORMAT_VERSION = 1
 _METRIC_NAMES = ("fapv", "mdd", "sharpe", "sharpe_excess")
+_ALIGNMENTS = ("", "intersect", "forward_fill")
+# Allowed range of each numeric key: (test, description). NaN fails every test.
+_RANGES = {
+    "learning_rate": (lambda v: v > 0, "> 0"),
+    "batch_size": (lambda v: v >= 1, ">= 1"),
+    "sample_bias": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "steps": (lambda v: v >= 0, ">= 0"),
+    "online_steps": (lambda v: v >= 0, ">= 0"),
+    "commission_rate": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "initial_value": (lambda v: v > 0, "> 0"),
+    "weight_decay": (lambda v: v >= 0, ">= 0"),
+    "runs": (lambda v: v >= 1, ">= 1"),
+    "base_seed": (lambda v: v >= 0, ">= 0"),
+    "workers": (lambda v: v >= 1, ">= 1"),
+    "kernel_width": (lambda v: v >= 1, ">= 1"),
+    "conv1_channels": (lambda v: v >= 1, ">= 1"),
+    "conv2_channels": (lambda v: v >= 1, ">= 1"),
+}
 
 
 @dataclass
@@ -38,7 +57,7 @@ class ExperimentConfig:
     train_end: date
     test_start: date
     test_end: date
-    normalization: str
+    normalization: str  # one method, or several separated by commas
     learning_rate: float = 5e-5
     batch_size: int = 200
     sample_bias: float = 0.002
@@ -57,13 +76,25 @@ class ExperimentConfig:
     conv2_channels: int = 20
 
     def __post_init__(self):
-        if self.normalization not in KINDS:
-            raise ValueError(f"normalization must be one of {KINDS}, got '{self.normalization}'")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        for name in ("learning_rate", "batch_size", "sample_bias", "time_window", "initial_value"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        methods = self.methods
+        if any(kind not in KINDS for kind in methods):
+            raise ValueError(f"normalization must list methods from {KINDS}, got '{self.normalization}'")
+        if len(set(methods)) != len(methods):
+            raise ValueError(f"normalization lists a method twice: '{self.normalization}'")
+        for name, (allowed, text) in _RANGES.items():
+            value = getattr(self, name)
+            if not allowed(value):
+                raise ValueError(f"{name} must be {text}, got {value!r}")
+        if self.time_window < self.kernel_width + 1:
+            raise ValueError(f"time_window must be >= kernel_width + 1 = {self.kernel_width + 1}, "
+                             f"got {self.time_window}")
+        if self.alignment not in _ALIGNMENTS:
+            raise ValueError(f"alignment must be empty, 'intersect' or 'forward_fill', got '{self.alignment}'")
+
+    @property
+    def methods(self) -> tuple[str, ...]:
+        """The normalization methods the campaign runs, in listed order."""
+        return tuple(kind.strip() for kind in self.normalization.split(","))
 
 
 @dataclass
@@ -121,7 +152,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     missing = [name for name in ("manifest", "train_start", "train_end", "test_start", "test_end", "normalization") if name not in values]
     if missing:
         raise ValueError(f"{path}: missing required keys {missing}")
-    config = ExperimentConfig(**values)
+    try:
+        config = ExperimentConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not Path(config.manifest).is_absolute():
         config.manifest = str((path.parent / config.manifest).resolve())
     return config
@@ -137,31 +171,39 @@ def config_to_text(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_single(config: ExperimentConfig, seed: int) -> tuple[RunResult, Trajectory, tuple[float, ...] | None]:
-    """One fully seeded train + backtest; returns metrics, trajectory, fitted scales."""
-    started = time.perf_counter()
+def prepare(config: ExperimentConfig) -> tuple[MarketFrame, MarketFrame, NormalizationScheme]:
+    """Load, align and split the manifest's assets, then fit the config's
+    normalization on the training rows only and apply it to both slices.
+
+    Returns (train frame, test frame, scheme); the test frame carries the
+    (time_window - 1)-row prefix its first state needs.
+    """
     entries, manifest_alignment = load_manifest(config.manifest)
     series = [load_ohlc_csv(csv_path, ticker) for ticker, csv_path in entries]
-    alignment = config.alignment or manifest_alignment or "intersect"
-    frame = align_assets(series, alignment)
+    frame = align_assets(series, config.alignment or manifest_alignment or "intersect")
     split = split_periods(
         frame,
         (config.train_start, config.train_end),
         (config.test_start, config.test_end),
         config.time_window,
     )
+    decidable = split.test.n_steps - config.time_window
+    if decidable < 2:
+        raise ValueError(f"test_start = {config.test_start} .. test_end = {config.test_end} leaves "
+                         f"{decidable} decidable test step(s); the metrics need at least 2")
     if config.normalization == DATA_MAX:
         scheme = fit_data_max(split.train)
-        train_frame = apply_data_max(scheme, split.train)
-        test_frame = apply_data_max(scheme, split.test)
-        scales = scheme.scales
-    else:
-        scheme = scheme_from_kind(config.normalization)
-        train_frame, test_frame = split.train, split.test
-        scales = None
+        return apply_data_max(scheme, split.train), apply_data_max(scheme, split.test), scheme
+    return split.train, split.test, scheme_from_kind(config.normalization)
 
+
+def run_single(config: ExperimentConfig, seed: int) -> tuple[RunResult, Trajectory, tuple[float, ...] | None]:
+    """One fully seeded train + backtest of a single-method config;
+    returns metrics, trajectory, fitted data_max scales (or None)."""
+    started = time.perf_counter()
+    train_frame, test_frame, scheme = prepare(config)
     params = init_policy(
-        frame.n_assets,
+        train_frame.n_assets,
         config.time_window,
         seed,
         k1=config.kernel_width,
@@ -179,8 +221,6 @@ def run_single(config: ExperimentConfig, seed: int) -> tuple[RunResult, Trajecto
             learning_rate=config.learning_rate,
             batch_size=config.batch_size,
             sample_bias=config.sample_bias,
-            steps=config.steps,
-            online_steps=config.online_steps,
             weight_decay=config.weight_decay,
         ),
         rng=np.random.default_rng(seed),
@@ -195,51 +235,57 @@ def run_single(config: ExperimentConfig, seed: int) -> tuple[RunResult, Trajecto
         trajectory_path=f"traj_{config.normalization}_{seed:05d}.tsv",
         wall_time=time.perf_counter() - started,
     )
-    return result, trajectory, scales
+    return result, trajectory, scheme.scales
+
+
+def _finished_jobs(configs: dict[str, ExperimentConfig], jobs: list[tuple[str, int]], workers: int):
+    """Yield ((method, seed), outcome) as jobs finish; the outcome is what
+    run_single returned or the exception it raised."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {pool.submit(run_single, configs[kind], seed): (kind, seed) for kind, seed in jobs}
+            for future in as_completed(futures):
+                error = future.exception()
+                yield futures[future], future.result() if error is None else error
+    else:
+        for kind, seed in jobs:
+            try:
+                outcome = run_single(configs[kind], seed)
+            except Exception as exc:
+                outcome = exc
+            yield (kind, seed), outcome
 
 
 def run_campaign(config: ExperimentConfig) -> CampaignReport:
-    """Execute config.runs seeded runs (seed = base_seed + k), possibly in parallel."""
-    seeds = [config.base_seed + k for k in range(config.runs)]
-    method = MethodResults()
-    outcomes: list[tuple[int, object]] = []
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {seed: pool.submit(run_single, config, seed) for seed in seeds}
-            for seed in seeds:
-                try:
-                    outcomes.append((seed, futures[seed].result()))
-                except Exception as exc:
-                    outcomes.append((seed, exc))
-    else:
-        for seed in seeds:
-            try:
-                outcomes.append((seed, run_single(config, seed)))
-            except Exception as exc:
-                outcomes.append((seed, exc))
+    """Run config.runs seeds (seed = base_seed + k) of every listed method,
+    serially or on config.workers processes, printing one progress line
+    per finished job on stderr. A failed run is recorded, not fatal,
+    unless every run of a method fails."""
+    configs = {kind: replace(config, normalization=kind) for kind in config.methods}
+    jobs = [(kind, config.base_seed + k) for kind in configs for k in range(config.runs)]
+    outcomes: dict[tuple[str, int], object] = {}
+    started = time.perf_counter()
+    for (kind, seed), outcome in _finished_jobs(configs, jobs, config.workers):
+        if isinstance(outcome, BaseException):
+            outcome = f"{type(outcome).__name__}: {outcome}"  # a failure is kept as its message
+        outcomes[kind, seed] = outcome
+        status = f"failed: {outcome}" if isinstance(outcome, str) else "done"
+        print(f"[{time.perf_counter() - started:7.0f}s] {kind} seed {seed} {status}", file=sys.stderr, flush=True)
 
-    for seed, outcome in sorted(outcomes, key=lambda pair: pair[0]):
-        if isinstance(outcome, Exception):
-            method.failures.append((seed, f"{type(outcome).__name__}: {outcome}"))
+    methods = {kind: MethodResults() for kind in configs}
+    for kind, seed in jobs:
+        method, outcome = methods[kind], outcomes[kind, seed]
+        if isinstance(outcome, str):
+            method.failures.append((seed, outcome))
             continue
         result, trajectory, scales = outcome
         method.results.append(result)
         method.trajectories[seed] = trajectory
         method.scales = scales
-    if not method.results:
-        raise RuntimeError(f"all {config.runs} runs failed; first error: {method.failures[0][1]}")
-    return CampaignReport(config=config, methods={config.normalization: method})
-
-
-def merge_campaigns(reports: list[CampaignReport]) -> CampaignReport:
-    """Combine single-method campaigns that share everything but the method."""
-    merged = CampaignReport(config=reports[0].config, methods={})
-    for report in reports:
-        for kind, method in report.methods.items():
-            if kind in merged.methods:
-                raise ValueError(f"duplicate method '{kind}' across campaigns")
-            merged.methods[kind] = method
-    return merged
+    for kind, method in methods.items():
+        if not method.results:
+            raise RuntimeError(f"all {config.runs} {kind} runs failed; first error: {method.failures[0][1]}")
+    return CampaignReport(config=config, methods=methods)
 
 
 def aggregate(results: list[RunResult]) -> dict[str, tuple[float, float]]:
@@ -359,7 +405,8 @@ def emit_report(report: CampaignReport, out_dir: str | Path) -> None:
         samples = [_float_text(r.metrics.fapv) for r in report.methods[kind].results]
         (out / f"fapv_{kind}.txt").write_text("\n".join(samples) + "\n")
 
-    seed_lines = [f"# seeds used: {', '.join(str(r.seed) for m in report.methods.values() for r in m.results)}"]
+    seeds = [str(r.seed) for kind in sorted(report.methods) for r in report.methods[kind].results]
+    seed_lines = [f"# seeds used: {', '.join(seeds)}"]
     (out / "config_resolved.txt").write_text("\n".join(seed_lines) + "\n" + config_to_text(report.config))
 
     timing_rows = ["method\tseed\twall_time"]

@@ -10,6 +10,7 @@ relative vector with a price ratio of exactly 1.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -103,9 +104,6 @@ class MarketFrame:
             lows=self.lows[:, start:stop].copy(),
         )
 
-    def checksum(self) -> int:
-        return hash((self.closes.tobytes(), self.highs.tobytes(), self.lows.tobytes()))
-
 
 @dataclass(frozen=True, eq=False)
 class PeriodSplit:
@@ -153,9 +151,14 @@ def load_ohlc_csv(path: str | Path, ticker: str) -> AssetSeries:
 
     opens, highs, lows, closes = (np.empty(len(rows)) for _ in range(4))
     for i, (day, line_no, (o, h, l, c)) in enumerate(rows):
-        if not (0.0 < l <= c <= h and l <= o <= h):
+        # NaN fails every comparison and high < inf bounds the rest, so
+        # this one chain also rejects non-finite prices.
+        if not (0.0 < l <= c <= h < math.inf and l <= o <= h):
+            if not all(map(math.isfinite, (o, h, l, c))):
+                raise UnparsableRow(f"{path}:{line_no}: non-finite price on {day} "
+                                    f"(open={o}, high={h}, low={l}, close={c})")
             raise OhlcOrderingViolation(
-                f"{path}: OHLC ordering violated on {day} (open={o}, high={h}, low={l}, close={c})"
+                f"{path}:{line_no}: OHLC ordering violated on {day} (open={o}, high={h}, low={l}, close={c})"
             )
         opens[i], highs[i], lows[i], closes[i] = o, h, l, c
     return AssetSeries(

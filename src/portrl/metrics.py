@@ -69,15 +69,11 @@ def sharpe_from_returns(returns: np.ndarray, risk_free: float = 0.0) -> float:
     return float(excess.mean()) / std
 
 
-def sharpe(traj: Trajectory, risk_free: float = 0.0) -> float:
-    """Sharpe ratio of the consecutive value ratios V_t / V_{t-1}."""
-    if len(traj) < 2:
-        raise TooShort("need at least two steps for a return series")
-    ratios = traj.values[1:] / traj.values[:-1]
-    return sharpe_from_returns(ratios, risk_free)
-
-
 def report(traj: Trajectory, initial_value: float) -> MetricReport:
+    """All metrics of one trajectory; both Sharpe conventions need a
+    return series, so at least two steps."""
+    if len(traj) < 2:
+        raise TooShort(f"need at least two steps for a return series, got {len(traj)}")
     ratios = traj.values[1:] / traj.values[:-1]
     return MetricReport(
         fapv=fapv(traj, initial_value),

@@ -10,7 +10,6 @@ never mix: the network is equivariant under asset permutation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .environment import StateTensor
-
-CHECKPOINT_VERSION = 1
 
 
 class WindowTooSmall(ValueError):
@@ -148,58 +145,3 @@ def policy_forward(params: PolicyParams, state: StateTensor | np.ndarray, last_a
         )
     return _forward_values(params, values[None], last_action[None])[0].copy()
 
-
-def clone_params(params: PolicyParams) -> PolicyParams:
-    """Deep copy of the parameter arrays (gradients are not copied)."""
-    return PolicyParams(
-        conv1_kernels=Tensor(params.conv1_kernels.data.copy(), requires_grad=True),
-        conv1_bias=Tensor(params.conv1_bias.data.copy(), requires_grad=True),
-        conv2_kernels=Tensor(params.conv2_kernels.data.copy(), requires_grad=True),
-        conv2_bias=Tensor(params.conv2_bias.data.copy(), requires_grad=True),
-        out_kernels=Tensor(params.out_kernels.data.copy(), requires_grad=True),
-        out_bias=Tensor(params.out_bias.data.copy(), requires_grad=True),
-        cash_bias=Tensor(params.cash_bias.data.copy(), requires_grad=True),
-        n_assets=params.n_assets,
-        window=params.window,
-        k1=params.k1,
-        c1=params.c1,
-        c2=params.c2,
-        seed=params.seed,
-    )
-
-
-def save_checkpoint(params: PolicyParams, path) -> None:
-    """Write parameters as an .npz of named blocks plus a JSON meta header."""
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "n_assets": params.n_assets,
-        "window": params.window,
-        "k1": params.k1,
-        "c1": params.c1,
-        "c2": params.c2,
-        "seed": params.seed,
-    }
-    arrays = {name: tensor.data for name, tensor in params.named_tensors()}
-    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-
-
-def load_checkpoint(path) -> PolicyParams:
-    with np.load(path) as archive:
-        meta = json.loads(archive["meta"].tobytes().decode())
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        return PolicyParams(
-            conv1_kernels=Tensor(archive["conv1_kernels"], requires_grad=True),
-            conv1_bias=Tensor(archive["conv1_bias"], requires_grad=True),
-            conv2_kernels=Tensor(archive["conv2_kernels"], requires_grad=True),
-            conv2_bias=Tensor(archive["conv2_bias"], requires_grad=True),
-            out_kernels=Tensor(archive["out_kernels"], requires_grad=True),
-            out_bias=Tensor(archive["out_bias"], requires_grad=True),
-            cash_bias=Tensor(archive["cash_bias"], requires_grad=True),
-            n_assets=meta["n_assets"],
-            window=meta["window"],
-            k1=meta["k1"],
-            c1=meta["c1"],
-            c2=meta["c2"],
-            seed=meta["seed"],
-        )

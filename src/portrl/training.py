@@ -31,14 +31,6 @@ class NonFiniteLoss(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class Experience:
-    t: int
-    state: np.ndarray        # (3, n, window)
-    last_action: np.ndarray  # (n+1,)
-    relative: np.ndarray     # (n+1,) price relatives for the transition out of t
-
-
 @dataclass
 class Trajectory:
     """Backtest record: one row per decision, values are post-drift."""
@@ -80,16 +72,6 @@ class ReplayBuffer:
         self._relatives[self._size] = relative
         self._size += 1
 
-    def __getitem__(self, i: int) -> Experience:
-        if not 0 <= i < self._size:
-            raise IndexError(i)
-        return Experience(
-            t=self.t0 + i,
-            state=self._states[i],
-            last_action=self._last_actions[i],
-            relative=self._relatives[i],
-        )
-
     @property
     def states(self) -> np.ndarray:
         return self._states[: self._size]
@@ -108,13 +90,10 @@ class TrainerConfig:
     learning_rate: float = 5e-5
     batch_size: int = 200
     sample_bias: float = 0.002
-    steps: int = 300_000
-    online_steps: int = 30
     weight_decay: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    log_every: int = 100
 
 
 class AdamW:
@@ -226,11 +205,8 @@ class Trainer:
 
     def __init__(self, params: PolicyParams, frame: MarketFrame, window: int,
                  scheme: NormalizationScheme, initial_value: float, commission: float,
-                 config: TrainerConfig, rng: np.random.Generator, log_file=None,
-                 eval_fn=None, eval_every: int = 0):
+                 config: TrainerConfig, rng: np.random.Generator):
         self.params = params
-        self.eval_fn = eval_fn
-        self.eval_every = eval_every
         self.frame = frame
         self.window = window
         self.scheme = scheme
@@ -238,7 +214,6 @@ class Trainer:
         self.commission = commission
         self.config = config
         self.rng = rng
-        self.log_file = log_file
         self.buffer: ReplayBuffer | None = None
         self.step_count = 0
         self.last_batch: tuple[int, int] | None = None
@@ -273,13 +248,6 @@ class Trainer:
         self.optimizer.step()
         self._rewrite(start, stop)
         self.step_count += 1
-        if self.log_file is not None and self.step_count % self.config.log_every == 0:
-            self.log_file.write(f"loss\t{self.step_count}\t{value!r}\n")
-        if (self.eval_fn is not None and self.eval_every > 0
-                and self.step_count % self.eval_every == 0):
-            score = float(self.eval_fn(self.params))
-            if self.log_file is not None:
-                self.log_file.write(f"fapv\t{self.step_count}\t{score!r}\n")
         return value
 
     def _rewrite(self, start: int, stop: int) -> None:
@@ -294,11 +262,9 @@ class Trainer:
         for _ in range(steps):
             self.train_step()
 
-    def backtest(self, test_frame: MarketFrame, online_steps: int | None = None) -> Trajectory:
+    def backtest(self, test_frame: MarketFrame, online_steps: int) -> Trajectory:
         """Fresh all-cash episode on the test frame; each new experience is
         appended to the buffer and followed by ``online_steps`` updates."""
-        if online_steps is None:
-            online_steps = self.config.online_steps
         state, obs = env_reset(test_frame, self.window, self.scheme,
                                self.initial_value, self.commission)
         steps, values, rewards, actions = [], [], [], []

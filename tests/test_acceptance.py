@@ -3,7 +3,7 @@ PASS line (run with `pytest tests/test_acceptance.py -v -s`).
 
 The directional-replication criterion is soft by design: this file runs
 a micro-scale version and records the outcome without gating on it; the
-full-budget run lives in scripts/replication.py.
+full-budget run is `portrl run configs/replication.cfg`.
 """
 
 import json
@@ -318,7 +318,7 @@ def _write_micro_crypto(tmp_path, n_assets=4, length=160, seed=99):
 
 def test_reduced_directional_replication_micro(tmp_path):
     """Soft criterion: micro-scale stand-in that records (not asserts) the
-    ranking of normalization methods; scripts/replication.py runs the
+    ranking of normalization methods; configs/replication.cfg runs the
     full 5-seed x 20000-step version."""
     manifest = _write_micro_crypto(tmp_path)
     config_text = "\n".join([

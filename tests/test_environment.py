@@ -207,11 +207,12 @@ class TestEnvResetStep:
     def test_frame_is_never_mutated(self):
         rng = np.random.default_rng(12)
         frame = random_walk_frame(rng, 2, 30)
-        checksum = frame.checksum()
+        before = [frame.closes.copy(), frame.highs.copy(), frame.lows.copy()]
         state, _ = env_reset(frame, 4, LAST_CLOSE)
         while not state.terminal:
             state, _, _ = env_step(state, random_simplex(rng, 3))
-        assert frame.checksum() == checksum
+        for original, now in zip(before, [frame.closes, frame.highs, frame.lows]):
+            assert np.array_equal(original, now)
 
     def test_invalid_actions_rejected(self):
         frame = random_walk_frame(np.random.default_rng(13), 2, 10)

@@ -1,14 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import replace
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import portrl
 from portrl import cli
 from portrl.metrics import MetricReport
+from portrl.normalization import KINDS
 from portrl.experiment import (
     CampaignReport,
-    ExperimentConfig,
     MethodResults,
     RunResult,
     aggregate,
@@ -17,10 +26,12 @@ from portrl.experiment import (
     load_campaign,
     load_config,
     max_fapv,
-    merge_campaigns,
+    prepare,
     run_campaign,
     run_single,
 )
+
+ALL_METHODS = "last_close, last_price, data_max"
 
 
 def write_market(tmp_path, n_assets=3, length=120, seed=42):
@@ -102,6 +113,29 @@ class TestConfig:
         path = write_config(tmp_path, manifest, normalization="zscore")
         with pytest.raises(ValueError):
             load_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("commission_rate", "-0.5"), ("commission_rate", "1.0"),
+        ("steps", "-5"), ("online_steps", "-1"),
+        ("sample_bias", "3.0"), ("sample_bias", "0"), ("sample_bias", "nan"),
+        ("workers", "-2"), ("workers", "0"),
+        ("kernel_width", "0"), ("conv1_channels", "0"), ("conv2_channels", "0"),
+        ("weight_decay", "-1"), ("base_seed", "-1"),
+        ("learning_rate", "0"), ("batch_size", "0"), ("runs", "0"), ("initial_value", "-1"),
+        ("time_window", "3"),  # the default kernel_width 3 needs at least 4
+        ("alignment", "outer"),
+        ("normalization", "last_close, zscore"), ("normalization", "data_max, data_max"),
+        ("normalization", "last_close,"),
+    ])
+    def test_out_of_range_value_names_key_and_file(self, tmp_path, key, value):
+        path = write_config(tmp_path, tmp_path / "portfolio.txt", **{key: value})
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(path) in str(err.value) and key in str(err.value)
+
+    def test_normalization_lists_methods_in_order(self, tmp_path):
+        config = load_config(write_config(tmp_path, tmp_path / "portfolio.txt", normalization="data_max,last_close"))
+        assert config.methods == ("data_max", "last_close")
 
 
 def test_default_hyperparameters(tmp_path):
@@ -226,6 +260,28 @@ class TestCampaign:
         assert [r.seed for r in method.results] == [0]
         assert method.failures == [(1, "RuntimeError: synthetic failure")]
 
+    def test_multi_method_campaign_is_one_report_serial_or_parallel(self, tmp_path, capsys):
+        config = replace(load_config(write_config(tmp_path, write_market(tmp_path))), normalization=ALL_METHODS)
+        serial = run_campaign(config)
+        assert capsys.readouterr().err.count(" done\n") == 6  # one progress line per (method, seed)
+        parallel = run_campaign(replace(config, workers=2))
+        assert list(serial.methods) == ["last_close", "last_price", "data_max"]
+        for kind, method in serial.methods.items():
+            assert [r.seed for r in method.results] == [0, 1]
+            assert (method.scales is not None) == (kind == "data_max")
+        serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
+        emit_report(serial, serial_dir)
+        emit_report(parallel, parallel_dir)
+        left, right = non_timing_files(serial_dir), non_timing_files(parallel_dir)
+        assert sorted(left) == sorted(right)
+        assert len([name for name in left if name.startswith("traj_")]) == 6
+        for name in left:
+            if name in ("summary.json", "config_resolved.txt"):
+                # the configs differ only in the workers knob
+                left[name] = left[name].replace(b'"workers": "1"', b"").replace(b"workers = 1", b"")
+                right[name] = right[name].replace(b'"workers": "2"', b"").replace(b"workers = 2", b"")
+            assert left[name] == right[name], name
+
     def test_all_failures_abort(self, tiny_config, monkeypatch):
         import portrl.experiment as experiment
 
@@ -235,6 +291,50 @@ class TestCampaign:
         monkeypatch.setattr(experiment, "run_single", always_fail)
         with pytest.raises(RuntimeError):
             experiment.run_campaign(tiny_config)
+
+
+def non_timing_files(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.name != "timings.tsv"}
+
+
+def perturb_after(data_dir, out_dir, cutoff, factors):
+    """Copy a market, scaling every OHLC cell of asset i's rows dated after
+    ``cutoff`` by factors[i]; one positive factor per row keeps the OHLC order."""
+    out_dir.mkdir()
+    for path in data_dir.iterdir():
+        lines = path.read_text().splitlines()
+        if path.suffix == ".csv":
+            factor = factors[int(path.stem[1:])]
+            for j, line in enumerate(lines[1:], start=1):
+                day, *cells = line.split(",")
+                if date.fromisoformat(day) > cutoff:
+                    lines[j] = ",".join([day] + [repr(float(cell) * factor) for cell in cells])
+        (out_dir / path.name).write_text("\n".join(lines) + "\n")
+    return out_dir / "portfolio.txt"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=4)
+@example(day=15, factors=[4.0, 0.25, 2.0])
+@given(day=st.integers(1, 29), factors=st.lists(st.floats(0.25, 4.0), min_size=3, max_size=3))
+def test_no_look_ahead_and_train_only_fitting(kind, day, factors):
+    """Prices after test day ``day`` change neither the fitted data_max
+    scales nor any backtest row up to that day, online learning included."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = load_config(write_config(tmp, write_market(tmp), normalization=kind, steps=3, online_steps=2))
+        _, test_frame, scheme = prepare(config)
+        last_kept = config.time_window - 1 + day  # test frame index of test day ``day``
+        manifest = perturb_after(tmp / "data", tmp / "perturbed", test_frame.dates[last_kept], factors)
+        changed = replace(config, manifest=str(manifest))
+        assert prepare(changed)[2] == scheme
+        _, base, base_scales = run_single(config, seed=1)
+        _, moved, moved_scales = run_single(changed, seed=1)
+        assert base_scales == moved_scales
+        kept = base.steps <= last_kept
+        assert kept.any() and np.array_equal(base.steps, moved.steps)
+        for name in ("values", "rewards", "actions"):
+            assert np.array_equal(getattr(base, name)[kept], getattr(moved, name)[kept]), name
 
 
 class TestEmitLoad:
@@ -291,13 +391,6 @@ class TestEmitLoad:
             emit_report(empty, tmp_path / "never")
         assert not (tmp_path / "never").exists()
 
-    def test_merge_campaigns_combines_methods(self, tiny_config):
-        report = run_campaign(tiny_config)
-        other = CampaignReport(config=tiny_config, methods={"data_max": report.methods["last_close"]})
-        merged = merge_campaigns([report, other])
-        assert sorted(merged.methods) == ["data_max", "last_close"]
-        with pytest.raises(ValueError):
-            merge_campaigns([report, report])
 
 
 class TestCli:
@@ -309,6 +402,30 @@ class TestCli:
         assert "3 assets" in out
         assert "decidable" in out
 
+    def test_validate_rejects_a_test_range_too_short_to_score(self, tmp_path):
+        config_path = write_config(tmp_path, write_market(tmp_path), test_end="2021-03-03")
+        with pytest.raises(ValueError) as err:
+            cli.main(["validate", str(config_path)])
+        assert "test_start" in str(err.value) and "test_end" in str(err.value)
+
+    def test_run_overrides_are_validated(self, tmp_path):
+        config_path = write_config(tmp_path, write_market(tmp_path))
+        with pytest.raises(ValueError) as err:
+            cli.main(["run", str(config_path), "--workers", "-2"])
+        assert "workers" in str(err.value)
+
+    def test_three_method_run_prints_verdict_and_report_reemits_files(self, tmp_path, capsys, monkeypatch):
+        config_path = write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", str(config_path), "--runs", "1", "--steps", "1"]) == 0
+        out_dir = tmp_path / "campaign_last_close-last_price-data_max"
+        verdict = "data_max mean FAPV >= both state normalizations: "
+        assert verdict in capsys.readouterr().out
+        before = non_timing_files(out_dir)
+        assert cli.main(["report", str(out_dir)]) == 0
+        assert verdict in capsys.readouterr().out
+        assert non_timing_files(out_dir) == before
+
     def test_run_and_report(self, tmp_path, capsys):
         manifest = write_market(tmp_path)
         config_path = write_config(tmp_path, manifest)
@@ -318,3 +435,21 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["report", str(out_dir)]) == 0
         assert "last_close" in capsys.readouterr().out
+
+
+class TestBlasPin:
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def pinned(self, **preset):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update(preset)
+        env["PYTHONPATH"] = str(Path(portrl.__file__).parents[1])
+        code = "import os, portrl.cli; print(' '.join(os.environ[v] for v in %r))" % (self.VARS,)
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120).stdout.split()
+
+    def test_unset_variables_are_pinned_to_one(self):
+        assert self.pinned() == ["1", "1", "1"]
+
+    def test_user_value_is_kept(self):
+        assert self.pinned(OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]

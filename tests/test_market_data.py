@@ -63,6 +63,13 @@ class TestLoadCsv:
             series_from_rows(tmp_path, [("2020-01-02", 10, 12, 9, 11), ("not-a-date", 1, 2, 1, 1)])
         assert ":3:" in str(err.value)
 
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+    def test_non_finite_price_rejected_with_line(self, tmp_path, bad):
+        # an all-inf row satisfies 0 < low <= close <= high
+        with pytest.raises(UnparsableRow) as err:
+            series_from_rows(tmp_path, [("2020-01-02", 10, 12, 9, 11), ("2020-01-03", bad, bad, bad, bad)])
+        assert "XYZ.csv:3:" in str(err.value)
+
     def test_duplicate_date_rejected(self, tmp_path):
         with pytest.raises(UnparsableRow):
             series_from_rows(tmp_path, [("2020-01-02", 10, 12, 9, 11), ("2020-01-02", 1, 2, 1, 1)])

@@ -10,7 +10,6 @@ from portrl.metrics import (
     fapv,
     mdd,
     report,
-    sharpe,
     sharpe_from_returns,
 )
 from portrl.training import Trajectory
@@ -102,17 +101,17 @@ class TestSharpe:
         mean = ratios.sum() / 3.0
         variance = ((ratios - mean) ** 2).sum() / 3.0
         expected = mean / np.sqrt(variance)
-        assert abs(sharpe(traj_from_values(values)) - expected) < 1e-12
+        assert abs(report(traj_from_values(values), 100.0).sharpe - expected) < 1e-12
         assert abs(expected - 10.960155108391484) < 1e-9
 
     def test_constant_exponential_growth_has_zero_variance(self):
         values = [100.0 * 2.0**k for k in range(6)]
         with pytest.raises(ZeroVariance):
-            sharpe(traj_from_values(values))
+            report(traj_from_values(values), 100.0)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
-            sharpe(traj_from_values([100.0]))
+            report(traj_from_values([100.0]), 100.0)
 
     def test_negating_excess_returns_negates_ratio(self):
         rng = np.random.default_rng(2)
@@ -122,8 +121,8 @@ class TestSharpe:
     def test_scale_invariant_within_tolerance(self):
         rng = np.random.default_rng(3)
         values = np.exp(rng.normal(0.001, 0.03, 60).cumsum()) * 100_000.0
-        base = sharpe(traj_from_values(values))
-        scaled = sharpe(traj_from_values(values * 3.7))
+        base = report(traj_from_values(values), 100_000.0).sharpe
+        scaled = report(traj_from_values(values * 3.7), 370_000.0).sharpe
         assert abs(scaled - base) <= 1e-12 * abs(base)
 
 

@@ -5,12 +5,9 @@ from portrl import autodiff as ad
 from portrl.autodiff import ShapeMismatch
 from portrl.policy import (
     WindowTooSmall,
-    clone_params,
     forward_batch,
     init_policy,
-    load_checkpoint,
     policy_forward,
-    save_checkpoint,
 )
 
 
@@ -129,35 +126,3 @@ class TestForward:
             assert tensor.grad is not None, name
             assert np.abs(tensor.grad).max() > 0.0, name
 
-
-class TestCheckpoint:
-    def test_round_trip_is_bitwise(self, tmp_path):
-        params = init_policy(5, 12, seed=9)
-        path = tmp_path / "policy.npz"
-        save_checkpoint(params, path)
-        loaded = load_checkpoint(path)
-        for (name, original), (_, restored) in zip(params.named_tensors(), loaded.named_tensors()):
-            assert np.array_equal(original.data, restored.data), name
-        assert (loaded.n_assets, loaded.window, loaded.seed) == (5, 12, 9)
-
-    def test_version_is_checked(self, tmp_path):
-        params = init_policy(2, 6, seed=10)
-        path = tmp_path / "policy.npz"
-        save_checkpoint(params, path)
-        import json
-
-        with np.load(path) as archive:
-            payload = {k: archive[k] for k in archive.files}
-        meta = json.loads(payload["meta"].tobytes().decode())
-        meta["version"] = 999
-        payload["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **payload)
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-
-def test_clone_params_is_independent():
-    params = init_policy(3, 8, seed=11)
-    clone = clone_params(params)
-    clone.conv1_kernels.data[...] = 0.0
-    assert np.abs(params.conv1_kernels.data).max() > 0.0

@@ -7,7 +7,7 @@ from helpers import make_frame, random_walk_frame
 from portrl.autodiff import Tensor
 from portrl.environment import env_reset, env_step
 from portrl.normalization import scheme_from_kind
-from portrl.policy import clone_params, init_policy, policy_forward
+from portrl.policy import init_policy, policy_forward
 from portrl.training import (
     AdamW,
     BatchTooLarge,
@@ -67,10 +67,9 @@ class TestFillBuffer:
     def test_stored_relatives_describe_transition_out_of_each_step(self):
         frame = random_walk_frame(np.random.default_rng(3), 2, 15)
         trainer = make_trainer(frame, window=4)
-        exp = trainer.buffer[0]
-        assert exp.t == 3
+        assert trainer.buffer.t0 == 3
         expected = frame.closes[:, 4] / frame.closes[:, 3]
-        assert np.array_equal(exp.relative[1:], expected)
+        assert np.array_equal(trainer.buffer.relatives[0, 1:], expected)
 
 
 class TestSampleBatch:
@@ -232,31 +231,6 @@ class TestTrainStep:
         trainer.buffer.relatives[-1, 1] = np.inf
         with pytest.raises(NonFiniteLoss):
             trainer.train_step()
-
-    def test_loss_logged_every_log_every_steps(self, tmp_path):
-        frame = random_walk_frame(np.random.default_rng(15), 2, 30)
-        log_path = tmp_path / "run.log"
-        with log_path.open("w") as handle:
-            trainer = make_trainer(frame, window=4, log_every=2)
-            trainer.log_file = handle
-            trainer.train(4)
-        lines = log_path.read_text().splitlines()
-        assert len(lines) == 2
-        kind, step, value = lines[0].split("\t")
-        assert kind == "loss" and int(step) == 2 and math.isfinite(float(value))
-
-    def test_periodic_validation_rows_are_appended(self, tmp_path):
-        frame = random_walk_frame(np.random.default_rng(16), 2, 30)
-        log_path = tmp_path / "run.log"
-        with log_path.open("w") as handle:
-            trainer = make_trainer(frame, window=4, log_every=100)
-            trainer.log_file = handle
-            trainer.eval_fn = lambda params: 1.25
-            trainer.eval_every = 3
-            trainer.train(6)
-        rows = [line.split("\t") for line in log_path.read_text().splitlines()]
-        assert [(kind, step) for kind, step, _ in rows] == [("fapv", "3"), ("fapv", "6")]
-        assert float(rows[0][2]) == 1.25
 
 
 class TestAdamW:
