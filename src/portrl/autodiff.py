@@ -1,14 +1,13 @@
-"""Minimal dense-tensor reverse-mode autodiff on float64 numpy buffers.
+"""Reverse-mode tape for the policy's one graph, on float64 numpy buffers.
 
-Each operation records its parents and a backward closure on the output
+The ops are those ``policy.forward_batch`` and ``training.batch_objective``
+build. Each records its parents and a backward closure on the output
 tensor; ``backward`` walks the recorded graph in reverse execution order.
 Shapes are explicit everywhere: the only implicit broadcasting is
-scalar-vs-tensor (``smul``, ``sadd``, ``expand_scalar``).
+scalar-vs-tensor (``smul``, ``expand_scalar``).
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,21 +20,6 @@ class NonScalarLoss(ValueError):
     pass
 
 
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording inside the context (pure inference)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -46,30 +30,8 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
-
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else sadd(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else smul(self, other)
-
-    def __neg__(self):
-        return smul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -other) if isinstance(other, Tensor) else sadd(self, -other)
 
     def backward(self) -> None:
         """Populate ``grad`` on every reachable tensor with requires_grad."""
@@ -103,24 +65,7 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
 
 
 def _tracked(*tensors: Tensor) -> bool:
-    return _grad_enabled and any(t.requires_grad for t in tensors)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"add: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data + b.data, _tracked(a, b))
-    if out.requires_grad:
-        out._parents = (a, b)
-
-        def backward(g):
-            if a.requires_grad:
-                _accumulate(a, g)
-            if b.requires_grad:
-                _accumulate(b, g)
-
-        out._backward = backward
-    return out
+    return any(t.requires_grad for t in tensors)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -140,38 +85,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sadd(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = Tensor(a.data + s, _tracked(a))
-    if out.requires_grad:
-        out._parents = (a,)
-        out._backward = lambda g: _accumulate(a, g)
-    return out
-
-
 def smul(a: Tensor, s: float) -> Tensor:
     s = float(s)
     out = Tensor(a.data * s, _tracked(a))
     if out.requires_grad:
         out._parents = (a,)
         out._backward = lambda g: _accumulate(a, g * s)
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch(f"matmul: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data @ b.data, _tracked(a, b))
-    if out.requires_grad:
-        out._parents = (a, b)
-
-        def backward(g):
-            if a.requires_grad:
-                _accumulate(a, g @ b.data.T)
-            if b.requires_grad:
-                _accumulate(b, a.data.T @ g)
-
-        out._backward = backward
     return out
 
 
@@ -255,23 +174,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     if out.requires_grad:
         out._parents = (a,)
         out._backward = lambda g: _accumulate(a, g.reshape(a.data.shape))
-    return out
-
-
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    index = [slice(None)] * a.data.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-    out = Tensor(a.data[index], _tracked(a))
-    if out.requires_grad:
-        out._parents = (a,)
-
-        def backward(g):
-            full = np.zeros_like(a.data)
-            full[index] = g
-            _accumulate(a, full)
-
-        out._backward = backward
     return out
 
 
@@ -363,34 +265,3 @@ def conv1d_over_time(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> 
 
         out._backward = backward
     return out
-
-
-def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
-    """Max relative error between backward grads and central differences.
-
-    ``f`` must map the tensor to a scalar Tensor and be re-evaluable.
-    The error denominator is max(|analytic|, |numeric|, 1e-8) per
-    coordinate.
-    """
-    x.requires_grad = True
-    x.zero_grad()
-    out = f(x)
-    if out.data.size != 1:
-        raise NonScalarLoss(f"grad_check needs a scalar-valued f, got shape {out.data.shape}")
-    out.backward()
-    analytic = x.grad.copy()
-
-    numeric = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + eps
-        plus = float(f(x).data)
-        flat[i] = original - eps
-        minus = float(f(x).data)
-        flat[i] = original
-        num_flat[i] = (plus - minus) / (2.0 * eps)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float((np.abs(analytic - numeric) / denom).max())

@@ -25,6 +25,9 @@ def _print_table(report) -> None:
     mean_fapv = {}
     for kind in sorted(report.methods):
         method = report.methods[kind]
+        if not method.results:
+            print(f"{kind:<14}all {len(method.failures)} runs failed")
+            continue
         agg = aggregate(method.results)
         mean_fapv[kind] = agg["fapv"][0]
         cells = [f"{agg[name][0]:.4f} +- {agg[name][1]:.4f}" for name in ("fapv", "mdd", "sharpe_excess")]
@@ -46,7 +49,7 @@ def _cmd_run(args) -> int:
     emit_report(report, out_dir)
     print(f"campaign written to {out_dir}")
     _print_table(report)
-    return 0
+    return 0 if all(method.results for method in report.methods.values()) else 1
 
 
 def _cmd_report(args) -> int:

@@ -93,8 +93,12 @@ def drift_value(value: float, weights: np.ndarray, rel: np.ndarray) -> float:
     return value * float(np.dot(weights, rel))
 
 
-def transaction_factor(w_from: np.ndarray, w_to: np.ndarray, commission: float,
-                       tol: float = 1e-12, max_iter: int = 10000) -> float:
+# Stopping rule of the mu fixed point: |mu_next - mu| < MU_TOL within MU_MAX_ITER updates.
+MU_TOL = 1e-12
+MU_MAX_ITER = 10000
+
+
+def transaction_factor(w_from: np.ndarray, w_to: np.ndarray, commission: float) -> float:
     """Cost factor mu of rebalancing w_from -> w_to at commission rate c.
 
     mu is the fixed point of
@@ -106,30 +110,29 @@ def transaction_factor(w_from: np.ndarray, w_to: np.ndarray, commission: float,
     risky_from, risky_to = w_from[1:], w_to[1:]
     denominator = 1.0 - c * w_to[0]
     mu = 1.0 - c * np.abs(risky_from - risky_to).sum()
-    for _ in range(max_iter):
+    for _ in range(MU_MAX_ITER):
         sold = np.maximum(risky_from - mu * risky_to, 0.0).sum()
         nxt = (1.0 - c * w_from[0] - (2.0 * c - c * c) * sold) / denominator
-        if abs(nxt - mu) < tol:
+        if abs(nxt - mu) < MU_TOL:
             return nxt
         mu = nxt
     raise NoConvergence(f"mu fixed point did not converge (c={c}, last mu={mu})")
 
 
-def transaction_factor_batch(w_from: np.ndarray, w_to: np.ndarray, commission: float,
-                             tol: float = 1e-12, max_iter: int = 10000) -> np.ndarray:
+def transaction_factor_batch(w_from: np.ndarray, w_to: np.ndarray, commission: float) -> np.ndarray:
     """Row-wise transaction_factor over (B, n+1) weight matrices.
 
     Same fixed-point update, iterated until every row moves less than
-    ``tol``; each row satisfies the scalar stopping rule at return.
+    ``MU_TOL``; each row satisfies the scalar stopping rule at return.
     """
     c = commission
     risky_from, risky_to = w_from[:, 1:], w_to[:, 1:]
     denominator = 1.0 - c * w_to[:, 0]
     mu = 1.0 - c * np.abs(risky_from - risky_to).sum(axis=1)
-    for _ in range(max_iter):
+    for _ in range(MU_MAX_ITER):
         sold = np.maximum(risky_from - mu[:, None] * risky_to, 0.0).sum(axis=1)
         nxt = (1.0 - c * w_from[:, 0] - (2.0 * c - c * c) * sold) / denominator
-        if np.abs(nxt - mu).max() < tol:
+        if np.abs(nxt - mu).max() < MU_TOL:
             return nxt
         mu = nxt
     raise NoConvergence(f"batch mu fixed point did not converge (c={c})")

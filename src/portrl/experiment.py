@@ -187,6 +187,10 @@ def prepare(config: ExperimentConfig) -> tuple[MarketFrame, MarketFrame, Normali
         (config.test_start, config.test_end),
         config.time_window,
     )
+    train_steps = split.train.n_steps - config.time_window
+    if config.batch_size > train_steps:
+        raise ValueError(f"batch_size = {config.batch_size} exceeds the {train_steps} decidable training "
+                         f"step(s) of train_start = {config.train_start} .. train_end = {config.train_end}")
     decidable = split.test.n_steps - config.time_window
     if decidable < 2:
         raise ValueError(f"test_start = {config.test_start} .. test_end = {config.test_end} leaves "
@@ -260,7 +264,7 @@ def run_campaign(config: ExperimentConfig) -> CampaignReport:
     """Run config.runs seeds (seed = base_seed + k) of every listed method,
     serially or on config.workers processes, printing one progress line
     per finished job on stderr. A failed run is recorded, not fatal,
-    unless every run of a method fails."""
+    unless every run of every method fails."""
     configs = {kind: replace(config, normalization=kind) for kind in config.methods}
     jobs = [(kind, config.base_seed + k) for kind in configs for k in range(config.runs)]
     outcomes: dict[tuple[str, int], object] = {}
@@ -282,9 +286,8 @@ def run_campaign(config: ExperimentConfig) -> CampaignReport:
         method.results.append(result)
         method.trajectories[seed] = trajectory
         method.scales = scales
-    for kind, method in methods.items():
-        if not method.results:
-            raise RuntimeError(f"all {config.runs} {kind} runs failed; first error: {method.failures[0][1]}")
+    if not any(method.results for method in methods.values()):
+        raise RuntimeError(f"all {len(jobs)} runs failed; first error: {outcomes[jobs[0]]}")
     return CampaignReport(config=config, methods=methods)
 
 
@@ -338,13 +341,15 @@ def summary_dict(report: CampaignReport) -> dict:
     methods = {}
     for kind in sorted(report.methods):
         method = report.methods[kind]
-        aggregates = {
-            name: {"mean": mean, "half_width": half, "single_run": len(method.results) == 1}
-            for name, (mean, half) in aggregate(method.results).items()
-        }
+        aggregates = None  # a method whose every run failed has no statistics
+        if method.results:
+            aggregates = {
+                name: {"mean": mean, "half_width": half, "single_run": len(method.results) == 1}
+                for name, (mean, half) in aggregate(method.results).items()
+            }
         methods[kind] = {
             "aggregates": aggregates,
-            "max_fapv": max_fapv(method.results),
+            "max_fapv": max_fapv(method.results) if method.results else None,
             "runs": [
                 {
                     "seed": r.seed,
@@ -402,8 +407,8 @@ def emit_report(report: CampaignReport, out_dir: str | Path) -> None:
     (out / "runs.tsv").write_text("\n".join(rows) + "\n")
 
     for kind in sorted(report.methods):
-        samples = [_float_text(r.metrics.fapv) for r in report.methods[kind].results]
-        (out / f"fapv_{kind}.txt").write_text("\n".join(samples) + "\n")
+        samples = [_float_text(r.metrics.fapv) + "\n" for r in report.methods[kind].results]
+        (out / f"fapv_{kind}.txt").write_text("".join(samples))
 
     seeds = [str(r.seed) for kind in sorted(report.methods) for r in report.methods[kind].results]
     seed_lines = [f"# seeds used: {', '.join(seeds)}"]

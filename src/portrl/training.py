@@ -91,23 +91,19 @@ class TrainerConfig:
     batch_size: int = 200
     sample_bias: float = 0.002
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+
+
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam moment decay rates and denominator guard
+MAX_REDRAWS = 100  # out-of-range geometric draws before sample_batch clamps to the earliest start
 
 
 class AdamW:
     """Adam with decoupled weight decay; decay applies only to the
     parameters passed in ``decayed``."""
 
-    def __init__(self, decayed: list[Tensor], undecayed: list[Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8,
-                 weight_decay: float = 0.01):
+    def __init__(self, decayed: list[Tensor], undecayed: list[Tensor], lr: float, weight_decay: float):
         self.groups = [(decayed, weight_decay), (undecayed, 0.0)]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self._m = {id(p): np.zeros_like(p.data) for group, _ in self.groups for p in group}
         self._v = {id(p): np.zeros_like(p.data) for group, _ in self.groups for p in group}
@@ -119,19 +115,19 @@ class AdamW:
 
     def step(self) -> None:
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
         for group, decay in self.groups:
             for p in group:
                 if p.grad is None:
                     continue
                 m = self._m[id(p)]
                 v = self._v[id(p)]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * p.grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * p.grad * p.grad
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+                m *= BETA1
+                m += (1.0 - BETA1) * p.grad
+                v *= BETA2
+                v += (1.0 - BETA2) * p.grad * p.grad
+                update = (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
                 if decay:
                     p.data -= self.lr * decay * p.data
                 p.data -= self.lr * update
@@ -156,7 +152,7 @@ def fill_buffer(frame: MarketFrame, window: int, scheme: NormalizationScheme,
 
 
 def sample_batch(buffer: ReplayBuffer, batch_size: int, sample_bias: float,
-                 rng: np.random.Generator, max_redraws: int = 100) -> tuple[int, int]:
+                 rng: np.random.Generator) -> tuple[int, int]:
     """Pick a contiguous range [start, start+batch_size) biased toward the end.
 
     The offset back from the latest valid start is geometric with
@@ -166,7 +162,7 @@ def sample_batch(buffer: ReplayBuffer, batch_size: int, sample_bias: float,
     if batch_size > len(buffer):
         raise BatchTooLarge(f"batch {batch_size} exceeds buffer length {len(buffer)}")
     latest = len(buffer) - batch_size
-    for _ in range(max_redraws):
+    for _ in range(MAX_REDRAWS):
         offset = int(rng.geometric(sample_bias)) - 1
         if offset <= latest:
             return latest - offset, latest - offset + batch_size
@@ -221,9 +217,6 @@ class Trainer:
             decayed=[t for _, t in params.kernel_tensors()],
             undecayed=[t for _, t in params.bias_tensors()],
             lr=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            epsilon=config.epsilon,
             weight_decay=config.weight_decay,
         )
 

@@ -37,3 +37,24 @@ def write_ohlc_csv(path, rows, header="date,open,high,low,close") -> None:
 
 def random_simplex(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.dirichlet(np.ones(size))
+
+
+def max_fd_error(evaluate, flat: np.ndarray, analytic: np.ndarray, eps: float) -> float:
+    """Max relative error between ``analytic`` and central differences.
+
+    ``flat`` is a writable flat view of the parameter that ``evaluate()``
+    reads; each entry is moved by +-eps in place and restored. The
+    denominator is max(|analytic|, |numeric|, 1e-8) per coordinate.
+    """
+    numeric = np.empty(flat.size)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + eps
+        plus = evaluate()
+        flat[i] = original - eps
+        minus = evaluate()
+        flat[i] = original
+        numeric[i] = (plus - minus) / (2.0 * eps)
+    analytic = np.asarray(analytic).reshape(-1)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float((np.abs(analytic - numeric) / denom).max())

@@ -14,7 +14,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from helpers import make_frame, random_simplex, random_walk_frame
+from helpers import make_frame, max_fd_error, random_simplex, random_walk_frame
 from portrl.environment import (
     env_reset,
     env_step,
@@ -107,19 +107,9 @@ def test_gradient_correctness_full_policy_objective():
         def evaluate():
             return float(batch_objective(params, buffer, start, stop, commission, frozen_mu=mu)[0].data)
 
-        for name, tensor in params.named_tensors():
-            analytic = tensor.grad.reshape(-1)
-            flat = tensor.data.reshape(-1)
-            for i in range(flat.size):
-                original = flat[i]
-                flat[i] = original + eps
-                plus = evaluate()
-                flat[i] = original - eps
-                minus = evaluate()
-                flat[i] = original
-                numeric = (plus - minus) / (2.0 * eps)
-                error = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8)
-                worst_overall = max(worst_overall, error)
+        for _, tensor in params.named_tensors():
+            error = max_fd_error(evaluate, tensor.data.reshape(-1), tensor.grad, eps)
+            worst_overall = max(worst_overall, error)
         assert worst_overall < 1e-4, f"instance {candidate}: max rel error {worst_overall:.2e}"
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"gradient check took {elapsed:.1f}s"

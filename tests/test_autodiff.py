@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import max_fd_error
 from portrl import autodiff as ad
-from portrl.autodiff import NonScalarLoss, ShapeMismatch, Tensor, grad_check
+from portrl.autodiff import NonScalarLoss, ShapeMismatch, Tensor
+
+
+def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
+    """Max relative error between backward grads of scalar f(x) and central differences."""
+    x.requires_grad = True
+    x.zero_grad()
+    f(x).backward()
+    return max_fd_error(lambda: float(f(x).data), x.data.reshape(-1), x.grad, eps)
 
 
 def test_sum_gradient_is_one_everywhere():
@@ -62,10 +71,8 @@ def test_conv_never_mixes_rows():
 
 def test_gradient_accumulates_across_fanout():
     x = Tensor(np.array([1.0, 4.0]), requires_grad=True)
-    ad.tensor_sum(ad.add(x, x)).backward()
-    doubled = Tensor(np.array([1.0, 4.0]), requires_grad=True)
-    ad.tensor_sum(ad.smul(doubled, 2.0)).backward()
-    assert np.array_equal(x.grad, doubled.grad)
+    ad.tensor_sum(ad.mul(x, x)).backward()
+    assert np.array_equal(x.grad, 2.0 * x.data)
 
 
 def test_grad_check_linear_function_is_near_exact():
@@ -84,13 +91,12 @@ def test_grad_check_relu_away_from_kink():
 
 def test_grad_check_composite_graph():
     rng = np.random.default_rng(5)
-    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    x = np.abs(rng.normal(size=(2, 3))) + 0.5
+    w = Tensor(rng.normal(size=(4, 3, 2)), requires_grad=True)
+    x = np.abs(rng.normal(size=(3, 2, 5))) + 0.5
 
     def f(t):
-        h = ad.matmul(Tensor(x), t)
-        s = ad.softmax(h, axis=1)
-        return ad.mean(ad.log(ad.sadd(s, 0.5)))
+        s = ad.softmax(ad.conv1d_over_time(Tensor(x), t), axis=0)
+        return ad.mean(ad.log(s))
 
     assert grad_check(f, w) < 1e-6
 
@@ -113,14 +119,14 @@ def test_conv_gradients_match_finite_differences_both_paths():
                                                ad.conv1d_over_time(t, narrow, bias))), x_t) < 1e-6
 
 
-def test_concat_slice_reshape_backward():
+def test_concat_reshape_backward():
     rng = np.random.default_rng(7)
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    weights = Tensor(rng.normal(size=(12,)))
 
     def f(t):
         joined = ad.concat([t, ad.smul(t, 2.0)], axis=1)
-        piece = ad.slice_axis(joined, 1, 1, 5)
-        return ad.tensor_sum(ad.reshape(piece, (8,)))
+        return ad.tensor_sum(ad.mul(ad.reshape(joined, (12,)), weights))
 
     assert grad_check(f, a) < 1e-9
 
@@ -133,12 +139,15 @@ def test_expand_scalar_backward_sums():
 
 def test_shape_mismatch_reports_both_shapes():
     with pytest.raises(ShapeMismatch) as err:
-        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+        ad.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
     assert "(2, 3)" in str(err.value) and "(3, 2)" in str(err.value)
-    with pytest.raises(ShapeMismatch):
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch) as err:
         ad.conv1d_over_time(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((1, 3, 2))))
+    assert "(2, 3, 4)" in str(err.value) and "(1, 3, 2)" in str(err.value)
+    with pytest.raises(ShapeMismatch):
+        ad.conv1d_over_time(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((1, 2, 5))))
+    with pytest.raises(ShapeMismatch):
+        ad.conv1d_over_time(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros(2)))
 
 
 def test_backward_rejects_nonscalar_loss():
@@ -164,9 +173,9 @@ def test_forward_and_backward_are_deterministic():
     assert np.array_equal(first_grad, second_grad)
 
 
-def test_no_grad_skips_graph_recording():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with ad.no_grad():
-        out = ad.smul(x, 2.0)
-    assert not out.requires_grad
-    assert out._backward is None
+def test_no_graph_recorded_without_grad_inputs():
+    x = Tensor(np.ones((2, 3, 4)))
+    kernels = Tensor(np.ones((1, 2, 2)))
+    for out in (ad.smul(x, 2.0), ad.relu(ad.conv1d_over_time(x, kernels))):
+        assert not out.requires_grad
+        assert out._backward is None and out._parents == ()

@@ -190,6 +190,14 @@ class TestAggregate:
         assert max_fapv(results) == 2.06
 
 
+def test_prepare_rejects_a_batch_larger_than_the_training_slice(tiny_config):
+    # 60 training rows with window 4 leave 56 decidable steps, i.e. 56 buffer entries
+    assert prepare(replace(tiny_config, batch_size=56))[0].n_steps == 60
+    with pytest.raises(ValueError) as err:
+        prepare(replace(tiny_config, batch_size=57))
+    assert "batch_size = 57" in str(err.value) and "56 decidable training step" in str(err.value)
+
+
 class TestRunSingle:
     def test_untrained_policy_backtests_with_near_uniform_actions(self, tiny_config):
         tiny_config.steps = 0
@@ -282,6 +290,26 @@ class TestCampaign:
                 right[name] = right[name].replace(b'"workers": "2"', b"").replace(b"workers = 2", b"")
             assert left[name] == right[name], name
 
+    def test_a_method_whose_runs_all_fail_keeps_the_others(self, tmp_path, tiny_config, monkeypatch):
+        import portrl.experiment as experiment
+
+        fail_data_max(monkeypatch)
+        report = experiment.run_campaign(replace(tiny_config, normalization="last_close, data_max"))
+        assert [r.seed for r in report.methods["last_close"].results] == [0, 1]
+        assert report.methods["data_max"].results == []
+        assert report.methods["data_max"].failures == [(0, "RuntimeError: data_max diverged"),
+                                                       (1, "RuntimeError: data_max diverged")]
+        emit_report(report, tmp_path / "campaign")
+        summary = json.loads((tmp_path / "campaign" / "summary.json").read_text())
+        assert summary["methods"]["data_max"]["aggregates"] is None
+        assert summary["methods"]["data_max"]["max_fapv"] is None
+        assert summary["methods"]["last_close"]["aggregates"]["fapv"]["mean"] == \
+            aggregate(report.methods["last_close"].results)["fapv"][0]
+        loaded = load_campaign(tmp_path / "campaign")
+        assert loaded.methods["last_close"].results == report.methods["last_close"].results
+        assert loaded.methods["data_max"].results == []
+        assert loaded.methods["data_max"].failures == report.methods["data_max"].failures
+
     def test_all_failures_abort(self, tiny_config, monkeypatch):
         import portrl.experiment as experiment
 
@@ -291,6 +319,20 @@ class TestCampaign:
         monkeypatch.setattr(experiment, "run_single", always_fail)
         with pytest.raises(RuntimeError):
             experiment.run_campaign(tiny_config)
+
+
+def fail_data_max(monkeypatch):
+    """Make every data_max run fail; the other methods run normally."""
+    import portrl.experiment as experiment
+
+    original = experiment.run_single
+
+    def fails_for_data_max(config, seed):
+        if config.normalization == "data_max":
+            raise RuntimeError("data_max diverged")
+        return original(config, seed)
+
+    monkeypatch.setattr(experiment, "run_single", fails_for_data_max)
 
 
 def non_timing_files(out_dir):
@@ -407,6 +449,28 @@ class TestCli:
         with pytest.raises(ValueError) as err:
             cli.main(["validate", str(config_path)])
         assert "test_start" in str(err.value) and "test_end" in str(err.value)
+
+    def test_validate_rejects_a_batch_larger_than_the_training_slice(self, tmp_path):
+        config_path = write_config(tmp_path, write_market(tmp_path), batch_size=500)
+        with pytest.raises(ValueError) as err:
+            cli.main(["validate", str(config_path)])
+        assert "batch_size = 500" in str(err.value) and "56 decidable training step" in str(err.value)
+
+    def test_run_exits_1_when_a_method_fails_and_report_keeps_the_rest(self, tmp_path, capsys, monkeypatch):
+        config_path = write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS)
+        out_dir = tmp_path / "campaign"
+        fail_data_max(monkeypatch)
+        assert cli.main(["run", str(config_path), "--out", str(out_dir), "--steps", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "data_max      all 2 runs failed" in out
+        assert "last_close    " in out and "last_price    " in out and "+-" in out
+        assert "state normalizations" not in out  # no verdict without data_max results
+        before = non_timing_files(out_dir)
+        assert (out_dir / "fapv_data_max.txt").read_text() == ""
+        assert len((out_dir / "fapv_last_close.txt").read_text().splitlines()) == 2
+        assert cli.main(["report", str(out_dir)]) == 0
+        assert capsys.readouterr().out == out.split("\n", 1)[1]  # the table, without the 'written to' line
+        assert non_timing_files(out_dir) == before
 
     def test_run_overrides_are_validated(self, tmp_path):
         config_path = write_config(tmp_path, write_market(tmp_path))

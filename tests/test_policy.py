@@ -93,8 +93,7 @@ class TestForward:
     def test_batched_forward_matches_single_forwards(self):
         params = init_policy(4, 10, seed=6)
         states, lasts = random_inputs(np.random.default_rng(6), 4, 10, batch=8)
-        with ad.no_grad():
-            batch = forward_batch(params, states, lasts).data
+        batch = forward_batch(params, states, lasts).data
         singles = np.stack([policy_forward(params, states[i], lasts[i]) for i in range(8)])
         assert np.allclose(batch, singles, rtol=1e-12, atol=1e-15)
 
@@ -103,8 +102,7 @@ class TestForward:
 
         params = init_policy(5, 12, seed=12)
         states, lasts = random_inputs(np.random.default_rng(12), 5, 12, batch=7)
-        with ad.no_grad():
-            taped = forward_batch(params, states, lasts).data
+        taped = forward_batch(params, states, lasts).data
         assert np.array_equal(_forward_values(params, states, lasts), taped)
 
     def test_shape_mismatch_rejected(self):

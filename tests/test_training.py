@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_frame, random_walk_frame
+from helpers import make_frame, max_fd_error, random_walk_frame
 from portrl.autodiff import Tensor
 from portrl.environment import env_reset, env_step
 from portrl.normalization import scheme_from_kind
@@ -159,22 +159,11 @@ class TestBatchObjective:
         trainer.params.zero_grad()
         objective.backward()
         kernels = trainer.params.conv1_kernels
-        analytic = kernels.grad.copy()
 
-        eps = 1e-5
-        flat = kernels.data.reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
-            plus = float(batch_objective(trainer.params, trainer.buffer, 2, 3, 0.0, frozen_mu=mu)[0].data)
-            flat[i] = original - eps
-            minus = float(batch_objective(trainer.params, trainer.buffer, 2, 3, 0.0, frozen_mu=mu)[0].data)
-            flat[i] = original
-            numeric = (plus - minus) / (2 * eps)
-            a = analytic.reshape(-1)[i]
-            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
-        assert worst < 1e-4
+        def evaluate():
+            return float(batch_objective(trainer.params, trainer.buffer, 2, 3, 0.0, frozen_mu=mu)[0].data)
+
+        assert max_fd_error(evaluate, kernels.data.reshape(-1), kernels.grad, eps=1e-5) < 1e-4
 
 
 class TestTrainStep:
