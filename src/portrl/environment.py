@@ -43,14 +43,6 @@ class BracketFailure(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class StateTensor:
-    """Normalized (close, high, low) window of shape (3, n, t) ending at step t_index."""
-
-    values: np.ndarray
-    t_index: int
-
-
-@dataclass(frozen=True, eq=False)
 class EnvState:
     """Snapshot of a simulation: value/weights before and after the day's
     price drift, plus everything needed to step it as a pure function."""
@@ -67,16 +59,24 @@ class EnvState:
     terminal: bool = False
 
 
-def coerce_action(action: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+# Largest |sum - 1| of an action that coerce_action snaps onto the simplex.
+ACTION_SUM_TOL = 1e-6
+# Stopping rule of the mu fixed point: |mu_next - mu| < MU_TOL within MU_MAX_ITER updates.
+MU_TOL = 1e-12
+MU_MAX_ITER = 10000
+
+
+def coerce_action(action: np.ndarray) -> np.ndarray:
     """Validate a proposed weight vector and snap it onto the simplex.
 
     Entries >= -1e-9 are clamped to 0 and the vector renormalized when
-    its sum is within ``tol`` of 1; anything farther off is rejected.
+    its sum is within ``ACTION_SUM_TOL`` of 1; anything farther off is
+    rejected.
     """
     action = np.asarray(action, dtype=np.float64)
     if not np.isfinite(action).all():
         raise InvalidAction(f"non-finite entries in action {action}")
-    if action.min() < -1e-9 or abs(action.sum() - 1.0) > tol:
+    if action.min() < -1e-9 or abs(action.sum() - 1.0) > ACTION_SUM_TOL:
         raise InvalidAction(f"action off the simplex beyond tolerance: sum={action.sum()!r}, min={action.min()!r}")
     clipped = np.clip(action, 0.0, None)
     return clipped / clipped.sum()
@@ -91,11 +91,6 @@ def drift_weights(weights: np.ndarray, rel: np.ndarray) -> np.ndarray:
 def drift_value(value: float, weights: np.ndarray, rel: np.ndarray) -> float:
     """Value after a price move: V * (w . y)."""
     return value * float(np.dot(weights, rel))
-
-
-# Stopping rule of the mu fixed point: |mu_next - mu| < MU_TOL within MU_MAX_ITER updates.
-MU_TOL = 1e-12
-MU_MAX_ITER = 10000
 
 
 def transaction_factor(w_from: np.ndarray, w_to: np.ndarray, commission: float) -> float:
@@ -167,17 +162,17 @@ def transaction_factor_oracle(w_from: np.ndarray, w_to: np.ndarray, commission: 
     return 0.5 * (lo + hi)
 
 
-def build_state(frame: MarketFrame, t: int, window: int, scheme: NormalizationScheme) -> StateTensor:
-    """Normalized observation for deciding at step t (window ends at t, inclusive)."""
+def build_state(frame: MarketFrame, t: int, window: int, scheme: NormalizationScheme) -> np.ndarray:
+    """Normalized (close, high, low) window of shape (3, n, window) for
+    deciding at step t (the window ends at t, inclusive)."""
     if t < window - 1 or t >= frame.n_steps:
         raise WindowOutOfRange(f"step {t} with window {window} outside frame of length {frame.n_steps}")
     cols = slice(t - window + 1, t + 1)
-    values = normalize_window(scheme, frame.closes[:, cols], frame.highs[:, cols], frame.lows[:, cols])
-    return StateTensor(values=values, t_index=t)
+    return normalize_window(scheme, frame.closes[:, cols], frame.highs[:, cols], frame.lows[:, cols])
 
 
 def env_reset(frame: MarketFrame, window: int, scheme: NormalizationScheme,
-              initial_value: float = 100_000.0, commission: float = 0.0025) -> tuple[EnvState, StateTensor]:
+              initial_value: float = 100_000.0, commission: float = 0.0025) -> tuple[EnvState, np.ndarray]:
     """All-cash start at the first decidable step."""
     if window < 1:
         raise WindowOutOfRange(f"window must be >= 1, got {window}")
@@ -200,7 +195,7 @@ def env_reset(frame: MarketFrame, window: int, scheme: NormalizationScheme,
     return state, build_state(frame, t0, window, scheme)
 
 
-def env_step(state: EnvState, action: np.ndarray) -> tuple[EnvState, StateTensor | None, float]:
+def env_step(state: EnvState, action: np.ndarray) -> tuple[EnvState, np.ndarray | None, float]:
     """Rebalance to ``action``, advance one day, and return the log-return reward."""
     if state.terminal:
         raise SteppedAfterTerminal(f"episode already ended at step {state.t}")

@@ -56,11 +56,11 @@ class IndexOutOfRange(IndexError):
 
 @dataclass(frozen=True, eq=False)
 class AssetSeries:
-    """One asset's validated OHLC history, sorted by date."""
+    """One asset's validated OHLC history, sorted by date; the open is
+    checked against low/high on load but not kept."""
 
     ticker: str
     dates: tuple[date, ...]
-    opens: np.ndarray
     highs: np.ndarray
     lows: np.ndarray
     closes: np.ndarray
@@ -112,9 +112,6 @@ class PeriodSplit:
 
     train: MarketFrame
     test: MarketFrame
-    train_range: tuple[date, date]
-    test_range: tuple[date, date]
-    test_start_index: int
 
 
 def load_ohlc_csv(path: str | Path, ticker: str) -> AssetSeries:
@@ -149,7 +146,7 @@ def load_ohlc_csv(path: str | Path, ticker: str) -> AssetSeries:
         if day == next_day:
             raise UnparsableRow(f"{path}:{line_no}: duplicate date {day}")
 
-    opens, highs, lows, closes = (np.empty(len(rows)) for _ in range(4))
+    highs, lows, closes = (np.empty(len(rows)) for _ in range(3))
     for i, (day, line_no, (o, h, l, c)) in enumerate(rows):
         # NaN fails every comparison and high < inf bounds the rest, so
         # this one chain also rejects non-finite prices.
@@ -160,11 +157,10 @@ def load_ohlc_csv(path: str | Path, ticker: str) -> AssetSeries:
             raise OhlcOrderingViolation(
                 f"{path}:{line_no}: OHLC ordering violated on {day} (open={o}, high={h}, low={l}, close={c})"
             )
-        opens[i], highs[i], lows[i], closes[i] = o, h, l, c
+        highs[i], lows[i], closes[i] = h, l, c
     return AssetSeries(
         ticker=ticker,
         dates=tuple(day for day, _, _ in rows),
-        opens=opens,
         highs=highs,
         lows=lows,
         closes=closes,
@@ -253,9 +249,6 @@ def split_periods(
     return PeriodSplit(
         train=frame.slice(train_idx[0], train_idx[-1] + 1),
         test=frame.slice(prefix_start, test_idx[-1] + 1),
-        train_range=train_range,
-        test_range=test_range,
-        test_start_index=time_window - 1,
     )
 
 

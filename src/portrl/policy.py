@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .environment import StateTensor
 
 
 class WindowTooSmall(ValueError):
@@ -36,10 +35,6 @@ class PolicyParams:
     cash_bias: Tensor      # scalar
     n_assets: int
     window: int
-    k1: int
-    c1: int
-    c2: int
-    seed: int
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         return [
@@ -57,10 +52,6 @@ class PolicyParams:
 
     def bias_tensors(self) -> list[tuple[str, Tensor]]:
         return [(name, t) for name, t in self.named_tensors() if not name.endswith("_kernels")]
-
-    def zero_grad(self) -> None:
-        for _, tensor in self.named_tensors():
-            tensor.zero_grad()
 
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -86,10 +77,6 @@ def init_policy(n_assets: int, window: int, seed: int, k1: int = 3, c1: int = 2,
         cash_bias=Tensor(np.zeros(()), requires_grad=True),
         n_assets=n_assets,
         window=window,
-        k1=k1,
-        c1=c1,
-        c2=c2,
-        seed=seed,
     )
 
 
@@ -134,9 +121,9 @@ def _forward_values(params: PolicyParams, states: np.ndarray, last_actions: np.n
     return exped / exped.sum(axis=1, keepdims=True)
 
 
-def policy_forward(params: PolicyParams, state: StateTensor | np.ndarray, last_action: np.ndarray) -> np.ndarray:
-    """Pure inference for one state: returns the (n+1,) action."""
-    values = state.values if isinstance(state, StateTensor) else np.asarray(state)
+def policy_forward(params: PolicyParams, state: np.ndarray, last_action: np.ndarray) -> np.ndarray:
+    """Pure inference for one (3, n, t) state: returns the (n+1,) action."""
+    values = np.asarray(state)
     last_action = np.asarray(last_action)
     if values.shape != (3, params.n_assets, params.window) or last_action.shape != (params.n_assets + 1,):
         raise ad.ShapeMismatch(

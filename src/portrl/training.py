@@ -45,14 +45,13 @@ class Trajectory:
 
 
 class ReplayBuffer:
-    """Ordered per-step experiences backed by flat arrays.
+    """Ordered per-step experiences in flat arrays sized up front.
 
     The last_action column is mutable by design: training rewrites it
     with fresh policy outputs. Everything else is frozen history.
     """
 
-    def __init__(self, t0: int, n_assets: int, window: int, capacity: int = 64):
-        self.t0 = t0
+    def __init__(self, n_assets: int, window: int, capacity: int):
         self._size = 0
         self._states = np.empty((capacity, 3, n_assets, window))
         self._last_actions = np.empty((capacity, n_assets + 1))
@@ -61,12 +60,14 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
+    def reserve(self, extra: int) -> None:
+        """Make room for ``extra`` more experiences."""
+        grow = lambda a: np.concatenate([a, np.empty((extra,) + a.shape[1:])])
+        self._states = grow(self._states)
+        self._last_actions = grow(self._last_actions)
+        self._relatives = grow(self._relatives)
+
     def append(self, state: np.ndarray, last_action: np.ndarray, relative: np.ndarray) -> None:
-        if self._size == self._states.shape[0]:
-            grow = lambda a: np.concatenate([a, np.empty_like(a)], axis=0)
-            self._states = grow(self._states)
-            self._last_actions = grow(self._last_actions)
-            self._relatives = grow(self._relatives)
         self._states[self._size] = state
         self._last_actions[self._size] = last_action
         self._relatives[self._size] = relative
@@ -133,21 +134,35 @@ class AdamW:
                 p.data -= self.lr * update
 
 
-def fill_buffer(frame: MarketFrame, window: int, scheme: NormalizationScheme,
-                initial_value: float, commission: float, params: PolicyParams) -> ReplayBuffer:
-    """Roll the policy greedily through the whole episode, one experience per step."""
+def _episode(frame: MarketFrame, window: int, scheme: NormalizationScheme,
+             initial_value: float, commission: float, params: PolicyParams):
+    """Roll the policy greedily through an all-cash episode on ``frame``.
+
+    Each decision reads ``params`` as they stand when the loop resumes,
+    so updates made between yields steer the rest of the episode. Yields
+    (window, last action, price relatives, next state, reward) per step;
+    the last action is the policy's raw output (the simulator
+    renormalizes its own copy), so buffer rewrites stay exact.
+    """
     state, obs = env_reset(frame, window, scheme, initial_value, commission)
-    buffer = ReplayBuffer(t0=state.t, n_assets=frame.n_assets, window=window,
-                          capacity=max(frame.n_steps - window, 1))
-    # The buffer keeps the policy's raw outputs as last-actions (the
-    # simulator renormalizes its own copy), so rewrites stay exact.
     last_action = state.weights
     while not state.terminal:
         action = policy_forward(params, obs, last_action)
         relative = price_relatives(frame, state.t + 1)
-        buffer.append(obs.values, last_action, relative)
-        state, obs, _ = env_step(state, action)
+        decided_on = obs
+        state, obs, reward = env_step(state, action)
+        yield decided_on, last_action, relative, state, reward
         last_action = action
+
+
+def fill_buffer(frame: MarketFrame, window: int, scheme: NormalizationScheme,
+                initial_value: float, commission: float, params: PolicyParams) -> ReplayBuffer:
+    """Roll the policy greedily through the whole episode, one experience per step."""
+    # A frame with no decidable step raises FrameTooShort from env_reset.
+    buffer = ReplayBuffer(frame.n_assets, window, capacity=max(frame.n_steps - window, 0))
+    experiences = _episode(frame, window, scheme, initial_value, commission, params)
+    for decided_on, last_action, relative, _, _ in experiences:
+        buffer.append(decided_on, last_action, relative)
     return buffer
 
 
@@ -212,7 +227,6 @@ class Trainer:
         self.rng = rng
         self.buffer: ReplayBuffer | None = None
         self.step_count = 0
-        self.last_batch: tuple[int, int] | None = None
         self.optimizer = AdamW(
             decayed=[t for _, t in params.kernel_tensors()],
             undecayed=[t for _, t in params.bias_tensors()],
@@ -230,7 +244,6 @@ class Trainer:
             raise RuntimeError("fill_buffer must run before train_step")
         start, stop = sample_batch(self.buffer, self.config.batch_size,
                                    self.config.sample_bias, self.rng)
-        self.last_batch = (start, stop)
         objective, _ = batch_objective(self.params, self.buffer, start, stop, self.commission)
         loss = ad.smul(objective, -1.0)
         value = float(loss.data)
@@ -258,24 +271,20 @@ class Trainer:
     def backtest(self, test_frame: MarketFrame, online_steps: int) -> Trajectory:
         """Fresh all-cash episode on the test frame; each new experience is
         appended to the buffer and followed by ``online_steps`` updates."""
-        state, obs = env_reset(test_frame, self.window, self.scheme,
-                               self.initial_value, self.commission)
+        if self.buffer is None:
+            raise RuntimeError("fill_buffer must run before backtest")
+        # A frame with no decidable step raises FrameTooShort from env_reset.
+        self.buffer.reserve(max(test_frame.n_steps - self.window, 0))
         steps, values, rewards, actions = [], [], [], []
-        last_action = state.weights
-        while not state.terminal:
-            action = policy_forward(self.params, obs, last_action)
-            relative = price_relatives(test_frame, state.t + 1)
-            state_values = obs.values
-            state, obs, reward = env_step(state, action)
-            if self.buffer is not None:
-                self.buffer.append(state_values, last_action, relative)
+        for decided_on, last_action, relative, state, reward in _episode(
+                test_frame, self.window, self.scheme, self.initial_value, self.commission, self.params):
+            self.buffer.append(decided_on, last_action, relative)
             for _ in range(online_steps):
                 self.train_step()
             steps.append(state.t)
             values.append(state.drifted_value)
             rewards.append(reward)
             actions.append(state.weights)
-            last_action = action
         return Trajectory(
             steps=np.asarray(steps, dtype=np.int64),
             values=np.asarray(values),

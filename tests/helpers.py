@@ -35,6 +35,12 @@ def write_ohlc_csv(path, rows, header="date,open,high,low,close") -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def clear_grads(params) -> None:
+    """Reset the gradient of every learnable tensor of a policy."""
+    for _, tensor in params.named_tensors():
+        tensor.zero_grad()
+
+
 def random_simplex(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.dirichlet(np.ones(size))
 

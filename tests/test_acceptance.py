@@ -14,7 +14,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from helpers import make_frame, max_fd_error, random_simplex, random_walk_frame
+from helpers import clear_grads, make_frame, max_fd_error, random_simplex, random_walk_frame
 from portrl.environment import (
     env_reset,
     env_step,
@@ -101,7 +101,7 @@ def test_gradient_correctness_full_policy_objective():
         accepted += 1
 
         objective, mu = batch_objective(params, buffer, start, stop, commission)
-        params.zero_grad()
+        clear_grads(params)
         objective.backward()
 
         def evaluate():
@@ -217,7 +217,7 @@ def test_sampling_distribution_total_variation():
     bias = 0.002
     batch = 40
     max_offset = 200
-    buffer = ReplayBuffer(t0=0, n_assets=1, window=2, capacity=batch + max_offset)
+    buffer = ReplayBuffer(n_assets=1, window=2, capacity=batch + max_offset)
     for _ in range(batch + max_offset):
         buffer.append(np.ones((3, 1, 2)), np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 

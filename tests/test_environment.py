@@ -108,14 +108,14 @@ class TestBuildState:
     def test_first_decidable_step_takes_leading_window(self):
         frame = random_walk_frame(np.random.default_rng(3), 2, 60)
         state = build_state(frame, 49, 50, LAST_CLOSE)
-        assert state.values.shape == (3, 2, 50)
+        assert state.shape == (3, 2, 50)
         expected = frame.closes[:, :50] / frame.closes[:, 49:50]
-        assert np.array_equal(state.values[0], expected)
+        assert np.array_equal(state[0], expected)
 
     def test_last_close_final_column_is_ones(self):
         frame = random_walk_frame(np.random.default_rng(4), 3, 20)
         state = build_state(frame, 10, 8, LAST_CLOSE)
-        assert np.array_equal(state.values[0][:, -1], np.ones(3))
+        assert np.array_equal(state[0][:, -1], np.ones(3))
 
     def test_data_max_is_passthrough_on_prescaled_frame(self):
         flat = np.full((1, 10), 6.0)
@@ -123,7 +123,7 @@ class TestBuildState:
         scheme = fit_data_max(frame)
         scaled = apply_data_max(scheme, frame)
         state = build_state(scaled, 5, 4, scheme)
-        assert np.array_equal(state.values, np.ones((3, 1, 4)))
+        assert np.array_equal(state, np.ones((3, 1, 4)))
 
     def test_window_out_of_range(self):
         frame = random_walk_frame(np.random.default_rng(5), 1, 10)
@@ -140,14 +140,14 @@ class TestEnvResetStep:
         assert state.value == 100_000.0
         assert np.array_equal(state.weights, [1.0, 0.0, 0.0, 0.0])
         assert state.t == 4
-        assert obs.values.shape == (3, 3, 5)
+        assert obs.shape == (3, 3, 5)
 
     def test_reset_is_deterministic(self):
         frame = random_walk_frame(np.random.default_rng(7), 2, 20)
         first, obs_a = env_reset(frame, 4, LAST_CLOSE)
         second, obs_b = env_reset(frame, 4, LAST_CLOSE)
         assert np.array_equal(first.weights, second.weights)
-        assert np.array_equal(obs_a.values, obs_b.values)
+        assert np.array_equal(obs_a, obs_b)
 
     def test_window_equal_to_frame_length_is_too_short(self):
         frame = random_walk_frame(np.random.default_rng(8), 1, 10)

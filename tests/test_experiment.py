@@ -17,8 +17,6 @@ from portrl import cli
 from portrl.metrics import MetricReport
 from portrl.normalization import KINDS
 from portrl.experiment import (
-    CampaignReport,
-    MethodResults,
     RunResult,
     aggregate,
     config_to_text,
@@ -310,15 +308,26 @@ class TestCampaign:
         assert loaded.methods["data_max"].results == []
         assert loaded.methods["data_max"].failures == report.methods["data_max"].failures
 
-    def test_all_failures_abort(self, tiny_config, monkeypatch):
-        import portrl.experiment as experiment
+    def test_all_failures_abort(self, tmp_path, tiny_config, monkeypatch):
+        fail_every_run(monkeypatch)
+        report = run_campaign(tiny_config)
+        assert report.methods["last_close"].results == []
+        emit_report(report, tmp_path / "campaign")
+        summary = json.loads((tmp_path / "campaign" / "summary.json").read_text())
+        assert summary["methods"]["last_close"]["failures"] == [
+            {"seed": 0, "error": "RuntimeError: boom at seed 0"},
+            {"seed": 1, "error": "RuntimeError: boom at seed 1"},
+        ]
 
-        def always_fail(config, seed):
-            raise RuntimeError("boom")
 
-        monkeypatch.setattr(experiment, "run_single", always_fail)
-        with pytest.raises(RuntimeError):
-            experiment.run_campaign(tiny_config)
+def fail_every_run(monkeypatch):
+    """Make every run fail with a message that names its seed."""
+    import portrl.experiment as experiment
+
+    def always_fail(config, seed):
+        raise RuntimeError(f"boom at seed {seed}")
+
+    monkeypatch.setattr(experiment, "run_single", always_fail)
 
 
 def fail_data_max(monkeypatch):
@@ -427,11 +436,17 @@ class TestEmitLoad:
         samples = (out / "fapv_last_close.txt").read_text().splitlines()
         assert len(samples) == len(report.methods["last_close"].results)
 
-    def test_empty_campaign_refused(self, tmp_path, tiny_config):
-        empty = CampaignReport(config=tiny_config, methods={"last_close": MethodResults()})
-        with pytest.raises(ValueError):
-            emit_report(empty, tmp_path / "never")
-        assert not (tmp_path / "never").exists()
+    def test_all_failed_campaign_is_written_and_reemitted_byte_for_byte(self, tmp_path, capsys, monkeypatch):
+        config_path = write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS)
+        out_dir = tmp_path / "campaign"
+        fail_every_run(monkeypatch)
+        assert cli.main(["run", str(config_path), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().out.count("all 2 runs failed") == 3
+        before = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        assert sorted(before) == ["config_resolved.txt", "fapv_data_max.txt", "fapv_last_close.txt",
+                                  "fapv_last_price.txt", "runs.tsv", "summary.json", "timings.tsv"]
+        assert cli.main(["report", str(out_dir)]) == 0
+        assert {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} == before
 
 
 

@@ -39,12 +39,20 @@ class TestLoadCsv:
         assert len(series) == 2
         assert series.dates == (date(2020, 1, 2), date(2020, 1, 3))
         assert np.array_equal(series.closes, [11.0, 12.0])
-        assert np.array_equal(series.opens, [10.0, 11.0])
+        assert np.array_equal(series.highs, [12.0, 13.0])
+        assert np.array_equal(series.lows, [9.0, 10.0])
+        assert not hasattr(series, "opens")  # the open is validated, not stored
 
     def test_close_above_high_rejected(self, tmp_path):
         with pytest.raises(OhlcOrderingViolation) as err:
             series_from_rows(tmp_path, [("2020-01-02", 10, 12, 9, 14)])
         assert "2020-01-02" in str(err.value)
+
+    @pytest.mark.parametrize("open_price", [8, 13])
+    def test_open_outside_low_high_rejected(self, tmp_path, open_price):
+        with pytest.raises(OhlcOrderingViolation) as err:
+            series_from_rows(tmp_path, [("2020-01-02", open_price, 12, 9, 11)])
+        assert "open=" in str(err.value)
 
     def test_shuffled_rows_match_sorted_input(self, tmp_path):
         rows = [("2020-01-0%d" % d, 10 + d, 12 + d, 9 + d, 11 + d) for d in range(2, 8)]
@@ -187,7 +195,7 @@ class TestSplit:
         assert split.train.n_steps == 80
         assert split.test.n_steps == 24
         assert split.test.dates[0] == frame.dates[76]
-        assert split.test.dates[split.test_start_index] == frame.dates[80]
+        assert split.test.dates[5 - 1] == frame.dates[80]
 
     def test_insufficient_train_length(self):
         frame = random_walk_frame(np.random.default_rng(2), 1, 60)
@@ -206,7 +214,7 @@ class TestSplit:
         train_range = (start, frame.dates[2999])
         test_range = (frame.dates[3000], frame.dates[3399])
         split = split_periods(frame, train_range, test_range, 50)
-        assert split.train.dates[-1] < split.test.dates[split.test_start_index]
+        assert split.train.dates[-1] < split.test.dates[50 - 1]
         assert split.test.n_steps == 400 + 49
 
     def test_concatenation_reproduces_frame(self):

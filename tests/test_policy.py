@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import clear_grads
 from portrl import autodiff as ad
 from portrl.autodiff import ShapeMismatch
 from portrl.policy import (
@@ -118,7 +119,7 @@ class TestForward:
         states, lasts = random_inputs(np.random.default_rng(8), 4, 10, batch=6)
         out = forward_batch(params, states, lasts)
         loss = ad.mean(ad.log(out))
-        params.zero_grad()
+        clear_grads(params)
         loss.backward()
         for name, tensor in params.named_tensors():
             assert tensor.grad is not None, name

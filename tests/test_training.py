@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_frame, max_fd_error, random_walk_frame
+from helpers import clear_grads, make_frame, max_fd_error, random_walk_frame
+from portrl import training
 from portrl.autodiff import Tensor
-from portrl.environment import env_reset, env_step
+from portrl.environment import FrameTooShort, build_state, env_reset, env_step
 from portrl.normalization import scheme_from_kind
 from portrl.policy import init_policy, policy_forward
 from portrl.training import (
@@ -44,6 +45,19 @@ def make_trainer(frame, window=5, commission=0.0025, seed=0, **overrides):
     return trainer
 
 
+def record_batches(monkeypatch):
+    """List that receives the (start, stop) range of every later train_step."""
+    batches = []
+    original = training.sample_batch
+
+    def recording(*args):
+        batches.append(original(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(training, "sample_batch", recording)
+    return batches
+
+
 class TestFillBuffer:
     def test_one_experience_per_decidable_step(self):
         frame = random_walk_frame(np.random.default_rng(0), 3, 40)
@@ -67,7 +81,7 @@ class TestFillBuffer:
     def test_stored_relatives_describe_transition_out_of_each_step(self):
         frame = random_walk_frame(np.random.default_rng(3), 2, 15)
         trainer = make_trainer(frame, window=4)
-        assert trainer.buffer.t0 == 3
+        assert np.array_equal(trainer.buffer.states[0], build_state(frame, 3, 4, LAST_CLOSE))
         expected = frame.closes[:, 4] / frame.closes[:, 3]
         assert np.array_equal(trainer.buffer.relatives[0, 1:], expected)
 
@@ -156,7 +170,7 @@ class TestBatchObjective:
         frame = random_walk_frame(np.random.default_rng(10), 3, 16)
         trainer = make_trainer(frame, window=4, commission=0.0)
         objective, mu = batch_objective(trainer.params, trainer.buffer, 2, 3, 0.0)
-        trainer.params.zero_grad()
+        clear_grads(trainer.params)
         objective.backward()
         kernels = trainer.params.conv1_kernels
 
@@ -167,7 +181,7 @@ class TestBatchObjective:
 
 
 class TestTrainStep:
-    def test_zero_learning_rate_keeps_params_but_rewrites(self):
+    def test_zero_learning_rate_keeps_params_but_rewrites(self, monkeypatch):
         frame = random_walk_frame(np.random.default_rng(11), 3, 40)
         trainer = make_trainer(frame, window=5, learning_rate=0.0, weight_decay=0.0,
                                sample_bias=1.0)
@@ -176,22 +190,24 @@ class TestTrainStep:
         size = len(trainer.buffer)
         junk = np.full(frame.n_assets + 1, 1.0 / (frame.n_assets + 1))
         trainer.buffer.last_actions[size - 7 : size] = junk
+        batches = record_batches(monkeypatch)
         trainer.train_step()
         for name, tensor in trainer.params.named_tensors():
             assert np.array_equal(tensor.data, before[name]), name
-        start, stop = trainer.last_batch
+        start, stop = batches[-1]
         assert (start, stop) == (size - 8, size)
         for j in range(start + 1, size):
             expected = policy_forward(trainer.params, trainer.buffer.states[j - 1],
                                       trainer.buffer.last_actions[j - 1])
             assert np.array_equal(trainer.buffer.last_actions[j], expected), j
 
-    def test_rewritten_actions_equal_recomputed_policy_outputs(self):
+    def test_rewritten_actions_equal_recomputed_policy_outputs(self, monkeypatch):
         frame = random_walk_frame(np.random.default_rng(12), 3, 40)
         trainer = make_trainer(frame, window=5)
+        batches = record_batches(monkeypatch)
         for _ in range(3):
             trainer.train_step()
-        start, stop = trainer.last_batch
+        start, stop = batches[-1]
         buffer = trainer.buffer
         for j in range(start + 1, min(stop + 1, len(buffer))):
             expected = policy_forward(trainer.params, buffer.states[j - 1], buffer.last_actions[j - 1])
@@ -287,3 +303,37 @@ class TestBacktest:
         traj = trainer.backtest(test_frame, online_steps=1)
         assert len(trainer.buffer) == before_len + len(traj)
         assert not np.array_equal(trainer.params.conv1_kernels.data, before)
+
+
+class TestEpisodeLoop:
+    """fill_buffer and backtest share one rollout, and the buffer is sized exactly."""
+
+    def test_backtest_without_updates_appends_what_fill_buffer_stores(self):
+        frame = random_walk_frame(np.random.default_rng(28), 3, 30)
+        trainer = make_trainer(frame, window=5)
+        filled = len(trainer.buffer)
+        trainer.backtest(frame, online_steps=0)
+        assert len(trainer.buffer) == 2 * filled
+        for name in ("states", "last_actions", "relatives"):
+            stored = getattr(trainer.buffer, name)
+            assert stored[filled:].tobytes() == stored[:filled].tobytes(), name
+
+    @pytest.mark.parametrize("length", [6, 3])  # as long as the window of 6, and shorter
+    def test_frame_without_a_decidable_step_is_too_short(self, length):
+        frame = random_walk_frame(np.random.default_rng(29), 2, length)
+        params = init_policy(2, 6, seed=0, c1=2, c2=4)
+        with pytest.raises(FrameTooShort):
+            fill_buffer(frame, 6, LAST_CLOSE, 1e5, 0.0025, params)
+        trainer = make_trainer(random_walk_frame(np.random.default_rng(32), 2, 20), window=6)
+        with pytest.raises(FrameTooShort):
+            trainer.backtest(frame, online_steps=0)
+
+    def test_buffer_has_no_unused_rows(self):
+        frame = random_walk_frame(np.random.default_rng(30), 2, 40)
+        trainer = make_trainer(frame, window=5)
+        assert trainer.buffer._states.shape[0] == len(trainer.buffer) == 40 - 5
+        test_frame = random_walk_frame(np.random.default_rng(31), 2, 20)
+        trainer.backtest(test_frame, online_steps=1)
+        assert len(trainer.buffer) == 40 - 5 + 20 - 5
+        for stored in (trainer.buffer._states, trainer.buffer._last_actions, trainer.buffer._relatives):
+            assert stored.shape[0] == len(trainer.buffer)
