@@ -40,6 +40,11 @@ def _print_table(report) -> None:
         print(f"\ndata_max mean FAPV >= both state normalizations: {leads}")
 
 
+def _exit_status(report) -> int:
+    """1 when some method has no successful run, else 0."""
+    return 0 if all(method.results for method in report.methods.values()) else 1
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     overrides = {name: getattr(args, name) for name in ("runs", "steps", "workers") if getattr(args, name) is not None}
@@ -49,14 +54,14 @@ def _cmd_run(args) -> int:
     emit_report(report, out_dir)
     print(f"campaign written to {out_dir}")
     _print_table(report)
-    return 0 if all(method.results for method in report.methods.values()) else 1
+    return _exit_status(report)
 
 
 def _cmd_report(args) -> int:
     report = load_campaign(args.campaign_dir)
     emit_report(report, args.campaign_dir)
     _print_table(report)
-    return 0
+    return _exit_status(report)
 
 
 def _cmd_validate(args) -> int:

@@ -68,20 +68,22 @@ def init_policy(n_assets: int, window: int, seed: int, k1: int = 3, c1: int = 2,
     k2 = window - k1 + 1
     rng = np.random.default_rng(seed)
     return PolicyParams(
-        conv1_kernels=Tensor(_uniform(rng, (c1, 3, k1), 3 * k1, c1 * k1), requires_grad=True),
-        conv1_bias=Tensor(np.zeros(c1), requires_grad=True),
-        conv2_kernels=Tensor(_uniform(rng, (c2, c1, k2), c1 * k2, c2 * k2), requires_grad=True),
-        conv2_bias=Tensor(np.zeros(c2), requires_grad=True),
-        out_kernels=Tensor(_uniform(rng, (1, c2 + 1, 1), c2 + 1, 1), requires_grad=True),
-        out_bias=Tensor(np.zeros(1), requires_grad=True),
-        cash_bias=Tensor(np.zeros(()), requires_grad=True),
+        conv1_kernels=Tensor(_uniform(rng, (c1, 3, k1), 3 * k1, c1 * k1)),
+        conv1_bias=Tensor(np.zeros(c1)),
+        conv2_kernels=Tensor(_uniform(rng, (c2, c1, k2), c1 * k2, c2 * k2)),
+        conv2_bias=Tensor(np.zeros(c2)),
+        out_kernels=Tensor(_uniform(rng, (1, c2 + 1, 1), c2 + 1, 1)),
+        out_bias=Tensor(np.zeros(1)),
+        cash_bias=Tensor(np.zeros(())),
         n_assets=n_assets,
         window=window,
     )
 
 
-def forward_batch(params: PolicyParams, states: np.ndarray, last_actions: np.ndarray) -> Tensor:
-    """Actions for a batch: states (B, 3, n, t), last_actions (B, n+1) -> Tensor (B, n+1).
+def forward_batch(params: PolicyParams, states: np.ndarray,
+                  last_actions: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Actions for a batch: states (B, 3, n, t), last_actions (B, n+1) -> (B, n+1),
+    plus the activations ``backward_batch`` reads.
 
     The batch folds into the asset axis, which the convolutions treat
     independently anyway; only the final softmax is per-sample.
@@ -93,32 +95,44 @@ def forward_batch(params: PolicyParams, states: np.ndarray, last_actions: np.nda
         )
     if last_actions.shape != (batch, n + 1):
         raise ad.ShapeMismatch(f"last_actions {last_actions.shape}, expected {(batch, n + 1)}")
-
-    x = Tensor(np.ascontiguousarray(states.transpose(1, 0, 2, 3)).reshape(3, batch * n, t))
-    h = ad.relu(ad.conv1d_over_time(x, params.conv1_kernels, params.conv1_bias))
-    h = ad.relu(ad.conv1d_over_time(h, params.conv2_kernels, params.conv2_bias))
-    risky_memory = Tensor(np.ascontiguousarray(last_actions[:, 1:]).reshape(1, batch * n, 1))
-    h = ad.concat([h, risky_memory], axis=0)
-    scores = ad.reshape(ad.conv1d_over_time(h, params.out_kernels, params.out_bias), (batch, n))
-    cash = ad.expand_scalar(params.cash_bias, (batch, 1))
-    return ad.softmax(ad.concat([cash, scores], axis=1), axis=1)
+    return _forward(params, states, last_actions)
 
 
-def _forward_values(params: PolicyParams, states: np.ndarray, last_actions: np.ndarray) -> np.ndarray:
-    """Raw-numpy twin of forward_batch: identical kernel calls in identical
-    order, so outputs are bitwise equal, without graph bookkeeping."""
+def _forward(params: PolicyParams, states: np.ndarray, last_actions: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The one graph: conv1 -> relu -> conv2 -> relu, the last risky weights
+    as an extra channel, 1x1 head, cash bias, softmax."""
     batch, _, n, t = states.shape
     x = np.ascontiguousarray(states.transpose(1, 0, 2, 3)).reshape(3, batch * n, t)
-    h = np.maximum(ad._conv1d_values(x, params.conv1_kernels.data, params.conv1_bias.data), 0.0)
-    h = np.maximum(ad._conv1d_values(h, params.conv2_kernels.data, params.conv2_bias.data), 0.0)
+    h1 = np.maximum(ad.conv1d_over_time(x, params.conv1_kernels.data, params.conv1_bias.data), 0.0)
+    h2 = np.maximum(ad.conv1d_over_time(h1, params.conv2_kernels.data, params.conv2_bias.data), 0.0)
     memory = np.ascontiguousarray(last_actions[:, 1:]).reshape(1, batch * n, 1)
-    h = np.concatenate([h, memory], axis=0)
-    scores = ad._conv1d_values(h, params.out_kernels.data, params.out_bias.data).reshape(batch, n)
+    head_in = np.concatenate([h2, memory], axis=0)
+    scores = ad.conv1d_over_time(head_in, params.out_kernels.data, params.out_bias.data).reshape(batch, n)
     cash = np.full((batch, 1), float(params.cash_bias.data))
-    logits = np.concatenate([cash, scores], axis=1)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exped = np.exp(shifted)
-    return exped / exped.sum(axis=1, keepdims=True)
+    actions = ad.softmax(np.concatenate([cash, scores], axis=1))
+    return actions, (x, h1, head_in, actions)
+
+
+def backward_batch(params: PolicyParams, activations: tuple, grad_actions: np.ndarray) -> None:
+    """Set every parameter's ``grad`` from d(loss)/d(actions) of one forward_batch.
+
+    A ReLU passes gradient only where its output is positive (the
+    subgradient at 0 is 0).
+    """
+    x, h1, head_in, actions = activations
+    inner = (grad_actions * actions).sum(axis=1, keepdims=True)
+    grad_logits = actions * (grad_actions - inner)
+    params.cash_bias.grad = np.asarray(grad_logits[:, :1].sum())
+    g = grad_logits[:, 1:].reshape(1, -1, 1)
+    params.out_kernels.grad = ad.conv1d_kernel_grad(g, head_in)
+    params.out_bias.grad = g.sum(axis=(1, 2))
+    # the last head input channel is the last risky weights: no parameter behind it
+    g = ad.conv1d_input_grad(g, params.out_kernels.data)[:-1] * (head_in[:-1] > 0.0)
+    params.conv2_kernels.grad = ad.conv1d_kernel_grad(g, h1)
+    params.conv2_bias.grad = g.sum(axis=(1, 2))
+    g = ad.conv1d_input_grad(g, params.conv2_kernels.data) * (h1 > 0.0)
+    params.conv1_kernels.grad = ad.conv1d_kernel_grad(g, x)
+    params.conv1_bias.grad = g.sum(axis=(1, 2))
 
 
 def policy_forward(params: PolicyParams, state: np.ndarray, last_action: np.ndarray) -> np.ndarray:
@@ -130,5 +144,5 @@ def policy_forward(params: PolicyParams, state: np.ndarray, last_action: np.ndar
             f"state {values.shape} / last_action {last_action.shape} incompatible with "
             f"policy (3, {params.n_assets}, {params.window})"
         )
-    return _forward_values(params, values[None], last_action[None])[0].copy()
-
+    actions, _ = _forward(params, values[None], last_action[None])
+    return actions[0].copy()

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .environment import env_reset, env_step, transaction_factor_batch
 from .market_data import MarketFrame, price_relatives
 from .normalization import NormalizationScheme
-from .policy import PolicyParams, forward_batch, policy_forward
+from .policy import PolicyParams, backward_batch, forward_batch, policy_forward
 
 
 class BatchTooLarge(ValueError):
@@ -109,19 +108,12 @@ class AdamW:
         self._m = {id(p): np.zeros_like(p.data) for group, _ in self.groups for p in group}
         self._v = {id(p): np.zeros_like(p.data) for group, _ in self.groups for p in group}
 
-    def zero_grad(self) -> None:
-        for group, _ in self.groups:
-            for p in group:
-                p.zero_grad()
-
     def step(self) -> None:
         self.step_count += 1
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
         for group, decay in self.groups:
             for p in group:
-                if p.grad is None:
-                    continue
                 m = self._m[id(p)]
                 v = self._v[id(p)]
                 m *= BETA1
@@ -193,22 +185,27 @@ def batch_objective(params: PolicyParams, buffer: ReplayBuffer, start: int, stop
     relatives, and mu_t the rebalancing cost factor from the previous
     action's drifted weights. mu_t is held constant under
     differentiation; pass ``frozen_mu`` to reuse values from a previous
-    evaluation (finite-difference checks need this).
+    evaluation (finite-difference checks need this). The returned
+    objective's ``backward`` sets every parameter's ``grad``.
     """
     states = buffer.states[start:stop]
     last_actions = buffer.last_actions[start:stop]
     relatives = buffer.relatives[start:stop]
-    actions = forward_batch(params, states, last_actions)
+    actions, activations = forward_batch(params, states, last_actions)
     if frozen_mu is None:
         before = np.array(last_actions)
         lo = max(start, 1)  # the episode's first experience has undrifted weights
         if stop > lo:
             moved = buffer.last_actions[lo:stop] * buffer.relatives[lo - 1 : stop - 1]
             before[lo - start :] = moved / moved.sum(axis=1, keepdims=True)
-        frozen_mu = transaction_factor_batch(before, actions.data, commission)
-    gains = ad.tensor_sum(ad.mul(actions, Tensor(relatives)), axis=1)
-    objective = ad.mean(ad.log(ad.mul(gains, Tensor(frozen_mu))))
-    return objective, frozen_mu
+        frozen_mu = transaction_factor_batch(before, actions, commission)
+    growth = (actions * relatives).sum(axis=1) * frozen_mu
+
+    def backward(grad):  # grad = d loss / d objective; mu is held constant
+        grad_gains = (grad / growth.size) / growth * frozen_mu
+        backward_batch(params, activations, grad_gains[:, None] * relatives)
+
+    return Tensor(np.log(growth).mean(), backward), frozen_mu
 
 
 class Trainer:
@@ -245,11 +242,10 @@ class Trainer:
         start, stop = sample_batch(self.buffer, self.config.batch_size,
                                    self.config.sample_bias, self.rng)
         objective, _ = batch_objective(self.params, self.buffer, start, stop, self.commission)
-        loss = ad.smul(objective, -1.0)
+        loss = -objective
         value = float(loss.data)
         if not np.isfinite(value):
             raise NonFiniteLoss(f"loss {value} at step {self.step_count}, batch [{start}, {stop})")
-        self.optimizer.zero_grad()
         loss.backward()
         self.optimizer.step()
         self._rewrite(start, stop)

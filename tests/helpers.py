@@ -38,7 +38,7 @@ def write_ohlc_csv(path, rows, header="date,open,high,low,close") -> None:
 def clear_grads(params) -> None:
     """Reset the gradient of every learnable tensor of a policy."""
     for _, tensor in params.named_tensors():
-        tensor.zero_grad()
+        tensor.grad = None
 
 
 def random_simplex(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -70,12 +70,12 @@ def _min_relu_preactivation(params, states):
     within the probe step, so instances closer than ~100x the step are
     redrawn.
     """
-    from portrl.autodiff import _conv1d_values
+    from portrl.autodiff import conv1d_over_time
 
     batch, _, n, t = states.shape
     x = np.ascontiguousarray(states.transpose(1, 0, 2, 3)).reshape(3, batch * n, t)
-    pre1 = _conv1d_values(x, params.conv1_kernels.data, params.conv1_bias.data)
-    pre2 = _conv1d_values(np.maximum(pre1, 0.0), params.conv2_kernels.data, params.conv2_bias.data)
+    pre1 = conv1d_over_time(x, params.conv1_kernels.data, params.conv1_bias.data)
+    pre2 = conv1d_over_time(np.maximum(pre1, 0.0), params.conv2_kernels.data, params.conv2_bias.data)
     return min(float(np.abs(pre1).min()), float(np.abs(pre2).min()))
 
 
@@ -148,7 +148,7 @@ def test_simplex_safety_fuzz():
         scale = 10.0 ** rng.uniform(-3, 3)
         states = np.abs(rng.normal(1.0, 0.5, (1000, 3, 9, 50))) * scale + 1e-9
         lasts = rng.dirichlet(np.ones(10), size=1000)
-        actions = forward_batch(params, states, lasts).data
+        actions, _ = forward_batch(params, states, lasts)
         assert np.abs(actions.sum(axis=1) - 1.0).max() <= 1e-9
         assert actions.min() >= 0.0 and actions.max() <= 1.0
         total += len(actions)

@@ -445,7 +445,7 @@ class TestEmitLoad:
         before = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
         assert sorted(before) == ["config_resolved.txt", "fapv_data_max.txt", "fapv_last_close.txt",
                                   "fapv_last_price.txt", "runs.tsv", "summary.json", "timings.tsv"]
-        assert cli.main(["report", str(out_dir)]) == 0
+        assert cli.main(["report", str(out_dir)]) == 1
         assert {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} == before
 
 
@@ -483,7 +483,7 @@ class TestCli:
         before = non_timing_files(out_dir)
         assert (out_dir / "fapv_data_max.txt").read_text() == ""
         assert len((out_dir / "fapv_last_close.txt").read_text().splitlines()) == 2
-        assert cli.main(["report", str(out_dir)]) == 0
+        assert cli.main(["report", str(out_dir)]) == 1
         assert capsys.readouterr().out == out.split("\n", 1)[1]  # the table, without the 'written to' line
         assert non_timing_files(out_dir) == before
 

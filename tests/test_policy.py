@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import clear_grads
-from portrl import autodiff as ad
 from portrl.autodiff import ShapeMismatch
 from portrl.policy import (
     WindowTooSmall,
+    backward_batch,
     forward_batch,
     init_policy,
     policy_forward,
@@ -33,8 +33,8 @@ class TestInit:
     def test_second_layer_spans_remaining_time(self):
         params = init_policy(9, 50, seed=0)
         assert params.conv2_kernels.data.shape == (20, 2, 48)
-        out = forward_batch(params, *random_inputs(np.random.default_rng(0), 9, 50))
-        assert out.data.shape == (1, 10)
+        actions, _ = forward_batch(params, *random_inputs(np.random.default_rng(0), 9, 50))
+        assert actions.shape == (1, 10)
 
     def test_biases_start_at_zero(self):
         params = init_policy(4, 10, seed=5)
@@ -68,11 +68,11 @@ class TestForward:
         params = init_policy(5, 12, seed=3)
         rng = np.random.default_rng(3)
         states, lasts = random_inputs(rng, 5, 12, batch=4)
-        base = forward_batch(params, states, lasts).data
+        base, _ = forward_batch(params, states, lasts)
         perm = [3, 0, 4, 2, 1]
         lasts_p = lasts.copy()
         lasts_p[:, 1:] = lasts[:, 1:][:, perm]
-        permuted = forward_batch(params, states[:, :, perm, :], lasts_p).data
+        permuted, _ = forward_batch(params, states[:, :, perm, :], lasts_p)
         assert np.allclose(permuted[:, 1:], base[:, 1:][:, perm], rtol=0, atol=1e-15)
         assert np.allclose(permuted[:, 0], base[:, 0], rtol=0, atol=1e-15)
 
@@ -80,7 +80,7 @@ class TestForward:
         params = init_policy(6, 9, seed=4)
         rng = np.random.default_rng(4)
         states, lasts = random_inputs(rng, 6, 9, batch=64)
-        out = forward_batch(params, states, lasts).data
+        out, _ = forward_batch(params, states, lasts)
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-9
         assert (out > 0.0).all() and (out < 1.0).all()
 
@@ -94,17 +94,9 @@ class TestForward:
     def test_batched_forward_matches_single_forwards(self):
         params = init_policy(4, 10, seed=6)
         states, lasts = random_inputs(np.random.default_rng(6), 4, 10, batch=8)
-        batch = forward_batch(params, states, lasts).data
+        batch, _ = forward_batch(params, states, lasts)
         singles = np.stack([policy_forward(params, states[i], lasts[i]) for i in range(8)])
         assert np.allclose(batch, singles, rtol=1e-12, atol=1e-15)
-
-    def test_inference_path_is_bitwise_identical_to_graph_path(self):
-        from portrl.policy import _forward_values
-
-        params = init_policy(5, 12, seed=12)
-        states, lasts = random_inputs(np.random.default_rng(12), 5, 12, batch=7)
-        taped = forward_batch(params, states, lasts).data
-        assert np.array_equal(_forward_values(params, states, lasts), taped)
 
     def test_shape_mismatch_rejected(self):
         params = init_policy(4, 10, seed=7)
@@ -117,11 +109,26 @@ class TestForward:
     def test_gradient_reaches_every_parameter_block(self):
         params = init_policy(4, 10, seed=8)
         states, lasts = random_inputs(np.random.default_rng(8), 4, 10, batch=6)
-        out = forward_batch(params, states, lasts)
-        loss = ad.mean(ad.log(out))
+        actions, activations = forward_batch(params, states, lasts)
         clear_grads(params)
-        loss.backward()
+        backward_batch(params, activations, 1.0 / actions.size / actions)  # d mean(log(actions))
         for name, tensor in params.named_tensors():
             assert tensor.grad is not None, name
             assert np.abs(tensor.grad).max() > 0.0, name
 
+    def test_batch_gradient_is_the_sum_of_per_sample_gradients(self):
+        # the batch folds into the convolutions' row axis; backward must not mix samples
+        params = init_policy(4, 10, seed=9)
+        states, lasts = random_inputs(np.random.default_rng(9), 4, 10, batch=5)
+        grad_actions = np.random.default_rng(10).normal(size=(5, 5))
+        actions, activations = forward_batch(params, states, lasts)
+        backward_batch(params, activations, grad_actions)
+        batched = {name: tensor.grad for name, tensor in params.named_tensors()}
+        summed = {name: 0.0 for name in batched}
+        for i in range(5):
+            _, activations = forward_batch(params, states[i : i + 1], lasts[i : i + 1])
+            backward_batch(params, activations, grad_actions[i : i + 1])
+            for name, tensor in params.named_tensors():
+                summed[name] = summed[name] + tensor.grad
+        for name in batched:
+            assert np.allclose(batched[name], summed[name], rtol=1e-12, atol=1e-15), name

@@ -179,6 +179,26 @@ class TestBatchObjective:
 
         assert max_fd_error(evaluate, kernels.data.reshape(-1), kernels.grad, eps=1e-5) < 1e-4
 
+    def test_backward_sets_gradients_rather_than_accumulating(self):
+        trainer = make_trainer(random_walk_frame(np.random.default_rng(28), 3, 30), window=4)
+        objective, _ = batch_objective(trainer.params, trainer.buffer, 2, 10, 0.0025)
+        objective.backward()
+        first = {name: t.grad.copy() for name, t in trainer.params.named_tensors()}
+        objective.backward()
+        for name, tensor in trainer.params.named_tensors():
+            assert np.array_equal(tensor.grad, first[name]), name
+
+    def test_negated_objective_gives_exactly_negated_gradients(self):
+        trainer = make_trainer(random_walk_frame(np.random.default_rng(29), 3, 30), window=4)
+        objective, _ = batch_objective(trainer.params, trainer.buffer, 2, 10, 0.0025)
+        objective.backward()
+        ascent = {name: t.grad.copy() for name, t in trainer.params.named_tensors()}
+        loss = -objective
+        assert float(loss.data) == -float(objective.data)
+        loss.backward()
+        for name, tensor in trainer.params.named_tensors():
+            assert np.array_equal(tensor.grad, -ascent[name]), name
+
 
 class TestTrainStep:
     def test_zero_learning_rate_keeps_params_but_rewrites(self, monkeypatch):
@@ -241,7 +261,7 @@ class TestTrainStep:
 class TestAdamW:
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(16)
-        param = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        param = Tensor(rng.normal(size=(4,)))
         reference = param.data.copy()
         optimizer = AdamW([param], [], lr=0.01, weight_decay=0.1)
         m = np.zeros(4)
@@ -259,8 +279,8 @@ class TestAdamW:
             assert np.allclose(param.data, reference, rtol=0, atol=1e-15)
 
     def test_decay_skips_undecayed_group(self):
-        decayed = Tensor(np.ones(2), requires_grad=True)
-        plain = Tensor(np.ones(2), requires_grad=True)
+        decayed = Tensor(np.ones(2))
+        plain = Tensor(np.ones(2))
         optimizer = AdamW([decayed], [plain], lr=0.1, weight_decay=0.5)
         decayed.grad = np.zeros(2)
         plain.grad = np.zeros(2)
