@@ -1,17 +1,18 @@
 """Forward kernels of the policy's one graph and the loss type whose
 ``backward`` runs its hand-written backward pass, on float64 numpy buffers.
 
-``policy.forward_batch`` runs the graph through ``conv1d_over_time`` and
-``softmax``; ``policy.backward_batch`` differentiates it with the two
-conv-gradient kernels below. ``Tensor`` holds a parameter's ``data`` and
-``grad``; a loss also holds the closure that sets every parameter's
-``grad``, so ``loss.backward()`` is the whole backward pass. Gradients
-are set, never accumulated.
+``policy.features`` and ``policy.head`` run the graph through
+``conv1d_over_time`` and ``softmax``; ``policy.backward_batch``
+differentiates it with the two conv-gradient kernels below. ``Tensor``
+holds a parameter's ``data`` and ``grad``; a loss also holds the closure
+that sets every parameter's ``grad``, so ``loss.backward()`` is the whole
+backward pass. Gradients are set, never accumulated.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeMismatch(ValueError):
@@ -35,14 +36,37 @@ class Tensor:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a (rows, k) array."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax of a (rows, k) array.
+
+    The buffer rewrite calls it once per sample, so it works in place on
+    one temporary and calls the reductions without the ndarray-method
+    wrappers (same results, less overhead per call).
+    """
+    e = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 # The contractions below hand-inline np.tensordot's transpose/reshape/dot
 # sequence; tensordot's per-call overhead dominates single-sample forwards.
+#
+# A row's output must have the same bits whatever the number of rows in
+# the call, because the buffer rewrite runs the features of a whole batch
+# at once where the backtest and the tests run one sample. A narrow kernel
+# (conv1) makes one GEMM over a strided unfold, which keeps each output's
+# 3*k-term sum in one fixed order. A full-width kernel (conv2, the head)
+# runs as one small product per row: a single GEMM over all rows changes
+# its blocking, and with it the summation order, with the row count.
+
+
+def _unfold(x: np.ndarray, k: int) -> np.ndarray:
+    """(C_in * k, rows * t_out) matrix whose column (r, s) holds x[:, r, s : s + k]."""
+    c_in, rows, t = x.shape
+    t_out = t - k + 1
+    s_c, s_r, s_t = x.strides
+    windows = as_strided(x, (c_in, k, rows, t_out), (s_c, s_t, s_r, s_t), writeable=False)
+    return windows.reshape(c_in * k, rows * t_out)
 
 
 def conv1d_over_time(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -50,7 +74,7 @@ def conv1d_over_time(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np
 
     ``x`` has shape (C_in, rows, t), ``kernels`` (C_out, C_in, k) and
     ``bias`` (C_out,). Rows never mix: row j of every output channel
-    depends only on row j of the input.
+    depends only on row j of the input, bit for bit.
     """
     if x.ndim != 3 or kernels.ndim != 3 or x.shape[0] != kernels.shape[1]:
         raise ShapeMismatch(f"conv1d_over_time: input {x.shape} vs kernels {kernels.shape}")
@@ -61,14 +85,12 @@ def conv1d_over_time(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np
         raise ShapeMismatch(f"conv1d_over_time: bias {bias.shape} vs kernels {kernels.shape}")
     rows = x.shape[1]
     t_out = x.shape[2] - k + 1
+    flat_kernels = kernels.reshape(c_out, c_in * k)
     if t_out == 1:
-        flat = x.transpose(0, 2, 1).reshape(c_in * k, rows)
-        out = np.dot(kernels.reshape(c_out, c_in * k), flat).reshape(c_out, rows, 1)
+        per_row = np.matmul(x.transpose(1, 0, 2).reshape(rows, 1, c_in * k), flat_kernels.T)
+        out = per_row.reshape(rows, c_out).T.reshape(c_out, rows, 1)
     else:
-        out = np.zeros((c_out, rows, t_out))
-        for j in range(k):
-            piece = np.dot(kernels[:, :, j], x[:, :, j : j + t_out].reshape(c_in, rows * t_out))
-            out += piece.reshape(c_out, rows, t_out)
+        out = np.dot(flat_kernels, _unfold(x, k)).reshape(c_out, rows, t_out)
     return out + bias[:, None, None]
 
 
@@ -78,24 +100,19 @@ def conv1d_kernel_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     c_in, k = x.shape[0], x.shape[2] - t_out + 1
     if t_out == 1:
         return np.dot(g[:, :, 0], x.transpose(1, 0, 2).reshape(rows, c_in * k)).reshape(c_out, c_in, k)
-    grad = np.empty((c_out, c_in, k))
-    flat_g = g.reshape(c_out, rows * t_out)
-    for j in range(k):
-        slab = x[:, :, j : j + t_out].reshape(c_in, rows * t_out)
-        grad[:, :, j] = np.dot(flat_g, slab.T)
-    return grad
+    return np.dot(g.reshape(c_out, rows * t_out), _unfold(x, k).T).reshape(c_out, c_in, k)
 
 
 def conv1d_input_grad(g: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Gradient wrt the input of a conv1d_over_time with ``kernels`` whose output has gradient ``g``."""
+    """Gradient wrt the input of a full-width conv1d_over_time (one output
+    step) with ``kernels`` whose output has gradient ``g``.
+
+    The graph only needs it for conv2 and the head: conv1's input is the
+    state, which has no parameter behind it.
+    """
     c_out, c_in, k = kernels.shape
     rows, t_out = g.shape[1], g.shape[2]
-    if t_out == 1:
-        folded = np.dot(kernels.reshape(c_out, c_in * k).T, g[:, :, 0])
-        return np.ascontiguousarray(folded.reshape(c_in, k, rows).transpose(0, 2, 1))
-    grad = np.zeros((c_in, rows, t_out + k - 1))
-    flat_g = g.reshape(c_out, rows * t_out)
-    for j in range(k):
-        piece = np.dot(kernels[:, :, j].T, flat_g)
-        grad[:, :, j : j + t_out] += piece.reshape(c_in, rows, t_out)
-    return grad
+    if t_out != 1:
+        raise ShapeMismatch(f"conv1d_input_grad: output gradient {g.shape} spans more than one step")
+    folded = np.dot(kernels.reshape(c_out, c_in * k).T, g[:, :, 0])
+    return np.ascontiguousarray(folded.reshape(c_in, k, rows).transpose(0, 2, 1))

@@ -6,6 +6,11 @@ extra channel before a 1x1 convolution scores each asset. A learnable
 cash bias provides the cash score and a softmax yields the new weights.
 Because kernels are shared and convolution runs along time only, assets
 never mix: the network is equivariant under asset permutation.
+
+The graph runs in two parts, split where the last action enters:
+``features`` and ``head``. ``features`` gives a sample the same bits at
+any batch size, so the buffer rewrite runs it once per batch, chains
+only ``head``, and still matches ``policy_forward`` bit for bit.
 """
 
 from __future__ import annotations
@@ -88,29 +93,41 @@ def forward_batch(params: PolicyParams, states: np.ndarray,
     The batch folds into the asset axis, which the convolutions treat
     independently anyway; only the final softmax is per-sample.
     """
-    batch, features, n, t = states.shape
-    if features != 3 or n != params.n_assets or t != params.window:
+    batch, channels, n, t = states.shape
+    if channels != 3 or n != params.n_assets or t != params.window:
         raise ad.ShapeMismatch(
             f"states {states.shape} incompatible with policy (3, {params.n_assets}, {params.window})"
         )
     if last_actions.shape != (batch, n + 1):
         raise ad.ShapeMismatch(f"last_actions {last_actions.shape}, expected {(batch, n + 1)}")
-    return _forward(params, states, last_actions)
+    scores, (x, h1, h2) = features(params, states)
+    actions = head(params, scores, last_actions)
+    return actions, (x, h1, h2, last_actions, actions)
 
 
-def _forward(params: PolicyParams, states: np.ndarray, last_actions: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """The one graph: conv1 -> relu -> conv2 -> relu, the last risky weights
-    as an extra channel, 1x1 head, cash bias, softmax."""
+def features(params: PolicyParams, states: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The part of the graph the last action does not enter: conv1 -> relu
+    -> conv2 -> relu -> the 1x1 head's feature channels and bias.
+
+    States (B, 3, n, t) -> per-asset partial scores (B, n), plus the
+    activations (x, h1, h2). A sample's scores have the same bits at any
+    B, so a batch's features can stand in for one call per sample.
+    """
     batch, _, n, t = states.shape
     x = np.ascontiguousarray(states.transpose(1, 0, 2, 3)).reshape(3, batch * n, t)
     h1 = np.maximum(ad.conv1d_over_time(x, params.conv1_kernels.data, params.conv1_bias.data), 0.0)
     h2 = np.maximum(ad.conv1d_over_time(h1, params.conv2_kernels.data, params.conv2_bias.data), 0.0)
-    memory = np.ascontiguousarray(last_actions[:, 1:]).reshape(1, batch * n, 1)
-    head_in = np.concatenate([h2, memory], axis=0)
-    scores = ad.conv1d_over_time(head_in, params.out_kernels.data, params.out_bias.data).reshape(batch, n)
-    cash = np.full((batch, 1), float(params.cash_bias.data))
-    actions = ad.softmax(np.concatenate([cash, scores], axis=1))
-    return actions, (x, h1, head_in, actions)
+    scores = ad.conv1d_over_time(h2, params.out_kernels.data[:, :-1], params.out_bias.data)
+    return scores.reshape(batch, n), (x, h1, h2)
+
+
+def head(params: PolicyParams, scores: np.ndarray, last_actions: np.ndarray) -> np.ndarray:
+    """The rest of the graph: the last risky weights' term of the 1x1 head,
+    the cash bias and the softmax. Scores (B, n), last_actions (B, n+1) -> (B, n+1)."""
+    logits = last_actions * params.out_kernels.data[0, -1, 0]
+    logits[:, 1:] += scores
+    logits[:, 0] = params.cash_bias.data
+    return ad.softmax(logits)
 
 
 def backward_batch(params: PolicyParams, activations: tuple, grad_actions: np.ndarray) -> None:
@@ -119,15 +136,16 @@ def backward_batch(params: PolicyParams, activations: tuple, grad_actions: np.nd
     A ReLU passes gradient only where its output is positive (the
     subgradient at 0 is 0).
     """
-    x, h1, head_in, actions = activations
+    x, h1, h2, last_actions, actions = activations
     inner = (grad_actions * actions).sum(axis=1, keepdims=True)
     grad_logits = actions * (grad_actions - inner)
     params.cash_bias.grad = np.asarray(grad_logits[:, :1].sum())
     g = grad_logits[:, 1:].reshape(1, -1, 1)
-    params.out_kernels.grad = ad.conv1d_kernel_grad(g, head_in)
+    # the head's last input channel is the last risky weights: no parameter behind it
+    memory = last_actions[:, 1:].reshape(1, -1, 1)
+    params.out_kernels.grad = ad.conv1d_kernel_grad(g, np.concatenate([h2, memory]))
     params.out_bias.grad = g.sum(axis=(1, 2))
-    # the last head input channel is the last risky weights: no parameter behind it
-    g = ad.conv1d_input_grad(g, params.out_kernels.data)[:-1] * (head_in[:-1] > 0.0)
+    g = ad.conv1d_input_grad(g, params.out_kernels.data[:, :-1]) * (h2 > 0.0)
     params.conv2_kernels.grad = ad.conv1d_kernel_grad(g, h1)
     params.conv2_bias.grad = g.sum(axis=(1, 2))
     g = ad.conv1d_input_grad(g, params.conv2_kernels.data) * (h1 > 0.0)
@@ -136,7 +154,11 @@ def backward_batch(params: PolicyParams, activations: tuple, grad_actions: np.nd
 
 
 def policy_forward(params: PolicyParams, state: np.ndarray, last_action: np.ndarray) -> np.ndarray:
-    """Pure inference for one (3, n, t) state: returns the (n+1,) action."""
+    """Pure inference for one (3, n, t) state: returns the (n+1,) action.
+
+    The batch-of-one case of ``features`` and ``head``, so it gives the
+    same bits as the same sample inside any batch.
+    """
     values = np.asarray(state)
     last_action = np.asarray(last_action)
     if values.shape != (3, params.n_assets, params.window) or last_action.shape != (params.n_assets + 1,):
@@ -144,5 +166,5 @@ def policy_forward(params: PolicyParams, state: np.ndarray, last_action: np.ndar
             f"state {values.shape} / last_action {last_action.shape} incompatible with "
             f"policy (3, {params.n_assets}, {params.window})"
         )
-    actions, _ = _forward(params, values[None], last_action[None])
-    return actions[0].copy()
+    scores, _ = features(params, values[None])
+    return head(params, scores, last_action[None])[0]

@@ -19,7 +19,7 @@ from .autodiff import Tensor
 from .environment import env_reset, env_step, transaction_factor_batch
 from .market_data import MarketFrame, price_relatives
 from .normalization import NormalizationScheme
-from .policy import PolicyParams, backward_batch, forward_batch, policy_forward
+from .policy import PolicyParams, backward_batch, features, forward_batch, head, policy_forward
 
 
 class BatchTooLarge(ValueError):
@@ -254,11 +254,14 @@ class Trainer:
 
     def _rewrite(self, start: int, stop: int) -> None:
         # New actions propagate forward: slot t+1 receives the updated
-        # policy's output for experience t, chained through the batch.
-        for j in range(start, stop):
-            action = policy_forward(self.params, self.buffer.states[j], self.buffer.last_actions[j])
-            if j + 1 < len(self.buffer):
-                self.buffer.last_actions[j + 1] = action
+        # policy's output for experience t, chained through the batch. The
+        # last action enters only the head, so the features of the whole
+        # batch come from one pass; only the head step runs in sequence.
+        scores, _ = features(self.params, self.buffer.states[start:stop])
+        last_actions = self.buffer.last_actions
+        for j in range(start, min(stop, len(self.buffer) - 1)):
+            row = scores[j - start : j - start + 1]
+            last_actions[j + 1] = head(self.params, row, last_actions[j : j + 1])[0]
 
     def train(self, steps: int) -> None:
         for _ in range(steps):

@@ -9,11 +9,6 @@ from portrl.autodiff import ShapeMismatch
 from portrl.policy import backward_batch, forward_batch, init_policy
 
 
-def conv_grads(x, kernels, weights):
-    """Kernel and input gradients of sum(weights * conv1d_over_time(x, kernels, bias))."""
-    return ad.conv1d_kernel_grad(weights, x), ad.conv1d_input_grad(weights, kernels)
-
-
 def test_softmax_of_equal_logits_is_uniform():
     out = ad.softmax(np.zeros((1, 5)))
     assert np.array_equal(out, np.full((1, 5), 0.2))
@@ -68,7 +63,7 @@ def test_grad_check_linear_function_is_near_exact():
     kernels = rng.normal(size=(2, 2, 3))
     bias = rng.normal(size=(2,))
     weights = np.full((2, 3, 4), 3.0)
-    grad_k, _ = conv_grads(x, kernels, weights)
+    grad_k = ad.conv1d_kernel_grad(weights, x)
 
     def evaluate():
         return float((weights * ad.conv1d_over_time(x, kernels, bias)).sum())
@@ -87,14 +82,21 @@ def test_conv_gradients_match_finite_differences_both_paths():
             return float((out * out).mean())
 
         out = ad.conv1d_over_time(x, kernels, bias)
-        grad_k, grad_x = conv_grads(x, kernels, 2.0 * out / out.size)
-        return (max_fd_error(evaluate, kernels.reshape(-1), grad_k, 1e-5),
-                max_fd_error(evaluate, x.reshape(-1), grad_x, 1e-5))
+        g = 2.0 * out / out.size
+        errors = [max_fd_error(evaluate, kernels.reshape(-1), ad.conv1d_kernel_grad(g, x), 1e-5)]
+        if out.shape[2] == 1:  # the graph takes input gradients of full-width kernels only
+            errors.append(max_fd_error(evaluate, x.reshape(-1), ad.conv1d_input_grad(g, kernels), 1e-5))
+        return errors
 
     narrow = rng.normal(size=(4, 2, 3))  # t_out > 1
     full = rng.normal(size=(4, 2, 8))    # t_out == 1
     assert max(check(narrow)) < 1e-6
     assert max(check(full)) < 1e-6
+
+
+def test_input_grad_rejects_narrow_kernels():
+    with pytest.raises(ShapeMismatch):
+        ad.conv1d_input_grad(np.zeros((4, 3, 6)), np.zeros((4, 2, 3)))
 
 
 def test_shape_mismatch_reports_both_shapes():
@@ -112,11 +114,14 @@ def test_forward_and_backward_are_deterministic():
     rng = np.random.default_rng(8)
     x_data = rng.normal(size=(3, 6, 10))
     k_data = rng.normal(size=(2, 3, 4))
+    full_data = rng.normal(size=(2, 3, 10))
     bias = rng.normal(size=(2,))
 
     def run():
         out = ad.conv1d_over_time(x_data.copy(), k_data.copy(), bias)
-        return (out, *conv_grads(x_data.copy(), k_data.copy(), np.maximum(out, 0.0)))
+        full = ad.conv1d_over_time(x_data.copy(), full_data.copy(), bias)
+        return (out, ad.conv1d_kernel_grad(np.maximum(out, 0.0), x_data.copy()),
+                full, ad.conv1d_input_grad(np.maximum(full, 0.0), full_data.copy()))
 
     for first, second in zip(run(), run()):
         assert np.array_equal(first, second)

@@ -6,6 +6,7 @@ from portrl.autodiff import ShapeMismatch
 from portrl.policy import (
     WindowTooSmall,
     backward_batch,
+    features,
     forward_batch,
     init_policy,
     policy_forward,
@@ -132,3 +133,20 @@ class TestForward:
                 summed[name] = summed[name] + tensor.grad
         for name in batched:
             assert np.allclose(batched[name], summed[name], rtol=1e-12, atol=1e-15), name
+
+
+class TestBatchInvariance:
+    """At paper shape (9 assets, window 50, c2 = 20) a sample's features must
+    not depend on the batch around it: the buffer rewrite takes one batched
+    pass where the backtest and the tests make one call per sample."""
+
+    def test_features_have_the_same_bits_at_batch_sizes_1_7_and_200(self):
+        params = init_policy(9, 50, seed=21)
+        states, _ = random_inputs(np.random.default_rng(21), 9, 50, batch=230)
+        singles = np.concatenate([features(params, states[i : i + 1])[0] for i in range(len(states))])
+        for offset in (0, 3, 17, 30):
+            batched, _ = features(params, states[offset : offset + 200])
+            assert np.array_equal(batched, singles[offset : offset + 200]), offset
+        for offset in range(0, 223, 11):
+            batched, _ = features(params, states[offset : offset + 7])
+            assert np.array_equal(batched, singles[offset : offset + 7]), offset

@@ -233,6 +233,23 @@ class TestTrainStep:
             expected = policy_forward(trainer.params, buffer.states[j - 1], buffer.last_actions[j - 1])
             assert np.array_equal(buffer.last_actions[j], expected), j
 
+    def test_rewrite_at_paper_shape_equals_policy_forward_bitwise(self, monkeypatch):
+        # 9 assets, window 50, c2 = 20, batch 200: the shapes at which a
+        # batch-size-dependent summation order would show
+        frame = random_walk_frame(np.random.default_rng(27), 9, 300)
+        params = init_policy(9, 50, seed=4, c1=2, c2=20)
+        trainer = Trainer(params, frame, 50, LAST_CLOSE, 100_000.0, 0.0025,
+                          TrainerConfig(batch_size=200, sample_bias=0.02), np.random.default_rng(4))
+        trainer.fill_buffer()
+        batches = record_batches(monkeypatch)
+        for _ in range(2):
+            trainer.train_step()
+        start, stop = batches[-1]
+        buffer = trainer.buffer
+        for j in range(start + 1, min(stop + 1, len(buffer))):
+            expected = policy_forward(params, buffer.states[j - 1], buffer.last_actions[j - 1])
+            assert np.array_equal(buffer.last_actions[j], expected), j
+
     def test_training_is_bitwise_deterministic(self):
         frame = random_walk_frame(np.random.default_rng(13), 2, 30)
         runs = []
