@@ -128,9 +128,11 @@ _REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is MISSI
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a flat `key = value` config file ('#' starts a comment)."""
+    """Parse a flat `key = value` config file ('#' starts a comment); each
+    key may appear once."""
     path = Path(path)
     values: dict[str, object] = {}
+    key_lines: dict[str, int] = {}
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -141,6 +143,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         key, text = key.strip(), text.strip()
         if key not in _KEY_PARSERS:
             raise ValueError(f"{path}:{line_no}: unknown config key '{key}'")
+        if key in key_lines:
+            raise ValueError(f"{path}:{line_no}: config key '{key}' given twice, on lines {key_lines[key]} "
+                             f"and {line_no}")
+        key_lines[key] = line_no
         try:
             values[key] = _KEY_PARSERS[key](text)
         except ValueError:

@@ -265,10 +265,13 @@ def price_relatives(frame: MarketFrame, t: int) -> np.ndarray:
 def load_manifest(path: str | Path) -> tuple[list[tuple[str, Path]], str | None]:
     """Read a portfolio manifest: `TICKER PATH` lines plus an optional
     `alignment = intersect|forward_fill` line. Paths resolve relative to
-    the manifest's directory."""
+    the manifest's directory. A ticker, or the alignment line, may appear
+    once."""
     path = Path(path)
     entries: list[tuple[str, Path]] = []
     alignment = None
+    alignment_line = None
+    ticker_lines: dict[str, int] = {}
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -277,12 +280,19 @@ def load_manifest(path: str | Path) -> tuple[list[tuple[str, Path]], str | None]
             key, _, value = line.partition("=")
             if key.strip() != "alignment":
                 raise ValueError(f"{path}:{line_no}: unknown manifest key '{key.strip()}'")
-            alignment = value.strip()
+            if alignment_line is not None:
+                raise ValueError(f"{path}:{line_no}: 'alignment =' given twice, on lines {alignment_line} "
+                                 f"and {line_no}")
+            alignment, alignment_line = value.strip(), line_no
             continue
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ValueError(f"{path}:{line_no}: expected 'TICKER PATH'")
         ticker, csv_path = parts
+        if ticker in ticker_lines:
+            raise ValueError(f"{path}:{line_no}: ticker '{ticker}' listed twice, on lines {ticker_lines[ticker]} "
+                             f"and {line_no}")
+        ticker_lines[ticker] = line_no
         entries.append((ticker, (path.parent / csv_path.strip()).resolve()))
     if not entries:
         raise ValueError(f"{path}: manifest lists no assets")

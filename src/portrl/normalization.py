@@ -48,30 +48,22 @@ def scheme_from_kind(kind: str) -> NormalizationScheme:
     return NormalizationScheme(kind=kind)
 
 
-def normalize_last_close(closes: np.ndarray, highs: np.ndarray, lows: np.ndarray) -> np.ndarray:
-    """Divide every feature of asset i by close_i at the window's last step."""
-    divisor = closes[:, -1:]
-    return np.stack([closes / divisor, highs / divisor, lows / divisor])
+def normalize_window(scheme: NormalizationScheme, prices: np.ndarray) -> np.ndarray:
+    """Apply the scheme's state-time transform in place to stacked
+    (close, high, low) windows of shape (3, ..., n, t) and return them.
 
-
-def normalize_last_price(closes: np.ndarray, highs: np.ndarray, lows: np.ndarray) -> np.ndarray:
-    """Divide each feature of asset i by that feature's own last value."""
-    return np.stack([closes / closes[:, -1:], highs / highs[:, -1:], lows / lows[:, -1:]])
-
-
-def normalize_window(
-    scheme: NormalizationScheme, closes: np.ndarray, highs: np.ndarray, lows: np.ndarray
-) -> np.ndarray:
-    """Apply the scheme's state-time transform to one (n, t) window.
-
-    data_max is a pass-through here: its scaling happens once on the
-    whole frame via apply_data_max before any window is cut.
+    last_close divides every feature of asset i by close_i at the
+    window's last step; last_price divides each feature by its own last
+    value. Either way each entry is one division, so a window gives the
+    same bits alone or inside a batch. data_max is a pass-through here:
+    its scaling happens once on the whole frame via apply_data_max
+    before any window is cut.
     """
     if scheme.kind == LAST_CLOSE:
-        return normalize_last_close(closes, highs, lows)
-    if scheme.kind == LAST_PRICE:
-        return normalize_last_price(closes, highs, lows)
-    return np.stack([closes, highs, lows])
+        prices /= prices[0, ..., -1:].copy()
+    elif scheme.kind == LAST_PRICE:
+        prices /= prices[..., -1:].copy()
+    return prices
 
 
 def fit_data_max(train: MarketFrame) -> NormalizationScheme:

@@ -11,15 +11,33 @@ steps.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor
 from .environment import env_reset, env_step, transaction_factor_batch
 from .market_data import MarketFrame, price_relatives
-from .normalization import NormalizationScheme
+from .normalization import NormalizationScheme, normalize_window
 from .policy import PolicyParams, backward_batch, features, forward_batch, head, policy_forward
+
+
+# glibc maps each allocation at or above its mmap threshold afresh, so every
+# page of it faults on first touch, and raises the threshold only after such
+# a block is freed. Set up front, a paper-shape train_step reuses its multi-MB
+# temporaries (conv1's 6.2 MB unfold among them) from the heap every step.
+MMAP_THRESHOLD = 64 << 20  # bytes; above any one temporary of a train_step
+TRIM_THRESHOLD = 128 << 20  # bytes of freed heap top kept for the next step
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (OSError, TypeError, AttributeError):  # no C library handle, or one without mallopt
+    pass
+else:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, MMAP_THRESHOLD)  # M_MMAP_THRESHOLD in glibc's malloc.h
+    _mallopt(-1, TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
 
 
 class BatchTooLarge(ValueError):
@@ -44,37 +62,53 @@ class Trajectory:
 
 
 class ReplayBuffer:
-    """Ordered per-step experiences in flat arrays sized up front.
+    """Ordered per-step experiences: a start column into one price tape
+    per row, plus the last action and price relatives in flat arrays.
 
+    The tape holds the close, high and low of every frame added, in the
+    order added, so a row's state is the tape's ``window`` columns from
+    its start, normalized on demand exactly as ``build_state`` does.
     The last_action column is mutable by design: training rewrites it
     with fresh policy outputs. Everything else is frozen history.
     """
 
-    def __init__(self, n_assets: int, window: int, capacity: int):
+    def __init__(self, n_assets: int, window: int, scheme: NormalizationScheme):
+        self.window = window
+        self.scheme = scheme
         self._size = 0
-        self._states = np.empty((capacity, 3, n_assets, window))
-        self._last_actions = np.empty((capacity, n_assets + 1))
-        self._relatives = np.empty((capacity, n_assets + 1))
+        self._prices = np.empty((3, n_assets, 0))
+        self._starts = np.empty(0, dtype=np.int64)
+        self._last_actions = np.empty((0, n_assets + 1))
+        self._relatives = np.empty((0, n_assets + 1))
 
     def __len__(self) -> int:
         return self._size
 
-    def reserve(self, extra: int) -> None:
-        """Make room for ``extra`` more experiences."""
-        grow = lambda a: np.concatenate([a, np.empty((extra,) + a.shape[1:])])
-        self._states = grow(self._states)
+    def add_frame(self, frame: MarketFrame) -> None:
+        """Append the frame's prices to the tape and make room for one
+        experience per decidable step of it."""
+        rows = max(frame.n_steps - self.window, 0)
+        grow = lambda a: np.concatenate([a, np.empty((rows,) + a.shape[1:])])
+        self._starts = np.concatenate([self._starts, self._prices.shape[2] + np.arange(rows)])
+        self._prices = np.concatenate([self._prices, np.stack([frame.closes, frame.highs, frame.lows])], axis=2)
         self._last_actions = grow(self._last_actions)
         self._relatives = grow(self._relatives)
 
-    def append(self, state: np.ndarray, last_action: np.ndarray, relative: np.ndarray) -> None:
-        self._states[self._size] = state
+    def append(self, last_action: np.ndarray, relative: np.ndarray) -> None:
         self._last_actions[self._size] = last_action
         self._relatives[self._size] = relative
         self._size += 1
 
-    @property
-    def states(self) -> np.ndarray:
-        return self._states[: self._size]
+    def states(self, start: int, stop: int) -> np.ndarray:
+        """Normalized states of rows [start, stop), shape (B, 3, n, window).
+
+        The gather lays the batch out channel-major, (3, B, n, window) in C
+        order, and the result is a transposed view of it, which is the
+        layout ``policy.features`` reads without a copy.
+        """
+        windows = sliding_window_view(self._prices, self.window, axis=2).transpose(0, 2, 1, 3)
+        batch = windows[np.arange(3)[:, None], self._starts[: self._size][start:stop]]
+        return normalize_window(self.scheme, batch).transpose(1, 0, 2, 3)
 
     @property
     def last_actions(self) -> np.ndarray:
@@ -132,29 +166,28 @@ def _episode(frame: MarketFrame, window: int, scheme: NormalizationScheme,
 
     Each decision reads ``params`` as they stand when the loop resumes,
     so updates made between yields steer the rest of the episode. Yields
-    (window, last action, price relatives, next state, reward) per step;
-    the last action is the policy's raw output (the simulator
-    renormalizes its own copy), so buffer rewrites stay exact.
+    (last action, price relatives, next state, reward) per step; the
+    last action is the policy's raw output (the simulator renormalizes
+    its own copy), so buffer rewrites stay exact.
     """
     state, obs = env_reset(frame, window, scheme, initial_value, commission)
     last_action = state.weights
     while not state.terminal:
         action = policy_forward(params, obs, last_action)
         relative = price_relatives(frame, state.t + 1)
-        decided_on = obs
         state, obs, reward = env_step(state, action)
-        yield decided_on, last_action, relative, state, reward
+        yield last_action, relative, state, reward
         last_action = action
 
 
 def fill_buffer(frame: MarketFrame, window: int, scheme: NormalizationScheme,
                 initial_value: float, commission: float, params: PolicyParams) -> ReplayBuffer:
     """Roll the policy greedily through the whole episode, one experience per step."""
+    buffer = ReplayBuffer(frame.n_assets, window, scheme)
+    buffer.add_frame(frame)
     # A frame with no decidable step raises FrameTooShort from env_reset.
-    buffer = ReplayBuffer(frame.n_assets, window, capacity=max(frame.n_steps - window, 0))
-    experiences = _episode(frame, window, scheme, initial_value, commission, params)
-    for decided_on, last_action, relative, _, _ in experiences:
-        buffer.append(decided_on, last_action, relative)
+    for last_action, relative, _, _ in _episode(frame, window, scheme, initial_value, commission, params):
+        buffer.append(last_action, relative)
     return buffer
 
 
@@ -188,7 +221,7 @@ def batch_objective(params: PolicyParams, buffer: ReplayBuffer, start: int, stop
     evaluation (finite-difference checks need this). The returned
     objective's ``backward`` sets every parameter's ``grad``.
     """
-    states = buffer.states[start:stop]
+    states = buffer.states(start, stop)
     last_actions = buffer.last_actions[start:stop]
     relatives = buffer.relatives[start:stop]
     actions, activations = forward_batch(params, states, last_actions)
@@ -257,7 +290,7 @@ class Trainer:
         # policy's output for experience t, chained through the batch. The
         # last action enters only the head, so the features of the whole
         # batch come from one pass; only the head step runs in sequence.
-        scores, _ = features(self.params, self.buffer.states[start:stop])
+        scores, _ = features(self.params, self.buffer.states(start, stop))
         last_actions = self.buffer.last_actions
         for j in range(start, min(stop, len(self.buffer) - 1)):
             row = scores[j - start : j - start + 1]
@@ -272,12 +305,12 @@ class Trainer:
         appended to the buffer and followed by ``online_steps`` updates."""
         if self.buffer is None:
             raise RuntimeError("fill_buffer must run before backtest")
+        self.buffer.add_frame(test_frame)
         # A frame with no decidable step raises FrameTooShort from env_reset.
-        self.buffer.reserve(max(test_frame.n_steps - self.window, 0))
         steps, values, rewards, actions = [], [], [], []
-        for decided_on, last_action, relative, state, reward in _episode(
+        for last_action, relative, state, reward in _episode(
                 test_frame, self.window, self.scheme, self.initial_value, self.commission, self.params):
-            self.buffer.append(decided_on, last_action, relative)
+            self.buffer.append(last_action, relative)
             for _ in range(online_steps):
                 self.train_step()
             steps.append(state.t)

@@ -27,14 +27,21 @@ from portrl.metrics import sharpe_from_returns
 from portrl.normalization import (
     apply_data_max,
     fit_data_max,
-    normalize_last_close,
-    normalize_last_price,
+    normalize_window,
     scheme_from_kind,
 )
 from portrl.policy import forward_batch, init_policy, policy_forward
 from portrl.training import ReplayBuffer, Trainer, TrainerConfig, Trajectory, batch_objective, sample_batch
 
 LAST_CLOSE = scheme_from_kind("last_close")
+
+
+def normalize_last_close(closes, highs, lows):
+    return normalize_window(LAST_CLOSE, np.stack([closes, highs, lows]))
+
+
+def normalize_last_price(closes, highs, lows):
+    return normalize_window(scheme_from_kind("last_price"), np.stack([closes, highs, lows]))
 
 
 def _announce(name):
@@ -95,7 +102,7 @@ def test_gradient_correctness_full_policy_objective():
         buffer = trainer.fill_buffer()
         start = int(np.random.default_rng(2000 + candidate).integers(0, len(buffer) - batch))
         stop = start + batch
-        if _min_relu_preactivation(params, buffer.states[start:stop]) < 100.0 * eps:
+        if _min_relu_preactivation(params, buffer.states(start, stop)) < 100.0 * eps:
             continue
         accepted += 1
 
@@ -215,9 +222,10 @@ def test_sampling_distribution_total_variation():
     bias = 0.002
     batch = 40
     max_offset = 200
-    buffer = ReplayBuffer(n_assets=1, window=2, capacity=batch + max_offset)
+    buffer = ReplayBuffer(n_assets=1, window=2, scheme=LAST_CLOSE)
+    buffer.add_frame(make_frame(np.ones((1, batch + max_offset + 2)), spread=0.0))
     for _ in range(batch + max_offset):
-        buffer.append(np.ones((3, 1, 2)), np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        buffer.append(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
     rng = np.random.default_rng(19)
     draws = 1_000_000

@@ -16,6 +16,8 @@ import portrl
 from portrl import cli
 from portrl.metrics import MetricReport
 from portrl.normalization import KINDS
+from portrl.policy import init_policy
+from portrl.training import Trainer, TrainerConfig, sample_batch
 from portrl.experiment import (
     RunResult,
     aggregate,
@@ -131,6 +133,15 @@ class TestConfig:
             load_config(path)
         assert str(path) in str(err.value) and key in str(err.value)
 
+    def test_repeated_key_names_file_and_both_lines(self, tmp_path):
+        path = write_config(tmp_path, tmp_path / "portfolio.txt", steps=300000)  # steps is line 10
+        lines = path.read_text().splitlines() + ["steps = 7"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        message = str(err.value)
+        assert str(path) in message and "'steps'" in message and f"lines 10 and {len(lines)}" in message
+
     def test_normalization_lists_methods_in_order(self, tmp_path):
         config = load_config(write_config(tmp_path, tmp_path / "portfolio.txt", normalization="data_max,last_close"))
         assert config.methods == ("data_max", "last_close")
@@ -186,6 +197,34 @@ class TestAggregate:
     def test_max_fapv(self):
         results = [self.result(v, i) for i, v in enumerate([1.1, 2.06, 0.9])]
         assert max_fapv(results) == 2.06
+
+
+def test_seeds_are_paired_across_methods(tiny_config):
+    """Seed k starts every method from the same weights, fills a buffer of
+    the same length and draws the same batch ranges from the trainer's
+    RNG, so a per-seed difference between methods is a paired one."""
+    seed = 5
+    runs = {}
+    for kind in KINDS:
+        config = replace(tiny_config, normalization=kind)
+        train_frame, _, scheme = prepare(config)
+        params = init_policy(train_frame.n_assets, config.time_window, seed, k1=config.kernel_width,
+                             c1=config.conv1_channels, c2=config.conv2_channels)
+        initial = [tensor.data.copy() for _, tensor in params.named_tensors()]
+        trainer = Trainer(params, train_frame, config.time_window, scheme, config.initial_value,
+                          config.commission_rate,
+                          TrainerConfig(learning_rate=config.learning_rate, batch_size=config.batch_size,
+                                        sample_bias=config.sample_bias, weight_decay=config.weight_decay),
+                          np.random.default_rng(seed))
+        buffer = trainer.fill_buffer()
+        ranges = [sample_batch(buffer, config.batch_size, config.sample_bias, trainer.rng) for _ in range(50)]
+        runs[kind] = initial, len(buffer), ranges
+    first_initial, first_length, first_ranges = runs[KINDS[0]]
+    assert len(set(first_ranges)) > 1  # the draws vary, so agreeing on them means something
+    for kind, (initial, length, ranges) in runs.items():
+        assert all(np.array_equal(a, b) for a, b in zip(initial, first_initial)), kind
+        assert length == first_length, kind
+        assert ranges == first_ranges, kind
 
 
 def test_prepare_rejects_a_batch_larger_than_the_training_slice(tiny_config):

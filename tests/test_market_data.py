@@ -273,3 +273,21 @@ def test_manifest_parsing(tmp_path):
     bad.write_text("files = x\n")
     with pytest.raises(ValueError):
         load_manifest(bad)
+
+
+def test_manifest_ticker_listed_twice_names_file_and_both_lines(tmp_path):
+    manifest = tmp_path / "portfolio.txt"
+    manifest.write_text("AAA a.csv\nBBB b.csv\n# comment\nAAA c.csv\n")
+    with pytest.raises(ValueError) as err:
+        load_manifest(manifest)
+    message = str(err.value)
+    assert str(manifest) in message and "'AAA'" in message and "lines 1 and 4" in message
+
+
+def test_manifest_alignment_given_twice_names_file_and_both_lines(tmp_path):
+    manifest = tmp_path / "portfolio.txt"
+    manifest.write_text("alignment = intersect\nAAA a.csv\nalignment = forward_fill\n")
+    with pytest.raises(ValueError) as err:
+        load_manifest(manifest)
+    message = str(err.value)
+    assert str(manifest) in message and "alignment" in message and "lines 1 and 3" in message

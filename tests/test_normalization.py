@@ -11,11 +11,17 @@ from portrl.normalization import (
     TickerMismatch,
     apply_data_max,
     fit_data_max,
-    normalize_last_close,
-    normalize_last_price,
     normalize_window,
     scheme_from_kind,
 )
+
+
+def normalize_last_close(closes, highs, lows):
+    return normalize_window(scheme_from_kind("last_close"), np.stack([closes, highs, lows]))
+
+
+def normalize_last_price(closes, highs, lows):
+    return normalize_window(scheme_from_kind("last_price"), np.stack([closes, highs, lows]))
 
 
 def single_asset_window():
@@ -155,23 +161,24 @@ def test_data_max_is_not_scale_invariant_across_train_test():
 def test_single_divisor_schemes_preserve_ohlc_ordering():
     frame = random_walk_frame(np.random.default_rng(5), 3, 20)
     window = (frame.closes[:, :10], frame.highs[:, :10], frame.lows[:, :10])
-    for state in (normalize_last_close(*window), normalize_window(fit_data_max(frame), *window)):
+    for state in (normalize_last_close(*window), normalize_window(fit_data_max(frame), np.stack(window))):
         assert (state[2] <= state[0] + 1e-15).all()
         assert (state[0] <= state[1] + 1e-15).all()
 
 
 def test_normalize_window_dispatch():
     closes, highs, lows = single_asset_window()
+    divisor = closes[:, -1:]
     assert np.array_equal(
-        normalize_window(scheme_from_kind("last_close"), closes, highs, lows),
-        normalize_last_close(closes, highs, lows),
+        normalize_window(scheme_from_kind("last_close"), np.stack([closes, highs, lows])),
+        np.stack([closes / divisor, highs / divisor, lows / divisor]),
     )
     assert np.array_equal(
-        normalize_window(scheme_from_kind("last_price"), closes, highs, lows),
-        normalize_last_price(closes, highs, lows),
+        normalize_window(scheme_from_kind("last_price"), np.stack([closes, highs, lows])),
+        np.stack([closes / closes[:, -1:], highs / highs[:, -1:], lows / lows[:, -1:]]),
     )
     passthrough = normalize_window(
-        fit_data_max(make_frame([[1.0, 2.0, 4.0]])), closes, highs, lows
+        fit_data_max(make_frame([[1.0, 2.0, 4.0]])), np.stack([closes, highs, lows])
     )
     assert np.array_equal(passthrough, np.stack([closes, highs, lows]))
 

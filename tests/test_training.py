@@ -7,8 +7,8 @@ from helpers import clear_grads, make_frame, max_fd_error, random_walk_frame
 from portrl import training
 from portrl.autodiff import Tensor
 from portrl.environment import FrameTooShort, build_state, env_reset, env_step
-from portrl.normalization import scheme_from_kind
-from portrl.policy import init_policy, policy_forward
+from portrl.normalization import DATA_MAX, KINDS, apply_data_max, fit_data_max, scheme_from_kind
+from portrl.policy import features, init_policy, policy_forward
 from portrl.training import (
     AdamW,
     BatchTooLarge,
@@ -75,15 +75,50 @@ class TestFillBuffer:
         first = fill_buffer(frame, 4, LAST_CLOSE, 1e5, 0.0025, params)
         second = fill_buffer(frame, 4, LAST_CLOSE, 1e5, 0.0025, params)
         assert np.array_equal(first.last_actions, second.last_actions)
-        assert np.array_equal(first.states, second.states)
+        assert np.array_equal(first.states(0, len(first)), second.states(0, len(second)))
         assert np.array_equal(first.relatives, second.relatives)
 
     def test_stored_relatives_describe_transition_out_of_each_step(self):
         frame = random_walk_frame(np.random.default_rng(3), 2, 15)
         trainer = make_trainer(frame, window=4)
-        assert np.array_equal(trainer.buffer.states[0], build_state(frame, 3, 4, LAST_CLOSE))
+        assert np.array_equal(trainer.buffer.states(0, 1)[0], build_state(frame, 3, 4, LAST_CLOSE))
         expected = frame.closes[:, 4] / frame.closes[:, 3]
         assert np.array_equal(trainer.buffer.relatives[0, 1:], expected)
+
+
+class TestPriceTape:
+    """A buffer row is a start column into the price tape, and its state is
+    built on demand with the same bits as build_state."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_rebuild_build_state_across_the_train_test_boundary(self, kind):
+        window = 5
+        train = random_walk_frame(np.random.default_rng(33), 3, 30)
+        test = random_walk_frame(np.random.default_rng(34), 3, 15)
+        if kind == DATA_MAX:
+            scheme = fit_data_max(train)
+            train, test = apply_data_max(scheme, train), apply_data_max(scheme, test)
+        else:
+            scheme = scheme_from_kind(kind)
+        params = init_policy(3, window, seed=0, c1=2, c2=4)
+        trainer = Trainer(params, train, window, scheme, 1e5, 0.0025, TrainerConfig(batch_size=8),
+                          np.random.default_rng(0))
+        buffer = trainer.fill_buffer()
+        trainer.backtest(test, online_steps=0)
+        expected = [build_state(frame, t, window, scheme)
+                    for frame in (train, test) for t in range(window - 1, frame.n_steps - 1)]
+        states = buffer.states(0, len(buffer))
+        assert len(states) == len(expected) == len(buffer)
+        for j, state in enumerate(states):
+            assert state.tobytes() == expected[j].tobytes(), j
+
+        boundary = train.n_steps - window
+        batch = buffer.states(boundary - 3, boundary + 4)
+        singles = np.stack([buffer.states(j, j + 1)[0] for j in range(boundary - 3, boundary + 4)])
+        assert batch.tobytes() == singles.tobytes()
+        assert batch.transpose(1, 0, 2, 3).flags.c_contiguous
+        _, (x, _, _) = features(params, batch)
+        assert np.shares_memory(x, batch)  # features reads the batch without copying it
 
 
 class TestSampleBatch:
@@ -159,7 +194,7 @@ class TestBatchObjective:
             _, mu = batch_objective(trainer.params, buffer, start, start + 12, 0.0025)
             for i in range(12):
                 j = start + i
-                action = policy_forward(trainer.params, buffer.states[j], buffer.last_actions[j])
+                action = policy_forward(trainer.params, buffer.states(j, j + 1)[0], buffer.last_actions[j])
                 if j == 0:
                     before = buffer.last_actions[j]
                 else:
@@ -217,7 +252,7 @@ class TestTrainStep:
         start, stop = batches[-1]
         assert (start, stop) == (size - 8, size)
         for j in range(start + 1, size):
-            expected = policy_forward(trainer.params, trainer.buffer.states[j - 1],
+            expected = policy_forward(trainer.params, trainer.buffer.states(j - 1, j)[0],
                                       trainer.buffer.last_actions[j - 1])
             assert np.array_equal(trainer.buffer.last_actions[j], expected), j
 
@@ -230,7 +265,7 @@ class TestTrainStep:
         start, stop = batches[-1]
         buffer = trainer.buffer
         for j in range(start + 1, min(stop + 1, len(buffer))):
-            expected = policy_forward(trainer.params, buffer.states[j - 1], buffer.last_actions[j - 1])
+            expected = policy_forward(trainer.params, buffer.states(j - 1, j)[0], buffer.last_actions[j - 1])
             assert np.array_equal(buffer.last_actions[j], expected), j
 
     def test_rewrite_at_paper_shape_equals_policy_forward_bitwise(self, monkeypatch):
@@ -247,7 +282,7 @@ class TestTrainStep:
         start, stop = batches[-1]
         buffer = trainer.buffer
         for j in range(start + 1, min(stop + 1, len(buffer))):
-            expected = policy_forward(params, buffer.states[j - 1], buffer.last_actions[j - 1])
+            expected = policy_forward(params, buffer.states(j - 1, j)[0], buffer.last_actions[j - 1])
             assert np.array_equal(buffer.last_actions[j], expected), j
 
     def test_training_is_bitwise_deterministic(self):
@@ -351,7 +386,9 @@ class TestEpisodeLoop:
         filled = len(trainer.buffer)
         trainer.backtest(frame, online_steps=0)
         assert len(trainer.buffer) == 2 * filled
-        for name in ("states", "last_actions", "relatives"):
+        states = trainer.buffer.states
+        assert states(filled, 2 * filled).tobytes() == states(0, filled).tobytes()
+        for name in ("last_actions", "relatives"):
             stored = getattr(trainer.buffer, name)
             assert stored[filled:].tobytes() == stored[:filled].tobytes(), name
 
@@ -368,9 +405,9 @@ class TestEpisodeLoop:
     def test_buffer_has_no_unused_rows(self):
         frame = random_walk_frame(np.random.default_rng(30), 2, 40)
         trainer = make_trainer(frame, window=5)
-        assert trainer.buffer._states.shape[0] == len(trainer.buffer) == 40 - 5
+        assert trainer.buffer._starts.shape[0] == len(trainer.buffer) == 40 - 5
         test_frame = random_walk_frame(np.random.default_rng(31), 2, 20)
         trainer.backtest(test_frame, online_steps=1)
         assert len(trainer.buffer) == 40 - 5 + 20 - 5
-        for stored in (trainer.buffer._states, trainer.buffer._last_actions, trainer.buffer._relatives):
+        for stored in (trainer.buffer._starts, trainer.buffer._last_actions, trainer.buffer._relatives):
             assert stored.shape[0] == len(trainer.buffer)
