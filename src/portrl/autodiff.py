@@ -1,8 +1,9 @@
 """Forward kernels of the policy's one graph and the loss type whose
 ``backward`` runs its hand-written backward pass, on float64 numpy buffers.
 
-``policy.features`` and ``policy.head`` run the graph through
-``conv1d_over_time`` and ``softmax``; ``policy.backward_batch``
+``policy.features`` runs the graph's convolutions through
+``conv1d_over_time``, conv1 over the input's ``unfold``, and
+``policy.head`` ends it with ``softmax``; ``policy.backward_batch``
 differentiates it with the two conv-gradient kernels below. ``Tensor``
 holds a parameter's ``data`` and ``grad``; a loss also holds the closure
 that sets every parameter's ``grad``, so ``loss.backward()`` is the whole
@@ -36,12 +37,7 @@ class Tensor:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a (rows, k) array.
-
-    The buffer rewrite calls it once per sample, so it works in place on
-    one temporary and calls the reductions without the ndarray-method
-    wrappers (same results, less overhead per call).
-    """
+    """Row-wise softmax of a (rows, k) array."""
     e = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=1, keepdims=True)
@@ -54,27 +50,33 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # A row's output must have the same bits whatever the number of rows in
 # the call, because the buffer rewrite runs the features of a whole batch
 # at once where the backtest and the tests run one sample. A narrow kernel
-# (conv1) makes one GEMM over a strided unfold, which keeps each output's
-# 3*k-term sum in one fixed order. A full-width kernel (conv2, the head)
-# runs as one small product per row: a single GEMM over all rows changes
-# its blocking, and with it the summation order, with the row count.
+# (conv1) makes one GEMM over the unfold of its input, which keeps each
+# output's 3*k-term sum in one fixed order. A full-width kernel (conv2,
+# the head) runs as one small product per row: a single GEMM over all rows
+# changes its blocking, and with it the summation order, with the row count.
 
 
-def _unfold(x: np.ndarray, k: int) -> np.ndarray:
-    """(C_in * k, rows * t_out) matrix whose column (r, s) holds x[:, r, s : s + k]."""
+def unfold(x: np.ndarray, k: int) -> np.ndarray:
+    """(C_in, k, rows, t_out) copy of ``x`` whose [:, :, r, s] holds x[:, r, s : s + k].
+
+    A narrow kernel's convolution and its kernel gradient are each one
+    GEMM over it, so a training step builds it once and hands it to both.
+    """
     c_in, rows, t = x.shape
-    t_out = t - k + 1
     s_c, s_r, s_t = x.strides
-    windows = as_strided(x, (c_in, k, rows, t_out), (s_c, s_t, s_r, s_t), writeable=False)
-    return windows.reshape(c_in * k, rows * t_out)
+    windows = as_strided(x, (c_in, k, rows, t - k + 1), (s_c, s_t, s_r, s_t), writeable=False)
+    return np.ascontiguousarray(windows)
 
 
-def conv1d_over_time(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv1d_over_time(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
+                     unfolded: np.ndarray | None = None) -> np.ndarray:
     """Valid 1-d convolution along the trailing (time) axis.
 
     ``x`` has shape (C_in, rows, t), ``kernels`` (C_out, C_in, k) and
-    ``bias`` (C_out,). Rows never mix: row j of every output channel
-    depends only on row j of the input, bit for bit.
+    ``bias`` (C_out,). A kernel narrower than the time axis reads
+    ``unfolded``, which must be ``unfold(x, k)``; a full-width kernel
+    reads ``x``. Rows never mix: row j of every output channel depends
+    only on row j of the input, bit for bit.
     """
     if x.ndim != 3 or kernels.ndim != 3 or x.shape[0] != kernels.shape[1]:
         raise ShapeMismatch(f"conv1d_over_time: input {x.shape} vs kernels {kernels.shape}")
@@ -89,18 +91,28 @@ def conv1d_over_time(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np
     if t_out == 1:
         per_row = np.matmul(x.transpose(1, 0, 2).reshape(rows, 1, c_in * k), flat_kernels.T)
         out = per_row.reshape(rows, c_out).T.reshape(c_out, rows, 1)
+    elif unfolded is None or unfolded.shape != (c_in, k, rows, t_out):
+        raise ShapeMismatch(f"conv1d_over_time: unfold {getattr(unfolded, 'shape', None)} vs input {x.shape} "
+                            f"and kernels {kernels.shape}")
     else:
-        out = np.dot(flat_kernels, _unfold(x, k)).reshape(c_out, rows, t_out)
-    return out + bias[:, None, None]
+        out = np.dot(flat_kernels, unfolded.reshape(c_in * k, rows * t_out)).reshape(c_out, rows, t_out)
+    out += bias[:, None, None]  # out is this call's own product, in the layout a new sum would get
+    return out
 
 
 def conv1d_kernel_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient wrt the kernels of a conv1d_over_time on ``x`` whose output has gradient ``g``."""
+    """Gradient wrt the kernels of a conv1d_over_time whose output has gradient ``g``.
+
+    ``x`` is what the forward's product read: the input (C_in, rows, t)
+    of a full-width kernel, or the ``unfold`` (C_in, k, rows, t_out) of a
+    narrow kernel's input.
+    """
     c_out, rows, t_out = g.shape
-    c_in, k = x.shape[0], x.shape[2] - t_out + 1
     if t_out == 1:
+        c_in, k = x.shape[0], x.shape[2]
         return np.dot(g[:, :, 0], x.transpose(1, 0, 2).reshape(rows, c_in * k)).reshape(c_out, c_in, k)
-    return np.dot(g.reshape(c_out, rows * t_out), _unfold(x, k).T).reshape(c_out, c_in, k)
+    c_in, k = x.shape[:2]
+    return np.dot(g.reshape(c_out, rows * t_out), x.reshape(c_in * k, rows * t_out).T).reshape(c_out, c_in, k)
 
 
 def conv1d_input_grad(g: np.ndarray, kernels: np.ndarray) -> np.ndarray:

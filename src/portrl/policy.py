@@ -9,8 +9,10 @@ never mix: the network is equivariant under asset permutation.
 
 The graph runs in two parts, split where the last action enters:
 ``features`` and ``head``. ``features`` gives a sample the same bits at
-any batch size, so the buffer rewrite runs it once per batch, chains
-only ``head``, and still matches ``policy_forward`` bit for bit.
+any batch size, so the buffer rewrite runs it once per batch, over the
+objective's conv1 unfold, and chains only the head step
+(``head_chain``), which ``policy_forward`` runs for one sample: the
+rewritten actions match ``policy_forward`` bit for bit.
 """
 
 from __future__ import annotations
@@ -91,7 +93,9 @@ def forward_batch(params: PolicyParams, states: np.ndarray,
     plus the activations ``backward_batch`` reads.
 
     The batch folds into the asset axis, which the convolutions treat
-    independently anyway; only the final softmax is per-sample.
+    independently anyway; only the final softmax is per-sample. The
+    activations start with conv1's unfold, which the buffer rewrite
+    reads again for its own pass over the same states.
     """
     batch, channels, n, t = states.shape
     if channels != 3 or n != params.n_assets or t != params.window:
@@ -100,25 +104,40 @@ def forward_batch(params: PolicyParams, states: np.ndarray,
         )
     if last_actions.shape != (batch, n + 1):
         raise ad.ShapeMismatch(f"last_actions {last_actions.shape}, expected {(batch, n + 1)}")
-    scores, (x, h1, h2) = features(params, states)
+    x = stacked_rows(states)
+    unfolded = conv1_unfold(params, x)
+    scores, (h1, h2) = features(params, x, unfolded)
     actions = head(params, scores, last_actions)
-    return actions, (x, h1, h2, last_actions, actions)
+    return actions, (unfolded, h1, h2, last_actions, actions)
 
 
-def features(params: PolicyParams, states: np.ndarray) -> tuple[np.ndarray, tuple]:
+def stacked_rows(states: np.ndarray) -> np.ndarray:
+    """States (B, 3, n, t) as the convolutions' input (3, B*n, t), without a
+    copy when the batch is laid out channel-major, as the buffer gathers it."""
+    batch, _, n, t = states.shape
+    return np.ascontiguousarray(states.transpose(1, 0, 2, 3)).reshape(3, batch * n, t)
+
+
+def conv1_unfold(params: PolicyParams, x: np.ndarray) -> np.ndarray:
+    """conv1's unfold of the stacked rows ``x``: the one copy of its input a forward makes."""
+    return ad.unfold(x, params.conv1_kernels.data.shape[2])
+
+
+def features(params: PolicyParams, x: np.ndarray, unfolded: np.ndarray) -> tuple[np.ndarray, tuple]:
     """The part of the graph the last action does not enter: conv1 -> relu
     -> conv2 -> relu -> the 1x1 head's feature channels and bias.
 
-    States (B, 3, n, t) -> per-asset partial scores (B, n), plus the
-    activations (x, h1, h2). A sample's scores have the same bits at any
-    B, so a batch's features can stand in for one call per sample.
+    Stacked rows ``x`` (3, B*n, t) with their ``conv1_unfold`` -> per-asset
+    partial scores (B, n), plus the activations (h1, h2). A sample's scores
+    have the same bits at any B, so a batch's features can stand in for
+    one call per sample.
     """
-    batch, _, n, t = states.shape
-    x = np.ascontiguousarray(states.transpose(1, 0, 2, 3)).reshape(3, batch * n, t)
-    h1 = np.maximum(ad.conv1d_over_time(x, params.conv1_kernels.data, params.conv1_bias.data), 0.0)
-    h2 = np.maximum(ad.conv1d_over_time(h1, params.conv2_kernels.data, params.conv2_bias.data), 0.0)
+    h1 = ad.conv1d_over_time(x, params.conv1_kernels.data, params.conv1_bias.data, unfolded)
+    np.maximum(h1, 0.0, out=h1)
+    h2 = ad.conv1d_over_time(h1, params.conv2_kernels.data, params.conv2_bias.data)
+    np.maximum(h2, 0.0, out=h2)
     scores = ad.conv1d_over_time(h2, params.out_kernels.data[:, :-1], params.out_bias.data)
-    return scores.reshape(batch, n), (x, h1, h2)
+    return scores.reshape(-1, params.n_assets), (h1, h2)
 
 
 def head(params: PolicyParams, scores: np.ndarray, last_actions: np.ndarray) -> np.ndarray:
@@ -130,13 +149,34 @@ def head(params: PolicyParams, scores: np.ndarray, last_actions: np.ndarray) -> 
     return ad.softmax(logits)
 
 
+def head_chain(params: PolicyParams, scores: np.ndarray, actions: np.ndarray) -> None:
+    """``head`` chained through consecutive samples, in place: for each row j
+    of ``scores`` (m, n), actions[j + 1] = head(scores[j], actions[j]), so
+    ``actions`` (m + 1, n+1) holds the first last action in row 0.
+
+    One preallocated logits row runs ``head``'s ufuncs in its order, with
+    the same bits and without its per-call temporaries.
+    """
+    risky_weight = params.out_kernels.data[0, -1, 0]
+    cash = params.cash_bias.data
+    logits = np.empty(actions.shape[1])
+    risky = logits[1:]
+    for score, last, new in zip(scores, actions, actions[1:]):
+        np.multiply(last, risky_weight, out=logits)
+        np.add(risky, score, out=risky)
+        logits[0] = cash
+        np.subtract(logits, np.maximum.reduce(logits), out=logits)
+        np.exp(logits, out=logits)
+        np.divide(logits, np.add.reduce(logits), out=new)
+
+
 def backward_batch(params: PolicyParams, activations: tuple, grad_actions: np.ndarray) -> None:
     """Set every parameter's ``grad`` from d(loss)/d(actions) of one forward_batch.
 
     A ReLU passes gradient only where its output is positive (the
     subgradient at 0 is 0).
     """
-    x, h1, h2, last_actions, actions = activations
+    unfolded, h1, h2, last_actions, actions = activations
     inner = (grad_actions * actions).sum(axis=1, keepdims=True)
     grad_logits = actions * (grad_actions - inner)
     params.cash_bias.grad = np.asarray(grad_logits[:, :1].sum())
@@ -149,15 +189,16 @@ def backward_batch(params: PolicyParams, activations: tuple, grad_actions: np.nd
     params.conv2_kernels.grad = ad.conv1d_kernel_grad(g, h1)
     params.conv2_bias.grad = g.sum(axis=(1, 2))
     g = ad.conv1d_input_grad(g, params.conv2_kernels.data) * (h1 > 0.0)
-    params.conv1_kernels.grad = ad.conv1d_kernel_grad(g, x)
+    params.conv1_kernels.grad = ad.conv1d_kernel_grad(g, unfolded)
     params.conv1_bias.grad = g.sum(axis=(1, 2))
 
 
 def policy_forward(params: PolicyParams, state: np.ndarray, last_action: np.ndarray) -> np.ndarray:
     """Pure inference for one (3, n, t) state: returns the (n+1,) action.
 
-    The batch-of-one case of ``features`` and ``head``, so it gives the
-    same bits as the same sample inside any batch.
+    The batch-of-one case of ``features`` and ``head_chain``, so it gives
+    the same bits as the same sample inside any batch and as the buffer
+    rewrite.
     """
     values = np.asarray(state)
     last_action = np.asarray(last_action)
@@ -166,5 +207,9 @@ def policy_forward(params: PolicyParams, state: np.ndarray, last_action: np.ndar
             f"state {values.shape} / last_action {last_action.shape} incompatible with "
             f"policy (3, {params.n_assets}, {params.window})"
         )
-    scores, _ = features(params, values[None])
-    return head(params, scores, last_action[None])[0]
+    x = stacked_rows(values[None])
+    scores, _ = features(params, x, conv1_unfold(params, x))
+    actions = np.empty((2, params.n_assets + 1))
+    actions[0] = last_action
+    head_chain(params, scores, actions)
+    return actions[1]

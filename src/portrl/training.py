@@ -21,7 +21,7 @@ from .autodiff import Tensor
 from .environment import env_reset, env_step, transaction_factor_batch
 from .market_data import MarketFrame, price_relatives
 from .normalization import NormalizationScheme, normalize_window
-from .policy import PolicyParams, backward_batch, features, forward_batch, head, policy_forward
+from .policy import PolicyParams, backward_batch, features, forward_batch, head_chain, policy_forward, stacked_rows
 
 
 # glibc maps each allocation at or above its mmap threshold afresh, so every
@@ -209,8 +209,8 @@ def sample_batch(buffer: ReplayBuffer, batch_size: int, sample_bias: float,
     return 0, batch_size
 
 
-def batch_objective(params: PolicyParams, buffer: ReplayBuffer, start: int, stop: int,
-                    commission: float, frozen_mu: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+def batch_objective(params: PolicyParams, states: np.ndarray, buffer: ReplayBuffer, start: int, stop: int,
+                    commission: float, frozen_mu: np.ndarray | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Mean log-profit of the policy over one sequential batch.
 
     Each step contributes ln(mu_t * (a_t . y_t)) where a_t is the policy
@@ -218,10 +218,11 @@ def batch_objective(params: PolicyParams, buffer: ReplayBuffer, start: int, stop
     relatives, and mu_t the rebalancing cost factor from the previous
     action's drifted weights. mu_t is held constant under
     differentiation; pass ``frozen_mu`` to reuse values from a previous
-    evaluation (finite-difference checks need this). The returned
-    objective's ``backward`` sets every parameter's ``grad``.
+    evaluation (finite-difference checks need this). ``states`` are
+    ``buffer.states(start, stop)``. Returns the objective, whose
+    ``backward`` sets every parameter's ``grad``, mu, and conv1's unfold
+    of the states, which the buffer rewrite reads again.
     """
-    states = buffer.states(start, stop)
     last_actions = buffer.last_actions[start:stop]
     relatives = buffer.relatives[start:stop]
     actions, activations = forward_batch(params, states, last_actions)
@@ -238,7 +239,7 @@ def batch_objective(params: PolicyParams, buffer: ReplayBuffer, start: int, stop
         grad_gains = (grad / growth.size) / growth * frozen_mu
         backward_batch(params, activations, grad_gains[:, None] * relatives)
 
-    return Tensor(np.log(growth).mean(), backward), frozen_mu
+    return Tensor(np.log(growth).mean(), backward), frozen_mu, activations[0]
 
 
 class Trainer:
@@ -274,27 +275,29 @@ class Trainer:
             raise RuntimeError("fill_buffer must run before train_step")
         start, stop = sample_batch(self.buffer, self.config.batch_size,
                                    self.config.sample_bias, self.rng)
-        objective, _ = batch_objective(self.params, self.buffer, start, stop, self.commission)
+        # One gather and one conv1 unfold serve the objective and the
+        # rewrite; nothing writes the tape in between.
+        states = self.buffer.states(start, stop)
+        objective, _, unfolded = batch_objective(self.params, states, self.buffer, start, stop, self.commission)
         loss = -objective
         value = float(loss.data)
         if not np.isfinite(value):
             raise NonFiniteLoss(f"loss {value} at step {self.step_count}, batch [{start}, {stop})")
         loss.backward()
         self.optimizer.step()
-        self._rewrite(start, stop)
+        self._rewrite(start, stop, states, unfolded)
         self.step_count += 1
         return value
 
-    def _rewrite(self, start: int, stop: int) -> None:
+    def _rewrite(self, start: int, stop: int, states: np.ndarray, unfolded: np.ndarray) -> None:
         # New actions propagate forward: slot t+1 receives the updated
         # policy's output for experience t, chained through the batch. The
         # last action enters only the head, so the features of the whole
-        # batch come from one pass; only the head step runs in sequence.
-        scores, _ = features(self.params, self.buffer.states(start, stop))
-        last_actions = self.buffer.last_actions
-        for j in range(start, min(stop, len(self.buffer) - 1)):
-            row = scores[j - start : j - start + 1]
-            last_actions[j + 1] = head(self.params, row, last_actions[j : j + 1])[0]
+        # batch come from one pass over the objective's states and unfold;
+        # only the head step runs in sequence.
+        scores, _ = features(self.params, stacked_rows(states), unfolded)
+        rows = min(stop, len(self.buffer) - 1) - start
+        head_chain(self.params, scores[:rows], self.buffer.last_actions[start : start + rows + 1])
 
     def train(self, steps: int) -> None:
         for _ in range(steps):

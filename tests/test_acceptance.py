@@ -77,10 +77,10 @@ def _min_relu_preactivation(params, states):
     redrawn.
     """
     from portrl.autodiff import conv1d_over_time
+    from portrl.policy import conv1_unfold, stacked_rows
 
-    batch, _, n, t = states.shape
-    x = np.ascontiguousarray(states.transpose(1, 0, 2, 3)).reshape(3, batch * n, t)
-    pre1 = conv1d_over_time(x, params.conv1_kernels.data, params.conv1_bias.data)
+    x = stacked_rows(states)
+    pre1 = conv1d_over_time(x, params.conv1_kernels.data, params.conv1_bias.data, conv1_unfold(params, x))
     pre2 = conv1d_over_time(np.maximum(pre1, 0.0), params.conv2_kernels.data, params.conv2_bias.data)
     return min(float(np.abs(pre1).min()), float(np.abs(pre2).min()))
 
@@ -106,12 +106,13 @@ def test_gradient_correctness_full_policy_objective():
             continue
         accepted += 1
 
-        objective, mu = batch_objective(params, buffer, start, stop, commission)
+        states = buffer.states(start, stop)
+        objective, mu, _ = batch_objective(params, states, buffer, start, stop, commission)
         clear_grads(params)
         objective.backward()
 
         def evaluate():
-            return float(batch_objective(params, buffer, start, stop, commission, frozen_mu=mu)[0].data)
+            return float(batch_objective(params, states, buffer, start, stop, commission, frozen_mu=mu)[0].data)
 
         for _, tensor in params.named_tensors():
             error = max_fd_error(evaluate, tensor.data.reshape(-1), tensor.grad, eps)

@@ -33,10 +33,10 @@ def test_conv_never_mixes_rows():
     x = rng.normal(size=(2, 5, 9))
     kernels = rng.normal(size=(3, 2, 4))
     bias = np.zeros(3)
-    base = ad.conv1d_over_time(x, kernels, bias)
+    base = ad.conv1d_over_time(x, kernels, bias, ad.unfold(x, 4))
     perturbed = x.copy()
     perturbed[:, 2, :] += rng.normal(size=9)
-    out = ad.conv1d_over_time(perturbed, kernels, bias)
+    out = ad.conv1d_over_time(perturbed, kernels, bias, ad.unfold(perturbed, 4))
     others = [0, 1, 3, 4]
     assert np.array_equal(out[:, others, :], base[:, others, :])
     assert not np.array_equal(out[:, 2, :], base[:, 2, :])
@@ -63,10 +63,11 @@ def test_grad_check_linear_function_is_near_exact():
     kernels = rng.normal(size=(2, 2, 3))
     bias = rng.normal(size=(2,))
     weights = np.full((2, 3, 4), 3.0)
-    grad_k = ad.conv1d_kernel_grad(weights, x)
+    unfolded = ad.unfold(x, 3)
+    grad_k = ad.conv1d_kernel_grad(weights, unfolded)
 
     def evaluate():
-        return float((weights * ad.conv1d_over_time(x, kernels, bias)).sum())
+        return float((weights * ad.conv1d_over_time(x, kernels, bias, unfolded)).sum())
 
     assert max_fd_error(evaluate, kernels.reshape(-1), grad_k, eps=1e-5) < 1e-10
 
@@ -77,13 +78,16 @@ def test_conv_gradients_match_finite_differences_both_paths():
     bias = rng.normal(size=(4,))
 
     def check(kernels):
+        unfolded = ad.unfold(x, kernels.shape[2])  # read by a narrow kernel only
+
         def evaluate():
-            out = ad.conv1d_over_time(x, kernels, bias)
+            out = ad.conv1d_over_time(x, kernels, bias, unfolded)
             return float((out * out).mean())
 
-        out = ad.conv1d_over_time(x, kernels, bias)
+        out = ad.conv1d_over_time(x, kernels, bias, unfolded)
         g = 2.0 * out / out.size
-        errors = [max_fd_error(evaluate, kernels.reshape(-1), ad.conv1d_kernel_grad(g, x), 1e-5)]
+        read = x if out.shape[2] == 1 else unfolded  # what the forward's product read
+        errors = [max_fd_error(evaluate, kernels.reshape(-1), ad.conv1d_kernel_grad(g, read), 1e-5)]
         if out.shape[2] == 1:  # the graph takes input gradients of full-width kernels only
             errors.append(max_fd_error(evaluate, x.reshape(-1), ad.conv1d_input_grad(g, kernels), 1e-5))
         return errors
@@ -108,6 +112,12 @@ def test_shape_mismatch_reports_both_shapes():
     with pytest.raises(ShapeMismatch) as err:
         ad.conv1d_over_time(np.zeros((2, 3, 4)), np.zeros((1, 2, 2)), np.zeros(2))
     assert "(2,)" in str(err.value) and "(1, 2, 2)" in str(err.value)
+    x, narrow = np.zeros((2, 3, 4)), np.zeros((1, 2, 2))
+    with pytest.raises(ShapeMismatch):  # a narrow kernel reads the unfold of its input
+        ad.conv1d_over_time(x, narrow, np.zeros(1))
+    with pytest.raises(ShapeMismatch) as err:
+        ad.conv1d_over_time(x, narrow, np.zeros(1), ad.unfold(x, 3))
+    assert "(2, 3, 3, 2)" in str(err.value) and "(1, 2, 2)" in str(err.value)
 
 
 def test_forward_and_backward_are_deterministic():
@@ -118,9 +128,10 @@ def test_forward_and_backward_are_deterministic():
     bias = rng.normal(size=(2,))
 
     def run():
-        out = ad.conv1d_over_time(x_data.copy(), k_data.copy(), bias)
+        unfolded = ad.unfold(x_data.copy(), 4)
+        out = ad.conv1d_over_time(x_data.copy(), k_data.copy(), bias, unfolded)
         full = ad.conv1d_over_time(x_data.copy(), full_data.copy(), bias)
-        return (out, ad.conv1d_kernel_grad(np.maximum(out, 0.0), x_data.copy()),
+        return (out, ad.conv1d_kernel_grad(np.maximum(out, 0.0), unfolded),
                 full, ad.conv1d_input_grad(np.maximum(full, 0.0), full_data.copy()))
 
     for first, second in zip(run(), run()):

@@ -406,10 +406,16 @@ def perturb_after(data_dir, out_dir, cutoff, factors):
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=4)
 @example(day=15, factors=[4.0, 0.25, 2.0])
-@given(day=st.integers(1, 29), factors=st.lists(st.floats(0.25, 4.0), min_size=3, max_size=3))
+@example(day=30, factors=[4.0, 0.25, 2.0])  # the last test day: no row follows it
+@given(day=st.integers(1, 30), factors=st.lists(st.floats(0.25, 4.0), min_size=3, max_size=3))
 def test_no_look_ahead_and_train_only_fitting(kind, day, factors):
     """Prices after test day ``day`` change neither the fitted data_max
-    scales nor any backtest row up to that day, online learning included."""
+    scales nor any decision made up to that day, online learning included.
+
+    A trajectory row records the day after its decision: the action decided
+    on day ``day`` sits on the next row, whose value and reward already use
+    the next day's prices. On the last test day nothing is decided and no
+    row follows it."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config = load_config(write_config(tmp, write_market(tmp), normalization=kind, steps=3, online_steps=2))
@@ -421,10 +427,13 @@ def test_no_look_ahead_and_train_only_fitting(kind, day, factors):
         _, base, base_scales = run_single(config, seed=1)
         _, moved, moved_scales = run_single(changed, seed=1)
         assert base_scales == moved_scales
-        kept = base.steps <= last_kept
+        kept = base.steps <= last_kept  # values and rewards up to day ``day``
+        decided = base.steps <= last_kept + 1  # actions decided up to day ``day``
         assert kept.any() and np.array_equal(base.steps, moved.steps)
-        for name in ("values", "rewards", "actions"):
+        assert (base.steps == last_kept + 1).any() == (last_kept < base.steps[-1])
+        for name in ("values", "rewards"):
             assert np.array_equal(getattr(base, name)[kept], getattr(moved, name)[kept]), name
+        assert np.array_equal(base.actions[decided], moved.actions[decided])
 
 
 class TestEmitLoad:

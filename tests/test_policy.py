@@ -6,10 +6,12 @@ from portrl.autodiff import ShapeMismatch
 from portrl.policy import (
     WindowTooSmall,
     backward_batch,
+    conv1_unfold,
     features,
     forward_batch,
     init_policy,
     policy_forward,
+    stacked_rows,
 )
 
 
@@ -143,10 +145,15 @@ class TestBatchInvariance:
     def test_features_have_the_same_bits_at_batch_sizes_1_7_and_200(self):
         params = init_policy(9, 50, seed=21)
         states, _ = random_inputs(np.random.default_rng(21), 9, 50, batch=230)
-        singles = np.concatenate([features(params, states[i : i + 1])[0] for i in range(len(states))])
+
+        def scores(batch):
+            x = stacked_rows(batch)
+            return features(params, x, conv1_unfold(params, x))[0]
+
+        singles = np.concatenate([scores(states[i : i + 1]) for i in range(len(states))])
         for offset in (0, 3, 17, 30):
-            batched, _ = features(params, states[offset : offset + 200])
+            batched = scores(states[offset : offset + 200])
             assert np.array_equal(batched, singles[offset : offset + 200]), offset
         for offset in range(0, 223, 11):
-            batched, _ = features(params, states[offset : offset + 7])
+            batched = scores(states[offset : offset + 7])
             assert np.array_equal(batched, singles[offset : offset + 7]), offset

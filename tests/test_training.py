@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from portrl import training
 from portrl.autodiff import Tensor
 from portrl.environment import FrameTooShort, build_state, env_reset, env_step
 from portrl.normalization import DATA_MAX, KINDS, apply_data_max, fit_data_max, scheme_from_kind
-from portrl.policy import features, init_policy, policy_forward
+from portrl.policy import init_policy, policy_forward, stacked_rows
 from portrl.training import (
     AdamW,
     BatchTooLarge,
@@ -43,6 +44,38 @@ def make_trainer(frame, window=5, commission=0.0025, seed=0, **overrides):
     )
     trainer.fill_buffer()
     return trainer
+
+
+def objective_over(trainer, start, stop, commission, **kwargs):
+    """batch_objective over rows [start, stop) of the trainer's buffer, from a fresh gather."""
+    buffer = trainer.buffer
+    return batch_objective(trainer.params, buffer.states(start, stop), buffer, start, stop, commission, **kwargs)
+
+
+def normalized_frames(kind, train, test):
+    """(scheme, train, test) for one normalization; data_max is fitted on train only."""
+    if kind == DATA_MAX:
+        scheme = fit_data_max(train)
+        return scheme, apply_data_max(scheme, train), apply_data_max(scheme, test)
+    return scheme_from_kind(kind), train, test
+
+
+def reference_step(trainer):
+    """Loss and post-AdamW parameters of the trainer's next train_step, built
+    the long way on a copy of it: a fresh buffer.states gather, then
+    batch_objective, backward and AdamW.step."""
+    memo = {}
+    twin = copy.deepcopy(trainer, memo)
+    for moments in ("_m", "_v"):  # AdamW keys its moments by parameter identity
+        setattr(twin.optimizer, moments, {id(memo[key]): value
+                                          for key, value in getattr(twin.optimizer, moments).items()})
+    start, stop = sample_batch(twin.buffer, twin.config.batch_size, twin.config.sample_bias, twin.rng)
+    states = twin.buffer.states(start, stop)
+    objective, _, _ = batch_objective(twin.params, states, twin.buffer, start, stop, twin.commission)
+    loss = -objective
+    loss.backward()
+    twin.optimizer.step()
+    return float(loss.data), {name: tensor.data for name, tensor in twin.params.named_tensors()}
 
 
 def record_batches(monkeypatch):
@@ -93,13 +126,8 @@ class TestPriceTape:
     @pytest.mark.parametrize("kind", KINDS)
     def test_rows_rebuild_build_state_across_the_train_test_boundary(self, kind):
         window = 5
-        train = random_walk_frame(np.random.default_rng(33), 3, 30)
-        test = random_walk_frame(np.random.default_rng(34), 3, 15)
-        if kind == DATA_MAX:
-            scheme = fit_data_max(train)
-            train, test = apply_data_max(scheme, train), apply_data_max(scheme, test)
-        else:
-            scheme = scheme_from_kind(kind)
+        scheme, train, test = normalized_frames(kind, random_walk_frame(np.random.default_rng(33), 3, 30),
+                                                random_walk_frame(np.random.default_rng(34), 3, 15))
         params = init_policy(3, window, seed=0, c1=2, c2=4)
         trainer = Trainer(params, train, window, scheme, 1e5, 0.0025, TrainerConfig(batch_size=8),
                           np.random.default_rng(0))
@@ -117,8 +145,7 @@ class TestPriceTape:
         singles = np.stack([buffer.states(j, j + 1)[0] for j in range(boundary - 3, boundary + 4)])
         assert batch.tobytes() == singles.tobytes()
         assert batch.transpose(1, 0, 2, 3).flags.c_contiguous
-        _, (x, _, _) = features(params, batch)
-        assert np.shares_memory(x, batch)  # features reads the batch without copying it
+        assert np.shares_memory(stacked_rows(batch), batch)  # the convolutions read the batch without a copy
 
 
 class TestSampleBatch:
@@ -157,7 +184,7 @@ class TestBatchObjective:
         flat = np.full((3, 20), 8.0)
         frame = make_frame(flat, spread=0.0)
         trainer = make_trainer(frame, window=4, commission=0.0)
-        objective, _ = batch_objective(trainer.params, trainer.buffer, 0, len(trainer.buffer), 0.0)
+        objective, _, _ = objective_over(trainer, 0, len(trainer.buffer), 0.0)
         assert abs(float(objective.data)) < 1e-12
 
     def test_all_cash_policy_objective_is_zero_at_zero_commission(self):
@@ -167,13 +194,13 @@ class TestBatchObjective:
             tensor.data[...] = 0.0
         trainer.params.cash_bias.data[...] = 50.0
         trainer.fill_buffer()
-        objective, _ = batch_objective(trainer.params, trainer.buffer, 0, len(trainer.buffer), 0.0)
+        objective, _, _ = objective_over(trainer, 0, len(trainer.buffer), 0.0)
         assert abs(float(objective.data)) < 1e-12
 
     def test_full_episode_objective_equals_log_fapv_over_steps(self):
         frame = random_walk_frame(np.random.default_rng(9), 3, 30)
         trainer = make_trainer(frame, window=4, commission=0.0)
-        objective, _ = batch_objective(trainer.params, trainer.buffer, 0, len(trainer.buffer), 0.0)
+        objective, _, _ = objective_over(trainer, 0, len(trainer.buffer), 0.0)
 
         state, obs = env_reset(frame, 4, LAST_CLOSE, 100_000.0, 0.0)
         last_action = state.weights
@@ -191,7 +218,7 @@ class TestBatchObjective:
         trainer = make_trainer(frame, window=5, batch_size=12)
         buffer = trainer.buffer
         for start in (0, 3, len(buffer) - 12):
-            _, mu = batch_objective(trainer.params, buffer, start, start + 12, 0.0025)
+            _, mu, _ = objective_over(trainer, start, start + 12, 0.0025)
             for i in range(12):
                 j = start + i
                 action = policy_forward(trainer.params, buffer.states(j, j + 1)[0], buffer.last_actions[j])
@@ -204,19 +231,19 @@ class TestBatchObjective:
     def test_gradient_matches_finite_differences_single_step(self):
         frame = random_walk_frame(np.random.default_rng(10), 3, 16)
         trainer = make_trainer(frame, window=4, commission=0.0)
-        objective, mu = batch_objective(trainer.params, trainer.buffer, 2, 3, 0.0)
+        objective, mu, _ = objective_over(trainer, 2, 3, 0.0)
         clear_grads(trainer.params)
         objective.backward()
         kernels = trainer.params.conv1_kernels
 
         def evaluate():
-            return float(batch_objective(trainer.params, trainer.buffer, 2, 3, 0.0, frozen_mu=mu)[0].data)
+            return float(objective_over(trainer, 2, 3, 0.0, frozen_mu=mu)[0].data)
 
         assert max_fd_error(evaluate, kernels.data.reshape(-1), kernels.grad, eps=1e-5) < 1e-4
 
     def test_backward_sets_gradients_rather_than_accumulating(self):
         trainer = make_trainer(random_walk_frame(np.random.default_rng(28), 3, 30), window=4)
-        objective, _ = batch_objective(trainer.params, trainer.buffer, 2, 10, 0.0025)
+        objective, _, _ = objective_over(trainer, 2, 10, 0.0025)
         objective.backward()
         first = {name: t.grad.copy() for name, t in trainer.params.named_tensors()}
         objective.backward()
@@ -225,7 +252,7 @@ class TestBatchObjective:
 
     def test_negated_objective_gives_exactly_negated_gradients(self):
         trainer = make_trainer(random_walk_frame(np.random.default_rng(29), 3, 30), window=4)
-        objective, _ = batch_objective(trainer.params, trainer.buffer, 2, 10, 0.0025)
+        objective, _, _ = objective_over(trainer, 2, 10, 0.0025)
         objective.backward()
         ascent = {name: t.grad.copy() for name, t in trainer.params.named_tensors()}
         loss = -objective
@@ -268,22 +295,48 @@ class TestTrainStep:
             expected = policy_forward(trainer.params, buffer.states(j - 1, j)[0], buffer.last_actions[j - 1])
             assert np.array_equal(buffer.last_actions[j], expected), j
 
-    def test_rewrite_at_paper_shape_equals_policy_forward_bitwise(self, monkeypatch):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rewrite_at_paper_shape_equals_policy_forward_bitwise(self, kind, monkeypatch):
         # 9 assets, window 50, c2 = 20, batch 200: the shapes at which a
-        # batch-size-dependent summation order would show
-        frame = random_walk_frame(np.random.default_rng(27), 9, 300)
+        # batch-size-dependent summation order would show. Every step, in
+        # training and online in the backtest (whose batches straddle the
+        # train/test tape boundary), must also equal its reference built
+        # from a fresh gather, which a stale shared gather or unfold breaks.
+        scheme, train, test = normalized_frames(kind, random_walk_frame(np.random.default_rng(27), 9, 300),
+                                                random_walk_frame(np.random.default_rng(35), 9, 60))
         params = init_policy(9, 50, seed=4, c1=2, c2=20)
-        trainer = Trainer(params, frame, 50, LAST_CLOSE, 100_000.0, 0.0025,
+        trainer = Trainer(params, train, 50, scheme, 100_000.0, 0.0025,
                           TrainerConfig(batch_size=200, sample_bias=0.02), np.random.default_rng(4))
         trainer.fill_buffer()
         batches = record_batches(monkeypatch)
-        for _ in range(2):
-            trainer.train_step()
-        start, stop = batches[-1]
-        buffer = trainer.buffer
-        for j in range(start + 1, min(stop + 1, len(buffer))):
-            expected = policy_forward(params, buffer.states(j - 1, j)[0], buffer.last_actions[j - 1])
-            assert np.array_equal(buffer.last_actions[j], expected), j
+        checked_steps = []
+        original_step = Trainer.train_step
+
+        def checked_step(self):
+            expected_loss, expected_params = reference_step(self)
+            loss = original_step(self)
+            assert loss == expected_loss, len(checked_steps)
+            for name, tensor in self.params.named_tensors():
+                assert tensor.data.tobytes() == expected_params[name].tobytes(), (len(checked_steps), name)
+            checked_steps.append(batches[-1])
+            return loss
+
+        def assert_last_batch_rewritten():
+            start, stop = batches[-1]
+            buffer = trainer.buffer
+            for j in range(start + 1, min(stop + 1, len(buffer))):
+                expected = policy_forward(params, buffer.states(j - 1, j)[0], buffer.last_actions[j - 1])
+                assert np.array_equal(buffer.last_actions[j], expected), j
+
+        monkeypatch.setattr(Trainer, "train_step", checked_step)
+        trainer.train(2)
+        assert_last_batch_rewritten()
+        boundary = len(trainer.buffer)
+        trainer.config.sample_bias = 1.0  # each online batch ends at the newest row, past the boundary
+        trainer.backtest(test, online_steps=1)
+        assert_last_batch_rewritten()
+        assert len(checked_steps) == 2 + len(trainer.buffer) - boundary
+        assert all(start < boundary < stop for start, stop in checked_steps[2:])
 
     def test_training_is_bitwise_deterministic(self):
         frame = random_walk_frame(np.random.default_rng(13), 2, 30)
