@@ -5,8 +5,8 @@
 ``conv1d_over_time``, conv1 over the input's ``unfold``, and
 ``policy.head`` ends it with ``softmax``; ``policy.backward_batch``
 differentiates it with the two conv-gradient kernels below. ``Tensor``
-holds a parameter's ``data`` and ``grad``; a loss also holds the closure
-that sets every parameter's ``grad``, so ``loss.backward()`` is the whole
+is a scalar loss: its value ``data`` and the closure that sets every
+entry of the policy's flat ``grad``, so ``loss.backward()`` is the whole
 backward pass. Gradients are set, never accumulated.
 """
 
@@ -21,18 +21,17 @@ class ShapeMismatch(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_backward")
+    __slots__ = ("data", "_backward")
 
-    def __init__(self, data, backward=None):
+    def __init__(self, data, backward):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self._backward = backward  # called with d(loss)/d(this scalar); sets the parameter grads
 
     def __neg__(self) -> Tensor:
         return Tensor(-self.data, lambda grad: self._backward(-grad))
 
     def backward(self) -> None:
-        """Set ``grad`` on every parameter this scalar loss depends on."""
+        """Set the gradient of this scalar loss wrt every parameter."""
         self._backward(1.0)
 
 

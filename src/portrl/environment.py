@@ -38,10 +38,6 @@ class NoConvergence(RuntimeError):
     pass
 
 
-class BracketFailure(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class EnvState:
     """Snapshot of a simulation: value/weights before and after the day's
@@ -131,35 +127,6 @@ def transaction_factor_batch(w_from: np.ndarray, w_to: np.ndarray, commission: f
             return nxt
         mu = nxt
     raise NoConvergence(f"batch mu fixed point did not converge (c={c})")
-
-
-def transaction_factor_oracle(w_from: np.ndarray, w_to: np.ndarray, commission: float,
-                              tol: float = 1e-14) -> float:
-    """Independent bisection on the fixed-point residual.
-
-    g(mu) = mu*(1 - c*w_to[0]) - (1 - c*w_from[0] - (2c - c^2)*sum max(w_from[i] - mu*w_to[i], 0))
-    is continuous and strictly increasing on [1 - 2c, 1], which brackets
-    the unique root for any simplex pair.
-    """
-    c = commission
-    risky_from, risky_to = w_from[1:], w_to[1:]
-
-    def g(mu: float) -> float:
-        sold = np.maximum(risky_from - mu * risky_to, 0.0).sum()
-        return mu * (1.0 - c * w_to[0]) - (1.0 - c * w_from[0] - (2.0 * c - c * c) * sold)
-
-    lo, hi = 1.0 - 2.0 * c, 1.0
-    if g(lo) * g(hi) > 0.0:
-        lo, hi = 0.0, 1.0
-        if g(lo) * g(hi) > 0.0:
-            raise BracketFailure(f"no sign change on [0, 1] (c={c})")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def build_state(frame: MarketFrame, t: int, window: int, scheme: NormalizationScheme) -> np.ndarray:

@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import date
 from pathlib import Path
 from typing import get_type_hints
@@ -30,7 +30,9 @@ from .policy import init_policy
 from .training import Trainer, TrainerConfig, Trajectory
 
 REPORT_FORMAT_VERSION = 1
-_METRIC_NAMES = ("fapv", "mdd", "sharpe", "sharpe_excess")
+# A run's metrics, in the order runs.tsv lists them; the float ones are aggregated.
+_RUN_METRICS = tuple(f.name for f in fields(metrics_mod.MetricReport))
+_METRIC_NAMES = tuple(name for name, hint in get_type_hints(metrics_mod.MetricReport).items() if hint is float)
 _ALIGNMENTS = ("", "intersect", "forward_fill")
 # Allowed range of each numeric key: (test, description). NaN fails every test.
 _RANGES = {
@@ -350,18 +352,8 @@ def summary_dict(report: CampaignReport) -> dict:
         methods[kind] = {
             "aggregates": aggregates,
             "max_fapv": max_fapv(method.results) if method.results else None,
-            "runs": [
-                {
-                    "seed": r.seed,
-                    "fapv": r.metrics.fapv,
-                    "mdd": r.metrics.mdd,
-                    "sharpe": r.metrics.sharpe,
-                    "sharpe_excess": r.metrics.sharpe_excess,
-                    "n_steps": r.metrics.n_steps,
-                    "trajectory": r.trajectory_path,
-                }
-                for r in method.results
-            ],
+            "runs": [{"seed": r.seed, **asdict(r.metrics), "trajectory": r.trajectory_path}
+                     for r in method.results],
             "failures": [{"seed": seed, "error": message} for seed, message in method.failures],
             "data_max_scales": list(method.scales) if method.scales is not None else None,
         }
@@ -385,23 +377,11 @@ def emit_report(report: CampaignReport, out_dir: str | Path) -> None:
 
     (out / "summary.json").write_text(json.dumps(summary_dict(report), indent=2, sort_keys=True) + "\n")
 
-    rows = ["method\tseed\tfapv\tmdd\tsharpe\tsharpe_excess\tn_steps\ttrajectory"]
+    rows = ["\t".join(["method", "seed", *_RUN_METRICS, "trajectory"])]
     for kind in sorted(report.methods):
         for r in report.methods[kind].results:
-            rows.append(
-                "\t".join(
-                    [
-                        kind,
-                        str(r.seed),
-                        _float_text(r.metrics.fapv),
-                        _float_text(r.metrics.mdd),
-                        _float_text(r.metrics.sharpe),
-                        _float_text(r.metrics.sharpe_excess),
-                        str(r.metrics.n_steps),
-                        r.trajectory_path,
-                    ]
-                )
-            )
+            cells = [_float_text(v) if isinstance(v, float) else str(v) for v in asdict(r.metrics).values()]
+            rows.append("\t".join([kind, str(r.seed), *cells, r.trajectory_path]))
     (out / "runs.tsv").write_text("\n".join(rows) + "\n")
 
     for kind in sorted(report.methods):
@@ -440,13 +420,7 @@ def load_campaign(out_dir: str | Path) -> CampaignReport:
         for run in entry["runs"]:
             result = RunResult(
                 seed=run["seed"],
-                metrics=metrics_mod.MetricReport(
-                    fapv=run["fapv"],
-                    mdd=run["mdd"],
-                    sharpe=run["sharpe"],
-                    sharpe_excess=run["sharpe_excess"],
-                    n_steps=run["n_steps"],
-                ),
+                metrics=metrics_mod.MetricReport(**{name: run[name] for name in _RUN_METRICS}),
                 trajectory_path=run["trajectory"],
                 wall_time=timings.get((kind, run["seed"]), 0.0),
             )

@@ -13,52 +13,67 @@ any batch size, so the buffer rewrite runs it once per batch, over the
 objective's conv1 unfold, and chains only the head step
 (``head_chain``), which ``policy_forward`` runs for one sample: the
 rewritten actions match ``policy_forward`` bit for bit.
+
+The learnable values live in one flat array, ``PolicyParams.theta``,
+whose named blocks every function here reads as views;
+``backward_batch`` writes the same layout into ``PolicyParams.grad``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 
 
 class WindowTooSmall(ValueError):
     pass
 
 
-@dataclass(eq=False)
 class PolicyParams:
-    """Learnable tensors plus the fixed topology they were built for."""
+    """Every learnable value in one float64 array ``theta``, the kernels
+    first (its leading ``n_kernel`` values, which weight decay applies to)
+    and then the biases, with a same-shaped ``grad`` that ``backward_batch``
+    sets. The named blocks (``conv1_kernels`` ... ``cash_bias``) are
+    reshaped views of ``theta``; a copy or an unpickle rebuilds them over
+    its own ``theta``.
+    """
 
-    conv1_kernels: Tensor  # (c1, 3, k1)
-    conv1_bias: Tensor     # (c1,)
-    conv2_kernels: Tensor  # (c2, c1, window - k1 + 1)
-    conv2_bias: Tensor     # (c2,)
-    out_kernels: Tensor    # (1, c2 + 1, 1)
-    out_bias: Tensor       # (1,)
-    cash_bias: Tensor      # scalar
-    n_assets: int
-    window: int
+    def __init__(self, n_assets: int, window: int, k1: int, c1: int, c2: int):
+        self.n_assets = n_assets
+        self.window = window
+        self.shapes = {  # theta's blocks, in order
+            "conv1_kernels": (c1, 3, k1),
+            "conv2_kernels": (c2, c1, window - k1 + 1),
+            "out_kernels": (1, c2 + 1, 1),
+            "conv1_bias": (c1,),
+            "conv2_bias": (c2,),
+            "out_bias": (1,),
+            "cash_bias": (),
+        }
+        sizes = [math.prod(shape) for shape in self.shapes.values()]
+        self.n_kernel = sum(sizes[:3])
+        self.theta = np.zeros(sum(sizes))
+        self.grad = np.zeros(sum(sizes))
+        self.__dict__.update(self.views(self.theta))
 
-    def named_tensors(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("conv1_kernels", self.conv1_kernels),
-            ("conv1_bias", self.conv1_bias),
-            ("conv2_kernels", self.conv2_kernels),
-            ("conv2_bias", self.conv2_bias),
-            ("out_kernels", self.out_kernels),
-            ("out_bias", self.out_bias),
-            ("cash_bias", self.cash_bias),
-        ]
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """The named blocks of an array laid out like ``theta``, as views of it."""
+        blocks, offset = {}, 0
+        for name, shape in self.shapes.items():
+            size = math.prod(shape)
+            blocks[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
+        return blocks
 
-    def kernel_tensors(self) -> list[tuple[str, Tensor]]:
-        return [(name, t) for name, t in self.named_tensors() if name.endswith("_kernels")]
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name not in self.shapes}
 
-    def bias_tensors(self) -> list[tuple[str, Tensor]]:
-        return [(name, t) for name, t in self.named_tensors() if not name.endswith("_kernels")]
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__dict__.update(self.views(self.theta))
 
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -74,17 +89,11 @@ def init_policy(n_assets: int, window: int, seed: int, k1: int = 3, c1: int = 2,
         raise WindowTooSmall(f"window {window} too small for kernel width {k1}")
     k2 = window - k1 + 1
     rng = np.random.default_rng(seed)
-    return PolicyParams(
-        conv1_kernels=Tensor(_uniform(rng, (c1, 3, k1), 3 * k1, c1 * k1)),
-        conv1_bias=Tensor(np.zeros(c1)),
-        conv2_kernels=Tensor(_uniform(rng, (c2, c1, k2), c1 * k2, c2 * k2)),
-        conv2_bias=Tensor(np.zeros(c2)),
-        out_kernels=Tensor(_uniform(rng, (1, c2 + 1, 1), c2 + 1, 1)),
-        out_bias=Tensor(np.zeros(1)),
-        cash_bias=Tensor(np.zeros(())),
-        n_assets=n_assets,
-        window=window,
-    )
+    params = PolicyParams(n_assets, window, k1, c1, c2)
+    params.conv1_kernels[...] = _uniform(rng, (c1, 3, k1), 3 * k1, c1 * k1)
+    params.conv2_kernels[...] = _uniform(rng, (c2, c1, k2), c1 * k2, c2 * k2)
+    params.out_kernels[...] = _uniform(rng, (1, c2 + 1, 1), c2 + 1, 1)
+    return params
 
 
 def forward_batch(params: PolicyParams, states: np.ndarray,
@@ -120,7 +129,7 @@ def stacked_rows(states: np.ndarray) -> np.ndarray:
 
 def conv1_unfold(params: PolicyParams, x: np.ndarray) -> np.ndarray:
     """conv1's unfold of the stacked rows ``x``: the one copy of its input a forward makes."""
-    return ad.unfold(x, params.conv1_kernels.data.shape[2])
+    return ad.unfold(x, params.conv1_kernels.shape[2])
 
 
 def features(params: PolicyParams, x: np.ndarray, unfolded: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -132,20 +141,20 @@ def features(params: PolicyParams, x: np.ndarray, unfolded: np.ndarray) -> tuple
     have the same bits at any B, so a batch's features can stand in for
     one call per sample.
     """
-    h1 = ad.conv1d_over_time(x, params.conv1_kernels.data, params.conv1_bias.data, unfolded)
+    h1 = ad.conv1d_over_time(x, params.conv1_kernels, params.conv1_bias, unfolded)
     np.maximum(h1, 0.0, out=h1)
-    h2 = ad.conv1d_over_time(h1, params.conv2_kernels.data, params.conv2_bias.data)
+    h2 = ad.conv1d_over_time(h1, params.conv2_kernels, params.conv2_bias)
     np.maximum(h2, 0.0, out=h2)
-    scores = ad.conv1d_over_time(h2, params.out_kernels.data[:, :-1], params.out_bias.data)
+    scores = ad.conv1d_over_time(h2, params.out_kernels[:, :-1], params.out_bias)
     return scores.reshape(-1, params.n_assets), (h1, h2)
 
 
 def head(params: PolicyParams, scores: np.ndarray, last_actions: np.ndarray) -> np.ndarray:
     """The rest of the graph: the last risky weights' term of the 1x1 head,
     the cash bias and the softmax. Scores (B, n), last_actions (B, n+1) -> (B, n+1)."""
-    logits = last_actions * params.out_kernels.data[0, -1, 0]
+    logits = last_actions * params.out_kernels[0, -1, 0]
     logits[:, 1:] += scores
-    logits[:, 0] = params.cash_bias.data
+    logits[:, 0] = params.cash_bias
     return ad.softmax(logits)
 
 
@@ -157,8 +166,8 @@ def head_chain(params: PolicyParams, scores: np.ndarray, actions: np.ndarray) ->
     One preallocated logits row runs ``head``'s ufuncs in its order, with
     the same bits and without its per-call temporaries.
     """
-    risky_weight = params.out_kernels.data[0, -1, 0]
-    cash = params.cash_bias.data
+    risky_weight = params.out_kernels[0, -1, 0]
+    cash = params.cash_bias
     logits = np.empty(actions.shape[1])
     risky = logits[1:]
     for score, last, new in zip(scores, actions, actions[1:]):
@@ -171,26 +180,27 @@ def head_chain(params: PolicyParams, scores: np.ndarray, actions: np.ndarray) ->
 
 
 def backward_batch(params: PolicyParams, activations: tuple, grad_actions: np.ndarray) -> None:
-    """Set every parameter's ``grad`` from d(loss)/d(actions) of one forward_batch.
+    """Set every entry of ``params.grad`` from d(loss)/d(actions) of one forward_batch.
 
     A ReLU passes gradient only where its output is positive (the
     subgradient at 0 is 0).
     """
     unfolded, h1, h2, last_actions, actions = activations
+    grad = params.views(params.grad)
     inner = (grad_actions * actions).sum(axis=1, keepdims=True)
     grad_logits = actions * (grad_actions - inner)
-    params.cash_bias.grad = np.asarray(grad_logits[:, :1].sum())
+    grad["cash_bias"][...] = grad_logits[:, :1].sum()
     g = grad_logits[:, 1:].reshape(1, -1, 1)
     # the head's last input channel is the last risky weights: no parameter behind it
     memory = last_actions[:, 1:].reshape(1, -1, 1)
-    params.out_kernels.grad = ad.conv1d_kernel_grad(g, np.concatenate([h2, memory]))
-    params.out_bias.grad = g.sum(axis=(1, 2))
-    g = ad.conv1d_input_grad(g, params.out_kernels.data[:, :-1]) * (h2 > 0.0)
-    params.conv2_kernels.grad = ad.conv1d_kernel_grad(g, h1)
-    params.conv2_bias.grad = g.sum(axis=(1, 2))
-    g = ad.conv1d_input_grad(g, params.conv2_kernels.data) * (h1 > 0.0)
-    params.conv1_kernels.grad = ad.conv1d_kernel_grad(g, unfolded)
-    params.conv1_bias.grad = g.sum(axis=(1, 2))
+    grad["out_kernels"][...] = ad.conv1d_kernel_grad(g, np.concatenate([h2, memory]))
+    grad["out_bias"][...] = g.sum(axis=(1, 2))
+    g = ad.conv1d_input_grad(g, params.out_kernels[:, :-1]) * (h2 > 0.0)
+    grad["conv2_kernels"][...] = ad.conv1d_kernel_grad(g, h1)
+    grad["conv2_bias"][...] = g.sum(axis=(1, 2))
+    g = ad.conv1d_input_grad(g, params.conv2_kernels) * (h1 > 0.0)
+    grad["conv1_kernels"][...] = ad.conv1d_kernel_grad(g, unfolded)
+    grad["conv1_bias"][...] = g.sum(axis=(1, 2))
 
 
 def policy_forward(params: PolicyParams, state: np.ndarray, last_action: np.ndarray) -> np.ndarray:

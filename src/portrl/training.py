@@ -132,32 +132,34 @@ MAX_REDRAWS = 100  # out-of-range geometric draws before sample_batch clamps to 
 
 
 class AdamW:
-    """Adam with decoupled weight decay; decay applies only to the
-    parameters passed in ``decayed``."""
+    """Adam with decoupled weight decay over one flat parameter array
+    ``theta`` and its gradient ``grad``; decay applies to the leading
+    ``decayed`` values only. The moments ``m`` and ``v`` are flat too."""
 
-    def __init__(self, decayed: list[Tensor], undecayed: list[Tensor], lr: float, weight_decay: float):
-        self.groups = [(decayed, weight_decay), (undecayed, 0.0)]
+    def __init__(self, theta: np.ndarray, grad: np.ndarray, decayed: int, lr: float, weight_decay: float):
+        self.theta = theta
+        self.grad = grad
+        self.decayed = decayed
         self.lr = lr
+        self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = {id(p): np.zeros_like(p.data) for group, _ in self.groups for p in group}
-        self._v = {id(p): np.zeros_like(p.data) for group, _ in self.groups for p in group}
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
 
     def step(self) -> None:
         self.step_count += 1
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
-        for group, decay in self.groups:
-            for p in group:
-                m = self._m[id(p)]
-                v = self._v[id(p)]
-                m *= BETA1
-                m += (1.0 - BETA1) * p.grad
-                v *= BETA2
-                v += (1.0 - BETA2) * p.grad * p.grad
-                update = (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
-                if decay:
-                    p.data -= self.lr * decay * p.data
-                p.data -= self.lr * update
+        m, v, g = self.m, self.v, self.grad
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
+        if self.weight_decay:
+            decayed = self.theta[: self.decayed]
+            decayed -= self.lr * self.weight_decay * decayed
+        self.theta -= self.lr * update
 
 
 def _episode(frame: MarketFrame, window: int, scheme: NormalizationScheme,
@@ -210,36 +212,33 @@ def sample_batch(buffer: ReplayBuffer, batch_size: int, sample_bias: float,
 
 
 def batch_objective(params: PolicyParams, states: np.ndarray, buffer: ReplayBuffer, start: int, stop: int,
-                    commission: float, frozen_mu: np.ndarray | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+                    commission: float) -> tuple[Tensor, np.ndarray]:
     """Mean log-profit of the policy over one sequential batch.
 
     Each step contributes ln(mu_t * (a_t . y_t)) where a_t is the policy
     output for the stored state and last-action, y_t the stored price
     relatives, and mu_t the rebalancing cost factor from the previous
     action's drifted weights. mu_t is held constant under
-    differentiation; pass ``frozen_mu`` to reuse values from a previous
-    evaluation (finite-difference checks need this). ``states`` are
-    ``buffer.states(start, stop)``. Returns the objective, whose
-    ``backward`` sets every parameter's ``grad``, mu, and conv1's unfold
-    of the states, which the buffer rewrite reads again.
+    differentiation. ``states`` are ``buffer.states(start, stop)``.
+    Returns the objective, whose ``backward`` sets ``params.grad``, and
+    conv1's unfold of the states, which the buffer rewrite reads again.
     """
     last_actions = buffer.last_actions[start:stop]
     relatives = buffer.relatives[start:stop]
     actions, activations = forward_batch(params, states, last_actions)
-    if frozen_mu is None:
-        before = np.array(last_actions)
-        lo = max(start, 1)  # the episode's first experience has undrifted weights
-        if stop > lo:
-            moved = buffer.last_actions[lo:stop] * buffer.relatives[lo - 1 : stop - 1]
-            before[lo - start :] = moved / moved.sum(axis=1, keepdims=True)
-        frozen_mu = transaction_factor_batch(before, actions, commission)
-    growth = (actions * relatives).sum(axis=1) * frozen_mu
+    before = np.array(last_actions)
+    lo = max(start, 1)  # the episode's first experience has undrifted weights
+    if stop > lo:
+        moved = buffer.last_actions[lo:stop] * buffer.relatives[lo - 1 : stop - 1]
+        before[lo - start :] = moved / moved.sum(axis=1, keepdims=True)
+    mu = transaction_factor_batch(before, actions, commission)
+    growth = (actions * relatives).sum(axis=1) * mu
 
     def backward(grad):  # grad = d loss / d objective; mu is held constant
-        grad_gains = (grad / growth.size) / growth * frozen_mu
+        grad_gains = (grad / growth.size) / growth * mu
         backward_batch(params, activations, grad_gains[:, None] * relatives)
 
-    return Tensor(np.log(growth).mean(), backward), frozen_mu, activations[0]
+    return Tensor(np.log(growth).mean(), backward), activations[0]
 
 
 class Trainer:
@@ -257,13 +256,8 @@ class Trainer:
         self.config = config
         self.rng = rng
         self.buffer: ReplayBuffer | None = None
-        self.step_count = 0
-        self.optimizer = AdamW(
-            decayed=[t for _, t in params.kernel_tensors()],
-            undecayed=[t for _, t in params.bias_tensors()],
-            lr=config.learning_rate,
-            weight_decay=config.weight_decay,
-        )
+        self.optimizer = AdamW(params.theta, params.grad, params.n_kernel,
+                               lr=config.learning_rate, weight_decay=config.weight_decay)
 
     def fill_buffer(self) -> ReplayBuffer:
         self.buffer = fill_buffer(self.frame, self.window, self.scheme,
@@ -278,15 +272,14 @@ class Trainer:
         # One gather and one conv1 unfold serve the objective and the
         # rewrite; nothing writes the tape in between.
         states = self.buffer.states(start, stop)
-        objective, _, unfolded = batch_objective(self.params, states, self.buffer, start, stop, self.commission)
+        objective, unfolded = batch_objective(self.params, states, self.buffer, start, stop, self.commission)
         loss = -objective
         value = float(loss.data)
         if not np.isfinite(value):
-            raise NonFiniteLoss(f"loss {value} at step {self.step_count}, batch [{start}, {stop})")
+            raise NonFiniteLoss(f"loss {value} at step {self.optimizer.step_count}, batch [{start}, {stop})")
         loss.backward()
         self.optimizer.step()
         self._rewrite(start, stop, states, unfolded)
-        self.step_count += 1
         return value
 
     def _rewrite(self, start: int, stop: int, states: np.ndarray, unfolded: np.ndarray) -> None:

@@ -1,4 +1,5 @@
-"""Shared builders for synthetic market data used across the test suite."""
+"""Shared test helpers: synthetic market data, the finite-difference
+oracle with mu held constant, and the bisection oracle for mu."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ from datetime import date, timedelta
 
 import numpy as np
 
+from portrl import training
+from portrl.environment import transaction_factor_batch
 from portrl.market_data import MarketFrame
 
 
@@ -35,14 +38,22 @@ def write_ohlc_csv(path, rows, header="date,open,high,low,close") -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def clear_grads(params) -> None:
-    """Reset the gradient of every learnable tensor of a policy."""
-    for _, tensor in params.named_tensors():
-        tensor.grad = None
-
-
 def random_simplex(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.dirichlet(np.ones(size))
+
+
+def hold_mu(monkeypatch) -> None:
+    """Hold portrl.training's mu constant, as the analytic gradient does:
+    the next batch_objective computes mu as usual and every later one
+    reuses it."""
+    held = []
+
+    def held_mu(*args):
+        if not held:
+            held.append(transaction_factor_batch(*args))
+        return held[0]
+
+    monkeypatch.setattr(training, "transaction_factor_batch", held_mu)
 
 
 def max_fd_error(evaluate, flat: np.ndarray, analytic: np.ndarray, eps: float) -> float:
@@ -64,3 +75,36 @@ def max_fd_error(evaluate, flat: np.ndarray, analytic: np.ndarray, eps: float) -
     analytic = np.asarray(analytic).reshape(-1)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float((np.abs(analytic - numeric) / denom).max())
+
+
+class BracketFailure(RuntimeError):
+    pass
+
+
+def transaction_factor_oracle(w_from: np.ndarray, w_to: np.ndarray, commission: float,
+                              tol: float = 1e-14) -> float:
+    """Independent bisection on the fixed-point residual.
+
+    g(mu) = mu*(1 - c*w_to[0]) - (1 - c*w_from[0] - (2c - c^2)*sum max(w_from[i] - mu*w_to[i], 0))
+    is continuous and strictly increasing on [1 - 2c, 1], which brackets
+    the unique root for any simplex pair.
+    """
+    c = commission
+    risky_from, risky_to = w_from[1:], w_to[1:]
+
+    def g(mu: float) -> float:
+        sold = np.maximum(risky_from - mu * risky_to, 0.0).sum()
+        return mu * (1.0 - c * w_to[0]) - (1.0 - c * w_from[0] - (2.0 * c - c * c) * sold)
+
+    lo, hi = 1.0 - 2.0 * c, 1.0
+    if g(lo) * g(hi) > 0.0:
+        lo, hi = 0.0, 1.0
+        if g(lo) * g(hi) > 0.0:
+            raise BracketFailure(f"no sign change on [0, 1] (c={c})")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -14,12 +14,11 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from helpers import clear_grads, make_frame, max_fd_error, random_simplex, random_walk_frame
+from helpers import hold_mu, make_frame, max_fd_error, random_simplex, random_walk_frame, transaction_factor_oracle
 from portrl.environment import (
     env_reset,
     env_step,
     transaction_factor,
-    transaction_factor_oracle,
 )
 from portrl.experiment import emit_report, load_config, run_campaign, run_single
 from portrl.metrics import mdd as fast_mdd
@@ -80,12 +79,12 @@ def _min_relu_preactivation(params, states):
     from portrl.policy import conv1_unfold, stacked_rows
 
     x = stacked_rows(states)
-    pre1 = conv1d_over_time(x, params.conv1_kernels.data, params.conv1_bias.data, conv1_unfold(params, x))
-    pre2 = conv1d_over_time(np.maximum(pre1, 0.0), params.conv2_kernels.data, params.conv2_bias.data)
+    pre1 = conv1d_over_time(x, params.conv1_kernels, params.conv1_bias, conv1_unfold(params, x))
+    pre2 = conv1d_over_time(np.maximum(pre1, 0.0), params.conv2_kernels, params.conv2_bias)
     return min(float(np.abs(pre1).min()), float(np.abs(pre2).min()))
 
 
-def test_gradient_correctness_full_policy_objective():
+def test_gradient_correctness_full_policy_objective(monkeypatch):
     n, window, batch, commission = 3, 8, 4, 0.0025
     eps = 1e-4  # balances FD roundoff vs truncation; see kink screen below
     started = time.perf_counter()
@@ -107,16 +106,14 @@ def test_gradient_correctness_full_policy_objective():
         accepted += 1
 
         states = buffer.states(start, stop)
-        objective, mu, _ = batch_objective(params, states, buffer, start, stop, commission)
-        clear_grads(params)
+        hold_mu(monkeypatch)
+        objective, _ = batch_objective(params, states, buffer, start, stop, commission)
         objective.backward()
 
         def evaluate():
-            return float(batch_objective(params, states, buffer, start, stop, commission, frozen_mu=mu)[0].data)
+            return float(batch_objective(params, states, buffer, start, stop, commission)[0].data)
 
-        for _, tensor in params.named_tensors():
-            error = max_fd_error(evaluate, tensor.data.reshape(-1), tensor.grad, eps)
-            worst_overall = max(worst_overall, error)
+        worst_overall = max(worst_overall, max_fd_error(evaluate, params.theta, params.grad, eps))
         assert worst_overall < 1e-4, f"instance {candidate}: max rel error {worst_overall:.2e}"
     elapsed = time.perf_counter() - started
     _announce(f"gradient-correctness (max rel err {worst_overall:.2e}, {elapsed:.1f}s)")

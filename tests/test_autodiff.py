@@ -44,16 +44,17 @@ def test_conv_never_mixes_rows():
 
 def test_relu_backward_is_zero_at_and_below_zero():
     params = init_policy(3, 6, seed=0)
-    params.conv1_kernels.data[...] = 0.0
-    params.conv1_bias.data[...] = [0.0, -1.0]  # conv1 pre-activations: all 0 in one channel, all -1 in the other
-    params.conv2_bias.data[...] = 0.5
+    params.conv1_kernels[...] = 0.0
+    params.conv1_bias[...] = [0.0, -1.0]  # conv1 pre-activations: all 0 in one channel, all -1 in the other
+    params.conv2_bias[...] = 0.5
     rng = np.random.default_rng(1)
     states = np.abs(rng.normal(1.0, 0.2, (4, 3, 3, 6))) + 0.1
     actions, activations = forward_batch(params, states, rng.dirichlet(np.ones(4), size=4))
     backward_batch(params, activations, 1.0 / actions)
-    assert np.array_equal(params.conv1_kernels.grad, np.zeros((2, 3, 3)))
-    assert np.array_equal(params.conv1_bias.grad, np.zeros(2))
-    assert np.abs(params.conv2_bias.grad).max() > 0.0
+    grad = params.views(params.grad)
+    assert np.array_equal(grad["conv1_kernels"], np.zeros((2, 3, 3)))
+    assert np.array_equal(grad["conv1_bias"], np.zeros(2))
+    assert np.abs(grad["conv2_bias"]).max() > 0.0
 
 
 def test_grad_check_linear_function_is_near_exact():

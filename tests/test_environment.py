@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_frame, random_simplex, random_walk_frame
+from helpers import make_frame, random_simplex, random_walk_frame, transaction_factor_oracle
 from portrl.environment import (
     FrameTooShort,
     InvalidAction,
@@ -18,7 +18,6 @@ from portrl.environment import (
     env_reset,
     env_step,
     transaction_factor,
-    transaction_factor_oracle,
 )
 from portrl.normalization import fit_data_max, apply_data_max, scheme_from_kind
 

@@ -1,7 +1,9 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from helpers import clear_grads
 from portrl.autodiff import ShapeMismatch
 from portrl.policy import (
     WindowTooSmall,
@@ -25,24 +27,46 @@ class TestInit:
     def test_same_seed_is_bitwise_identical(self):
         a = init_policy(9, 50, seed=11)
         b = init_policy(9, 50, seed=11)
-        for (_, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors()):
-            assert np.array_equal(ta.data, tb.data)
+        assert np.array_equal(a.theta, b.theta)
 
     def test_different_seeds_differ(self):
         a = init_policy(9, 50, seed=11)
         b = init_policy(9, 50, seed=12)
-        assert not np.array_equal(a.conv1_kernels.data, b.conv1_kernels.data)
+        assert not np.array_equal(a.conv1_kernels, b.conv1_kernels)
 
     def test_second_layer_spans_remaining_time(self):
         params = init_policy(9, 50, seed=0)
-        assert params.conv2_kernels.data.shape == (20, 2, 48)
+        assert params.conv2_kernels.shape == (20, 2, 48)
         actions, _ = forward_batch(params, *random_inputs(np.random.default_rng(0), 9, 50))
         assert actions.shape == (1, 10)
 
     def test_biases_start_at_zero(self):
         params = init_policy(4, 10, seed=5)
-        assert np.array_equal(params.conv1_bias.data, np.zeros(2))
-        assert float(params.cash_bias.data) == 0.0
+        assert np.array_equal(params.conv1_bias, np.zeros(2))
+        assert float(params.cash_bias) == 0.0
+
+    def test_blocks_are_views_of_one_array_kernels_first(self):
+        params = init_policy(9, 50, seed=13)
+        assert params.theta.size == params.grad.size == 1983  # 18 + 1920 + 21 kernel values, 24 biases
+        assert params.n_kernel == 18 + 1920 + 21
+        order = ["conv1_kernels", "conv2_kernels", "out_kernels", "conv1_bias", "conv2_bias", "out_bias", "cash_bias"]
+        assert list(params.views(params.theta)) == order
+        flat = np.concatenate([getattr(params, name).reshape(-1) for name in order])
+        assert flat.tobytes() == params.theta.tobytes()
+        assert not params.theta[params.n_kernel :].any()  # biases start at zero
+        for name in order:
+            assert np.shares_memory(getattr(params, name), params.theta), name
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+    def test_copy_rebuilds_its_views_over_its_own_theta(self, clone):
+        params = init_policy(4, 10, seed=14)
+        twin = clone(params)
+        assert twin.theta.tobytes() == params.theta.tobytes()
+        assert not np.shares_memory(twin.theta, params.theta)
+        twin.cash_bias[...] = 3.0
+        twin.conv2_kernels[0, 0, 0] = 7.0
+        assert twin.theta[-1] == 3.0 and twin.theta[twin.conv1_kernels.size] == 7.0
+        assert float(params.cash_bias) == 0.0
 
     def test_window_too_small(self):
         with pytest.raises(WindowTooSmall):
@@ -52,17 +76,15 @@ class TestInit:
 class TestForward:
     def test_zero_parameters_give_uniform_action(self):
         params = init_policy(4, 10, seed=1)
-        for _, tensor in params.named_tensors():
-            tensor.data[...] = 0.0
+        params.theta[...] = 0.0
         states, lasts = random_inputs(np.random.default_rng(1), 4, 10)
         action = policy_forward(params, states[0], lasts[0])
         assert np.array_equal(action, np.full(5, 0.2))
 
     def test_large_cash_bias_saturates_to_cash(self):
         params = init_policy(3, 8, seed=2)
-        for _, tensor in params.named_tensors():
-            tensor.data[...] = 0.0
-        params.cash_bias.data[...] = 50.0
+        params.theta[...] = 0.0
+        params.cash_bias[...] = 50.0
         states, lasts = random_inputs(np.random.default_rng(2), 3, 8)
         action = policy_forward(params, states[0], lasts[0])
         assert action[0] > 0.999999999
@@ -113,11 +135,11 @@ class TestForward:
         params = init_policy(4, 10, seed=8)
         states, lasts = random_inputs(np.random.default_rng(8), 4, 10, batch=6)
         actions, activations = forward_batch(params, states, lasts)
-        clear_grads(params)
+        params.grad[...] = np.nan
         backward_batch(params, activations, 1.0 / actions.size / actions)  # d mean(log(actions))
-        for name, tensor in params.named_tensors():
-            assert tensor.grad is not None, name
-            assert np.abs(tensor.grad).max() > 0.0, name
+        for name, grad in params.views(params.grad).items():
+            assert np.isfinite(grad).all(), name
+            assert np.abs(grad).max() > 0.0, name
 
     def test_batch_gradient_is_the_sum_of_per_sample_gradients(self):
         # the batch folds into the convolutions' row axis; backward must not mix samples
@@ -126,15 +148,13 @@ class TestForward:
         grad_actions = np.random.default_rng(10).normal(size=(5, 5))
         actions, activations = forward_batch(params, states, lasts)
         backward_batch(params, activations, grad_actions)
-        batched = {name: tensor.grad for name, tensor in params.named_tensors()}
-        summed = {name: 0.0 for name in batched}
+        batched = params.grad.copy()
+        summed = np.zeros_like(batched)
         for i in range(5):
             _, activations = forward_batch(params, states[i : i + 1], lasts[i : i + 1])
             backward_batch(params, activations, grad_actions[i : i + 1])
-            for name, tensor in params.named_tensors():
-                summed[name] = summed[name] + tensor.grad
-        for name in batched:
-            assert np.allclose(batched[name], summed[name], rtol=1e-12, atol=1e-15), name
+            summed += params.grad
+        assert np.allclose(batched, summed, rtol=1e-12, atol=1e-15)
 
 
 class TestBatchInvariance:

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import clear_grads, make_frame, max_fd_error, random_walk_frame
+from helpers import hold_mu, make_frame, max_fd_error, random_walk_frame
 from portrl import training
-from portrl.autodiff import Tensor
-from portrl.environment import FrameTooShort, build_state, env_reset, env_step
+from portrl.environment import FrameTooShort, build_state, env_reset, env_step, transaction_factor_batch
 from portrl.normalization import DATA_MAX, KINDS, apply_data_max, fit_data_max, scheme_from_kind
 from portrl.policy import init_policy, policy_forward, stacked_rows
 from portrl.training import (
@@ -46,10 +47,10 @@ def make_trainer(frame, window=5, commission=0.0025, seed=0, **overrides):
     return trainer
 
 
-def objective_over(trainer, start, stop, commission, **kwargs):
+def objective_over(trainer, start, stop, commission):
     """batch_objective over rows [start, stop) of the trainer's buffer, from a fresh gather."""
     buffer = trainer.buffer
-    return batch_objective(trainer.params, buffer.states(start, stop), buffer, start, stop, commission, **kwargs)
+    return batch_objective(trainer.params, buffer.states(start, stop), buffer, start, stop, commission)
 
 
 def normalized_frames(kind, train, test):
@@ -64,18 +65,14 @@ def reference_step(trainer):
     """Loss and post-AdamW parameters of the trainer's next train_step, built
     the long way on a copy of it: a fresh buffer.states gather, then
     batch_objective, backward and AdamW.step."""
-    memo = {}
-    twin = copy.deepcopy(trainer, memo)
-    for moments in ("_m", "_v"):  # AdamW keys its moments by parameter identity
-        setattr(twin.optimizer, moments, {id(memo[key]): value
-                                          for key, value in getattr(twin.optimizer, moments).items()})
+    twin = copy.deepcopy(trainer)
     start, stop = sample_batch(twin.buffer, twin.config.batch_size, twin.config.sample_bias, twin.rng)
     states = twin.buffer.states(start, stop)
-    objective, _, _ = batch_objective(twin.params, states, twin.buffer, start, stop, twin.commission)
+    objective, _ = batch_objective(twin.params, states, twin.buffer, start, stop, twin.commission)
     loss = -objective
     loss.backward()
     twin.optimizer.step()
-    return float(loss.data), {name: tensor.data for name, tensor in twin.params.named_tensors()}
+    return float(loss.data), twin.params.theta
 
 
 def record_batches(monkeypatch):
@@ -148,6 +145,45 @@ class TestPriceTape:
         assert np.shares_memory(stacked_rows(batch), batch)  # the convolutions read the batch without a copy
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=10)
+@example(day=20, factors=[4.0, 0.25, 2.0])
+@example(day=45, factors=[4.0, 0.25, 2.0])
+@given(day=st.integers(4, 58), factors=st.lists(st.floats(0.25, 4.0), min_size=3, max_size=3))
+def test_buffer_rows_see_no_price_after_their_decision_day(kind, day, factors):
+    """Prices from day ``day + 1`` on change no stored state decided on or
+    before day ``day``, and no stored relative (or last action) of a row
+    decided before it, across fill_buffer and the backtest's appends.
+
+    Days index one 60-day market: training takes days 0..39, the test frame
+    days 36..59 (the window - 1 days before its first decision, day 40)."""
+    window, length, split = 5, 60, 40
+    closes = random_walk_frame(np.random.default_rng(38), 3, length).closes
+    if kind == DATA_MAX:  # its scales are fitted on every training day
+        day = max(day, split - 1)
+    moved = closes.copy()
+    moved[:, day + 1 :] *= np.asarray(factors)[:, None]
+
+    def buffer_of(closes):
+        scheme, train, test = normalized_frames(kind, make_frame(closes[:, :split]),
+                                                make_frame(closes[:, split - window + 1 :]))
+        trainer = Trainer(init_policy(3, window, seed=0, c1=2, c2=4), train, window, scheme, 1e5, 0.0025,
+                          TrainerConfig(batch_size=8), np.random.default_rng(0))
+        trainer.fill_buffer()
+        trainer.backtest(test, online_steps=0)
+        return trainer.buffer
+
+    base, perturbed = buffer_of(closes), buffer_of(moved)
+    decided = np.concatenate([np.arange(window - 1, split - 1), np.arange(split, length - 1)])
+    assert len(base) == len(perturbed) == len(decided)
+    kept, before = decided <= day, decided < day
+    assert base.states(0, len(base))[kept].tobytes() == perturbed.states(0, len(perturbed))[kept].tobytes()
+    assert base.relatives[before].tobytes() == perturbed.relatives[before].tobytes()
+    assert base.last_actions[before].tobytes() == perturbed.last_actions[before].tobytes()
+    if day < length - 2 and set(factors) != {1.0}:  # the first row decided after the day reads a moved price
+        assert base.states(0, len(base))[~kept][0].tobytes() != perturbed.states(0, len(perturbed))[~kept][0].tobytes()
+
+
 class TestSampleBatch:
     def test_bias_one_always_returns_latest_window(self):
         frame = random_walk_frame(np.random.default_rng(4), 2, 30)
@@ -184,23 +220,22 @@ class TestBatchObjective:
         flat = np.full((3, 20), 8.0)
         frame = make_frame(flat, spread=0.0)
         trainer = make_trainer(frame, window=4, commission=0.0)
-        objective, _, _ = objective_over(trainer, 0, len(trainer.buffer), 0.0)
+        objective, _ = objective_over(trainer, 0, len(trainer.buffer), 0.0)
         assert abs(float(objective.data)) < 1e-12
 
     def test_all_cash_policy_objective_is_zero_at_zero_commission(self):
         frame = random_walk_frame(np.random.default_rng(8), 3, 25)
         trainer = make_trainer(frame, window=4, commission=0.0)
-        for _, tensor in trainer.params.named_tensors():
-            tensor.data[...] = 0.0
-        trainer.params.cash_bias.data[...] = 50.0
+        trainer.params.theta[...] = 0.0
+        trainer.params.cash_bias[...] = 50.0
         trainer.fill_buffer()
-        objective, _, _ = objective_over(trainer, 0, len(trainer.buffer), 0.0)
+        objective, _ = objective_over(trainer, 0, len(trainer.buffer), 0.0)
         assert abs(float(objective.data)) < 1e-12
 
     def test_full_episode_objective_equals_log_fapv_over_steps(self):
         frame = random_walk_frame(np.random.default_rng(9), 3, 30)
         trainer = make_trainer(frame, window=4, commission=0.0)
-        objective, _, _ = objective_over(trainer, 0, len(trainer.buffer), 0.0)
+        objective, _ = objective_over(trainer, 0, len(trainer.buffer), 0.0)
 
         state, obs = env_reset(frame, 4, LAST_CLOSE, 100_000.0, 0.0)
         last_action = state.weights
@@ -211,14 +246,18 @@ class TestBatchObjective:
         expected = math.log(state.drifted_value / 100_000.0) / len(trainer.buffer)
         assert abs(float(objective.data) - expected) < 1e-9
 
-    def test_vectorized_cost_factors_match_scalar_reference(self):
+    def test_vectorized_cost_factors_match_scalar_reference(self, monkeypatch):
         from portrl.environment import drift_weights, transaction_factor
 
         frame = random_walk_frame(np.random.default_rng(27), 3, 60)
         trainer = make_trainer(frame, window=5, batch_size=12)
         buffer = trainer.buffer
+        mus = []
+        monkeypatch.setattr(training, "transaction_factor_batch",
+                            lambda *args: mus.append(transaction_factor_batch(*args)) or mus[-1])
         for start in (0, 3, len(buffer) - 12):
-            _, mu, _ = objective_over(trainer, start, start + 12, 0.0025)
+            objective_over(trainer, start, start + 12, 0.0025)
+            mu = mus[-1]
             for i in range(12):
                 j = start + i
                 action = policy_forward(trainer.params, buffer.states(j, j + 1)[0], buffer.last_actions[j])
@@ -228,38 +267,43 @@ class TestBatchObjective:
                     before = drift_weights(buffer.last_actions[j], buffer.relatives[j - 1])
                 assert abs(mu[i] - transaction_factor(before, action, 0.0025)) < 1e-11
 
-    def test_gradient_matches_finite_differences_single_step(self):
+    def test_gradient_matches_finite_differences_single_step(self, monkeypatch):
         frame = random_walk_frame(np.random.default_rng(10), 3, 16)
         trainer = make_trainer(frame, window=4, commission=0.0)
-        objective, mu, _ = objective_over(trainer, 2, 3, 0.0)
-        clear_grads(trainer.params)
+        hold_mu(monkeypatch)
+        objective, _ = objective_over(trainer, 2, 3, 0.0)
         objective.backward()
-        kernels = trainer.params.conv1_kernels
 
         def evaluate():
-            return float(objective_over(trainer, 2, 3, 0.0, frozen_mu=mu)[0].data)
+            return float(objective_over(trainer, 2, 3, 0.0)[0].data)
 
-        assert max_fd_error(evaluate, kernels.data.reshape(-1), kernels.grad, eps=1e-5) < 1e-4
+        assert max_fd_error(evaluate, trainer.params.theta, trainer.params.grad, eps=1e-5) < 1e-4
+
+    def test_backward_sets_every_gradient_entry(self):
+        trainer = make_trainer(random_walk_frame(np.random.default_rng(36), 3, 30), window=4)
+        objective, _ = objective_over(trainer, 2, 10, 0.0025)
+        loss = -objective
+        trainer.params.grad[...] = np.nan
+        loss.backward()
+        assert np.isfinite(trainer.params.grad).all()
 
     def test_backward_sets_gradients_rather_than_accumulating(self):
         trainer = make_trainer(random_walk_frame(np.random.default_rng(28), 3, 30), window=4)
-        objective, _, _ = objective_over(trainer, 2, 10, 0.0025)
+        objective, _ = objective_over(trainer, 2, 10, 0.0025)
         objective.backward()
-        first = {name: t.grad.copy() for name, t in trainer.params.named_tensors()}
+        first = trainer.params.grad.copy()
         objective.backward()
-        for name, tensor in trainer.params.named_tensors():
-            assert np.array_equal(tensor.grad, first[name]), name
+        assert np.array_equal(trainer.params.grad, first)
 
     def test_negated_objective_gives_exactly_negated_gradients(self):
         trainer = make_trainer(random_walk_frame(np.random.default_rng(29), 3, 30), window=4)
-        objective, _, _ = objective_over(trainer, 2, 10, 0.0025)
+        objective, _ = objective_over(trainer, 2, 10, 0.0025)
         objective.backward()
-        ascent = {name: t.grad.copy() for name, t in trainer.params.named_tensors()}
+        ascent = trainer.params.grad.copy()
         loss = -objective
         assert float(loss.data) == -float(objective.data)
         loss.backward()
-        for name, tensor in trainer.params.named_tensors():
-            assert np.array_equal(tensor.grad, -ascent[name]), name
+        assert np.array_equal(trainer.params.grad, -ascent)
 
 
 class TestTrainStep:
@@ -267,15 +311,14 @@ class TestTrainStep:
         frame = random_walk_frame(np.random.default_rng(11), 3, 40)
         trainer = make_trainer(frame, window=5, learning_rate=0.0, weight_decay=0.0,
                                sample_bias=1.0)
-        before = {name: t.data.copy() for name, t in trainer.params.named_tensors()}
+        before = trainer.params.theta.copy()
         # poison the slots the rewrite will target (sample_bias=1 pins the range)
         size = len(trainer.buffer)
         junk = np.full(frame.n_assets + 1, 1.0 / (frame.n_assets + 1))
         trainer.buffer.last_actions[size - 7 : size] = junk
         batches = record_batches(monkeypatch)
         trainer.train_step()
-        for name, tensor in trainer.params.named_tensors():
-            assert np.array_equal(tensor.data, before[name]), name
+        assert np.array_equal(trainer.params.theta, before)
         start, stop = batches[-1]
         assert (start, stop) == (size - 8, size)
         for j in range(start + 1, size):
@@ -313,11 +356,10 @@ class TestTrainStep:
         original_step = Trainer.train_step
 
         def checked_step(self):
-            expected_loss, expected_params = reference_step(self)
+            expected_loss, expected_theta = reference_step(self)
             loss = original_step(self)
             assert loss == expected_loss, len(checked_steps)
-            for name, tensor in self.params.named_tensors():
-                assert tensor.data.tobytes() == expected_params[name].tobytes(), (len(checked_steps), name)
+            assert self.params.theta.tobytes() == expected_theta.tobytes(), len(checked_steps)
             checked_steps.append(batches[-1])
             return loss
 
@@ -344,9 +386,24 @@ class TestTrainStep:
         for _ in range(2):
             trainer = make_trainer(frame, window=4, seed=5)
             trainer.train(5)
-            runs.append({name: t.data.copy() for name, t in trainer.params.named_tensors()})
-        for name in runs[0]:
-            assert np.array_equal(runs[0][name], runs[1][name]), name
+            runs.append(trainer.params.theta.copy())
+        assert np.array_equal(runs[0], runs[1])
+
+    def test_deep_copy_trains_like_the_original_and_leaves_it_alone(self):
+        trainer = make_trainer(random_walk_frame(np.random.default_rng(37), 3, 40), window=5)
+        trainer.train(2)
+        optimizer = trainer.optimizer
+        before = [a.copy() for a in (trainer.params.theta, optimizer.m, optimizer.v)]
+        twin = copy.deepcopy(trainer)
+        assert twin.optimizer.theta is twin.params.theta and twin.optimizer.grad is twin.params.grad
+        twin_loss = twin.train_step()
+        for name, original, kept in zip(("theta", "m", "v"), (trainer.params.theta, optimizer.m, optimizer.v), before):
+            assert original.tobytes() == kept.tobytes(), name
+        assert trainer.train_step() == twin_loss
+        assert trainer.params.theta.tobytes() == twin.params.theta.tobytes()
+        assert optimizer.m.tobytes() == twin.optimizer.m.tobytes()
+        assert optimizer.v.tobytes() == twin.optimizer.v.tobytes()
+        assert trainer.buffer.last_actions.tobytes() == twin.buffer.last_actions.tobytes()
 
     def test_losses_stay_finite_over_many_steps(self):
         frame = random_walk_frame(np.random.default_rng(26), 4, 120, vol=0.03)
@@ -366,14 +423,14 @@ class TestTrainStep:
 class TestAdamW:
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(16)
-        param = Tensor(rng.normal(size=(4,)))
-        reference = param.data.copy()
-        optimizer = AdamW([param], [], lr=0.01, weight_decay=0.1)
+        theta, grads = rng.normal(size=(4,)), np.empty(4)
+        reference = theta.copy()
+        optimizer = AdamW(theta, grads, 4, lr=0.01, weight_decay=0.1)
         m = np.zeros(4)
         v = np.zeros(4)
         for step in range(1, 6):
             grad = rng.normal(size=(4,))
-            param.grad = grad.copy()
+            grads[...] = grad
             optimizer.step()
             m = 0.9 * m + 0.1 * grad
             v = 0.999 * v + 0.001 * grad * grad
@@ -381,17 +438,14 @@ class TestAdamW:
             v_hat = v / (1 - 0.999**step)
             reference = reference - 0.01 * 0.1 * reference
             reference = reference - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
-            assert np.allclose(param.data, reference, rtol=0, atol=1e-15)
+            assert np.allclose(theta, reference, rtol=0, atol=1e-15)
 
     def test_decay_skips_undecayed_group(self):
-        decayed = Tensor(np.ones(2))
-        plain = Tensor(np.ones(2))
-        optimizer = AdamW([decayed], [plain], lr=0.1, weight_decay=0.5)
-        decayed.grad = np.zeros(2)
-        plain.grad = np.zeros(2)
+        theta = np.ones(4)
+        optimizer = AdamW(theta, np.zeros(4), 2, lr=0.1, weight_decay=0.5)
         optimizer.step()
-        assert np.allclose(decayed.data, 1.0 - 0.1 * 0.5)
-        assert np.array_equal(plain.data, np.ones(2))
+        assert np.allclose(theta[:2], 1.0 - 0.1 * 0.5)
+        assert np.array_equal(theta[2:], np.ones(2))
 
 
 class TestBacktest:
@@ -423,11 +477,11 @@ class TestBacktest:
         frame = random_walk_frame(np.random.default_rng(23), 2, 40)
         trainer = make_trainer(frame, window=5)
         before_len = len(trainer.buffer)
-        before = trainer.params.conv1_kernels.data.copy()
+        before = trainer.params.conv1_kernels.copy()
         test_frame = random_walk_frame(np.random.default_rng(24), 2, 20)
         traj = trainer.backtest(test_frame, online_steps=1)
         assert len(trainer.buffer) == before_len + len(traj)
-        assert not np.array_equal(trainer.params.conv1_kernels.data, before)
+        assert not np.array_equal(trainer.params.conv1_kernels, before)
 
 
 class TestEpisodeLoop:
