@@ -24,7 +24,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import metrics as metrics_mod
-from .market_data import MarketFrame, align_assets, load_manifest, load_ohlc_csv, split_periods
+from .market_data import ALIGNMENT_POLICIES, MarketFrame, align_assets, load_manifest, load_ohlc_csv, split_periods
 from .normalization import DATA_MAX, KINDS, NormalizationScheme, apply_data_max, fit_data_max, scheme_from_kind
 from .policy import init_policy
 from .training import Trainer, TrainerConfig, Trajectory
@@ -33,7 +33,7 @@ REPORT_FORMAT_VERSION = 1
 # A run's metrics, in the order runs.tsv lists them; the float ones are aggregated.
 _RUN_METRICS = tuple(f.name for f in fields(metrics_mod.MetricReport))
 _METRIC_NAMES = tuple(name for name, hint in get_type_hints(metrics_mod.MetricReport).items() if hint is float)
-_ALIGNMENTS = ("", "intersect", "forward_fill")
+_ALIGNMENTS = ("", *ALIGNMENT_POLICIES)
 # Allowed range of each numeric key: (test, description). NaN fails every test.
 _RANGES = {
     "learning_rate": (lambda v: v > 0, "> 0"),

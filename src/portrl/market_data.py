@@ -167,6 +167,9 @@ def load_ohlc_csv(path: str | Path, ticker: str) -> AssetSeries:
     )
 
 
+ALIGNMENT_POLICIES = ("intersect", "forward_fill")
+
+
 def align_assets(series: list[AssetSeries], policy: str = "intersect") -> MarketFrame:
     """Merge per-asset series onto one calendar.
 
@@ -177,7 +180,7 @@ def align_assets(series: list[AssetSeries], policy: str = "intersect") -> Market
     """
     if not series:
         raise ValueError("align_assets needs at least one series")
-    if policy not in ("intersect", "forward_fill"):
+    if policy not in ALIGNMENT_POLICIES:
         raise ValueError(f"unknown alignment policy '{policy}'")
 
     if policy == "intersect":
@@ -284,6 +287,8 @@ def load_manifest(path: str | Path) -> tuple[list[tuple[str, Path]], str | None]
                 raise ValueError(f"{path}:{line_no}: 'alignment =' given twice, on lines {alignment_line} "
                                  f"and {line_no}")
             alignment, alignment_line = value.strip(), line_no
+            if alignment not in ALIGNMENT_POLICIES:
+                raise ValueError(f"{path}:{line_no}: alignment must be intersect or forward_fill, got '{alignment}'")
             continue
         parts = line.split(None, 1)
         if len(parts) != 2:

@@ -60,13 +60,13 @@ def mdd(traj: Trajectory) -> float:
     return worst
 
 
-def sharpe_from_returns(returns: np.ndarray, risk_free: float = 0.0) -> float:
-    """mean(r - r_F) / population-std(r - r_F)."""
-    excess = np.asarray(returns, dtype=np.float64) - risk_free
-    std = float(excess.std())
+def sharpe_from_returns(returns: np.ndarray) -> float:
+    """mean(r) / population-std(r), with the risk-free term at zero."""
+    returns = np.asarray(returns, dtype=np.float64)
+    std = float(returns.std())
     if std == 0.0:
         raise ZeroVariance("returns are all identical")
-    return float(excess.mean()) / std
+    return float(returns.mean()) / std
 
 
 def report(traj: Trajectory, initial_value: float) -> MetricReport:
@@ -78,7 +78,7 @@ def report(traj: Trajectory, initial_value: float) -> MetricReport:
     return MetricReport(
         fapv=fapv(traj, initial_value),
         mdd=mdd(traj),
-        sharpe=sharpe_from_returns(ratios, 0.0),
-        sharpe_excess=sharpe_from_returns(ratios - 1.0, 0.0),
+        sharpe=sharpe_from_returns(ratios),
+        sharpe_excess=sharpe_from_returns(ratios - 1.0),
         n_steps=len(traj),
     )

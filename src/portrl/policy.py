@@ -12,7 +12,7 @@ The graph runs in two parts, split where the last action enters:
 any batch size, so the buffer rewrite runs it once per batch, over the
 objective's conv1 unfold, and chains only the head step
 (``head_chain``), which ``policy_forward`` runs for one sample: the
-rewritten actions match ``policy_forward`` bit for bit.
+filled and rewritten actions match ``policy_forward`` bit for bit.
 
 The learnable values live in one flat array, ``PolicyParams.theta``,
 whose named blocks every function here reads as views;

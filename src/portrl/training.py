@@ -4,9 +4,10 @@ The trainer fills a replay buffer with one experience per training
 step, samples recency-biased sequential batches via a geometric
 distribution, ascends the mean log-profit objective with AdamW, and
 rewrites the sampled experiences' stored last-actions with the updated
-policy's outputs. During backtests it keeps learning online: each new
-test experience is appended to the buffer before a burst of update
-steps.
+policy's outputs. ``chain_actions`` writes stored last-actions for both
+the fill (from all cash, with no simulator) and the rewrite. During
+backtests it keeps learning online: each new test experience is
+appended to the buffer before a burst of update steps.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor
-from .environment import env_reset, env_step, transaction_factor_batch
+from .environment import FrameTooShort, env_reset, env_step, transaction_factor_batch
 from .market_data import MarketFrame, price_relatives
 from .normalization import NormalizationScheme, normalize_window
-from .policy import PolicyParams, backward_batch, features, forward_batch, head_chain, policy_forward, stacked_rows
+from .policy import (PolicyParams, backward_batch, conv1_unfold, features, forward_batch, head_chain,
+                     policy_forward, stacked_rows)
 
 
 # glibc maps each allocation at or above its mmap threshold afresh, so every
@@ -86,17 +88,18 @@ class ReplayBuffer:
 
     def add_frame(self, frame: MarketFrame) -> None:
         """Append the frame's prices to the tape and make room for one
-        experience per decidable step of it."""
-        rows = max(frame.n_steps - self.window, 0)
-        grow = lambda a: np.concatenate([a, np.empty((rows,) + a.shape[1:])])
+        experience per decidable step of it, with its price relatives."""
+        rows = frame.n_steps - self.window
+        if rows < 1:
+            raise FrameTooShort(f"frame of length {frame.n_steps} allows no step with window {self.window}")
+        relatives = np.stack([price_relatives(frame, self.window + j) for j in range(rows)])
         self._starts = np.concatenate([self._starts, self._prices.shape[2] + np.arange(rows)])
         self._prices = np.concatenate([self._prices, np.stack([frame.closes, frame.highs, frame.lows])], axis=2)
-        self._last_actions = grow(self._last_actions)
-        self._relatives = grow(self._relatives)
+        self._last_actions = np.concatenate([self._last_actions, np.empty((rows,) + self._last_actions.shape[1:])])
+        self._relatives = np.concatenate([self._relatives, relatives])
 
-    def append(self, last_action: np.ndarray, relative: np.ndarray) -> None:
+    def append(self, last_action: np.ndarray) -> None:
         self._last_actions[self._size] = last_action
-        self._relatives[self._size] = relative
         self._size += 1
 
     def states(self, start: int, stop: int) -> np.ndarray:
@@ -162,34 +165,30 @@ class AdamW:
         self.theta -= self.lr * update
 
 
-def _episode(frame: MarketFrame, window: int, scheme: NormalizationScheme,
-             initial_value: float, commission: float, params: PolicyParams):
-    """Roll the policy greedily through an all-cash episode on ``frame``.
-
-    Each decision reads ``params`` as they stand when the loop resumes,
-    so updates made between yields steer the rest of the episode. Yields
-    (last action, price relatives, next state, reward) per step; the
-    last action is the policy's raw output (the simulator renormalizes
-    its own copy), so buffer rewrites stay exact.
-    """
-    state, obs = env_reset(frame, window, scheme, initial_value, commission)
-    last_action = state.weights
-    while not state.terminal:
-        action = policy_forward(params, obs, last_action)
-        relative = price_relatives(frame, state.t + 1)
-        state, obs, reward = env_step(state, action)
-        yield last_action, relative, state, reward
-        last_action = action
+def chain_actions(params: PolicyParams, buffer: ReplayBuffer, start: int, stop: int,
+                  states: np.ndarray, unfolded: np.ndarray) -> None:
+    """Chain the policy through rows [start, stop): row j + 1's stored last
+    action becomes the output for row j's state and last action. ``states``
+    are ``buffer.states(start, stop)`` and ``unfolded`` their conv1 unfold;
+    a row's features have the same bits at any batch size, so one features
+    pass plus the head chain writes what ``policy_forward`` gives per row."""
+    scores, _ = features(params, stacked_rows(states), unfolded)
+    rows = min(stop, len(buffer) - 1) - start
+    head_chain(params, scores[:rows], buffer.last_actions[start : start + rows + 1])
 
 
 def fill_buffer(frame: MarketFrame, window: int, scheme: NormalizationScheme,
-                initial_value: float, commission: float, params: PolicyParams) -> ReplayBuffer:
-    """Roll the policy greedily through the whole episode, one experience per step."""
+                batch_size: int, params: PolicyParams) -> ReplayBuffer:
+    """One experience per decidable step of ``frame``; the last actions
+    chain the policy from all cash, in passes of ``batch_size`` rows."""
     buffer = ReplayBuffer(frame.n_assets, window, scheme)
     buffer.add_frame(frame)
-    # A frame with no decidable step raises FrameTooShort from env_reset.
-    for last_action, relative, _, _ in _episode(frame, window, scheme, initial_value, commission, params):
-        buffer.append(last_action, relative)
+    buffer._size = len(buffer._starts)  # every row is written below
+    buffer.last_actions[0] = np.eye(frame.n_assets + 1)[0]  # all cash
+    for start in range(0, len(buffer), batch_size):
+        stop = min(start + batch_size, len(buffer))
+        states = buffer.states(start, stop)
+        chain_actions(params, buffer, start, stop, states, conv1_unfold(params, stacked_rows(states)))
     return buffer
 
 
@@ -260,8 +259,7 @@ class Trainer:
                                lr=config.learning_rate, weight_decay=config.weight_decay)
 
     def fill_buffer(self) -> ReplayBuffer:
-        self.buffer = fill_buffer(self.frame, self.window, self.scheme,
-                                  self.initial_value, self.commission, self.params)
+        self.buffer = fill_buffer(self.frame, self.window, self.scheme, self.config.batch_size, self.params)
         return self.buffer
 
     def train_step(self) -> float:
@@ -279,18 +277,8 @@ class Trainer:
             raise NonFiniteLoss(f"loss {value} at step {self.optimizer.step_count}, batch [{start}, {stop})")
         loss.backward()
         self.optimizer.step()
-        self._rewrite(start, stop, states, unfolded)
+        chain_actions(self.params, self.buffer, start, stop, states, unfolded)
         return value
-
-    def _rewrite(self, start: int, stop: int, states: np.ndarray, unfolded: np.ndarray) -> None:
-        # New actions propagate forward: slot t+1 receives the updated
-        # policy's output for experience t, chained through the batch. The
-        # last action enters only the head, so the features of the whole
-        # batch come from one pass over the objective's states and unfold;
-        # only the head step runs in sequence.
-        scores, _ = features(self.params, stacked_rows(states), unfolded)
-        rows = min(stop, len(self.buffer) - 1) - start
-        head_chain(self.params, scores[:rows], self.buffer.last_actions[start : start + rows + 1])
 
     def train(self, steps: int) -> None:
         for _ in range(steps):
@@ -302,17 +290,21 @@ class Trainer:
         if self.buffer is None:
             raise RuntimeError("fill_buffer must run before backtest")
         self.buffer.add_frame(test_frame)
-        # A frame with no decidable step raises FrameTooShort from env_reset.
+        state, obs = env_reset(test_frame, self.window, self.scheme, self.initial_value, self.commission)
+        # the buffer keeps the policy's raw output; the simulator renormalizes its copy
+        last_action = state.weights
         steps, values, rewards, actions = [], [], [], []
-        for last_action, relative, state, reward in _episode(
-                test_frame, self.window, self.scheme, self.initial_value, self.commission, self.params):
-            self.buffer.append(last_action, relative)
+        while not state.terminal:
+            action = policy_forward(self.params, obs, last_action)
+            state, obs, reward = env_step(state, action)
+            self.buffer.append(last_action)
             for _ in range(online_steps):
                 self.train_step()
             steps.append(state.t)
             values.append(state.drifted_value)
             rewards.append(reward)
             actions.append(state.weights)
+            last_action = action
         return Trajectory(
             steps=np.asarray(steps, dtype=np.int64),
             values=np.asarray(values),

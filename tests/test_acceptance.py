@@ -223,7 +223,7 @@ def test_sampling_distribution_total_variation():
     buffer = ReplayBuffer(n_assets=1, window=2, scheme=LAST_CLOSE)
     buffer.add_frame(make_frame(np.ones((1, batch + max_offset + 2)), spread=0.0))
     for _ in range(batch + max_offset):
-        buffer.append(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        buffer.append(np.array([1.0, 0.0]))
 
     rng = np.random.default_rng(19)
     draws = 1_000_000

@@ -291,3 +291,12 @@ def test_manifest_alignment_given_twice_names_file_and_both_lines(tmp_path):
         load_manifest(manifest)
     message = str(err.value)
     assert str(manifest) in message and "alignment" in message and "lines 1 and 3" in message
+
+
+def test_manifest_unknown_alignment_names_file_and_line(tmp_path):
+    manifest = tmp_path / "portfolio.txt"
+    manifest.write_text("AAA a.csv\nalignment = forwardfill\n")
+    with pytest.raises(ValueError) as err:
+        load_manifest(manifest)
+    message = str(err.value)
+    assert f"{manifest}:2:" in message and "'forwardfill'" in message

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import hold_mu, make_frame, max_fd_error, random_walk_frame
 from portrl import training
 from portrl.environment import FrameTooShort, build_state, env_reset, env_step, transaction_factor_batch
+from portrl.market_data import price_relatives
 from portrl.normalization import DATA_MAX, KINDS, apply_data_max, fit_data_max, scheme_from_kind
 from portrl.policy import init_policy, policy_forward, stacked_rows
 from portrl.training import (
@@ -102,8 +103,8 @@ class TestFillBuffer:
     def test_refill_is_deterministic(self):
         frame = random_walk_frame(np.random.default_rng(2), 2, 25)
         params = init_policy(2, 4, seed=7, c1=2, c2=4)
-        first = fill_buffer(frame, 4, LAST_CLOSE, 1e5, 0.0025, params)
-        second = fill_buffer(frame, 4, LAST_CLOSE, 1e5, 0.0025, params)
+        first = fill_buffer(frame, 4, LAST_CLOSE, 8, params)
+        second = fill_buffer(frame, 4, LAST_CLOSE, 8, params)
         assert np.array_equal(first.last_actions, second.last_actions)
         assert np.array_equal(first.states(0, len(first)), second.states(0, len(second)))
         assert np.array_equal(first.relatives, second.relatives)
@@ -114,6 +115,28 @@ class TestFillBuffer:
         assert np.array_equal(trainer.buffer.states(0, 1)[0], build_state(frame, 3, 4, LAST_CLOSE))
         expected = frame.closes[:, 4] / frame.closes[:, 3]
         assert np.array_equal(trainer.buffer.relatives[0, 1:], expected)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_passes_of_any_size_store_the_policy_forward_chain_at_paper_shape(self, kind):
+        # 9 assets, window 50, c2 = 20, 230 rows: passes of 1, 7 and 200
+        # rows put the pass boundaries in different places, and each fill
+        # must store what the simulator's loop decides one day at a time.
+        window = 50
+        raw = random_walk_frame(np.random.default_rng(36), 9, 280)
+        scheme, frame, _ = normalized_frames(kind, raw, raw)
+        params = init_policy(9, window, seed=5, c1=2, c2=20)
+        decisions = range(window - 1, frame.n_steps - 1)
+        states = np.stack([build_state(frame, t, window, scheme) for t in decisions])
+        actions = [np.eye(10)[0]]  # all cash
+        for state in states[:-1]:
+            actions.append(policy_forward(params, state, actions[-1]))
+        relatives = np.stack([price_relatives(frame, t + 1) for t in decisions])
+        for batch_size in (1, 7, 200):
+            buffer = fill_buffer(frame, window, scheme, batch_size, params)
+            assert len(buffer) == len(decisions)
+            assert buffer.last_actions.tobytes() == np.stack(actions).tobytes(), batch_size
+            assert buffer.relatives.tobytes() == relatives.tobytes(), batch_size
+            assert buffer.states(0, len(buffer)).tobytes() == states.tobytes(), batch_size
 
 
 class TestPriceTape:
@@ -504,7 +527,7 @@ class TestEpisodeLoop:
         frame = random_walk_frame(np.random.default_rng(29), 2, length)
         params = init_policy(2, 6, seed=0, c1=2, c2=4)
         with pytest.raises(FrameTooShort):
-            fill_buffer(frame, 6, LAST_CLOSE, 1e5, 0.0025, params)
+            fill_buffer(frame, 6, LAST_CLOSE, 8, params)
         trainer = make_trainer(random_walk_frame(np.random.default_rng(32), 2, 20), window=6)
         with pytest.raises(FrameTooShort):
             trainer.backtest(frame, online_steps=0)
