@@ -46,13 +46,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # The contractions below hand-inline np.tensordot's transpose/reshape/dot
 # sequence; tensordot's per-call overhead dominates single-sample forwards.
 #
-# A row's output must have the same bits whatever the number of rows in
-# the call, because the buffer rewrite runs the features of a whole batch
-# at once where the backtest and the tests run one sample. A narrow kernel
-# (conv1) makes one GEMM over the unfold of its input, which keeps each
-# output's 3*k-term sum in one fixed order. A full-width kernel (conv2,
-# the head) runs as one small product per row: a single GEMM over all rows
-# changes its blocking, and with it the summation order, with the row count.
+# A sample's output must have the same bits whatever the number of
+# samples in the call, because the buffer rewrite runs the features of a
+# whole batch at once where the backtest and the tests run one sample. A
+# sample is ``group`` consecutive rows (the policy's n assets of one
+# window). A narrow kernel (conv1) makes one GEMM over the unfold of its
+# input, which keeps each output's 3*k-term sum in one fixed order. A
+# full-width kernel (conv2, the head) runs as one small product per
+# sample: a single GEMM over all rows changes its blocking, and with it
+# the summation order, with the row count, while a product of one
+# sample's rows has the same shape, and so the same bits, in any batch.
 
 
 def unfold(x: np.ndarray, k: int) -> np.ndarray:
@@ -68,14 +71,15 @@ def unfold(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def conv1d_over_time(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
-                     unfolded: np.ndarray | None = None) -> np.ndarray:
+                     unfolded: np.ndarray | None = None, *, group: int = 1) -> np.ndarray:
     """Valid 1-d convolution along the trailing (time) axis.
 
     ``x`` has shape (C_in, rows, t), ``kernels`` (C_out, C_in, k) and
     ``bias`` (C_out,). A kernel narrower than the time axis reads
     ``unfolded``, which must be ``unfold(x, k)``; a full-width kernel
-    reads ``x``. Rows never mix: row j of every output channel depends
-    only on row j of the input, bit for bit.
+    reads ``x``, one product per ``group`` consecutive rows. Rows never
+    mix: row j of every output channel depends only on row j of the
+    input, and has the same bits wherever its group sits among the rows.
     """
     if x.ndim != 3 or kernels.ndim != 3 or x.shape[0] != kernels.shape[1]:
         raise ShapeMismatch(f"conv1d_over_time: input {x.shape} vs kernels {kernels.shape}")
@@ -88,8 +92,8 @@ def conv1d_over_time(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     t_out = x.shape[2] - k + 1
     flat_kernels = kernels.reshape(c_out, c_in * k)
     if t_out == 1:
-        per_row = np.matmul(x.transpose(1, 0, 2).reshape(rows, 1, c_in * k), flat_kernels.T)
-        out = per_row.reshape(rows, c_out).T.reshape(c_out, rows, 1)
+        per_group = np.matmul(x.transpose(1, 0, 2).reshape(rows // group, group, c_in * k), flat_kernels.T)
+        out = per_group.reshape(rows, c_out).T.reshape(c_out, rows, 1)
     elif unfolded is None or unfolded.shape != (c_in, k, rows, t_out):
         raise ShapeMismatch(f"conv1d_over_time: unfold {getattr(unfolded, 'shape', None)} vs input {x.shape} "
                             f"and kernels {kernels.shape}")

@@ -46,10 +46,13 @@ def _exit_status(report) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
     overrides = {name: getattr(args, name) for name in ("runs", "steps", "workers") if getattr(args, name) is not None}
-    config = replace(config, **overrides)
-    report = run_campaign(config)
+    try:  # a config or data error: run_campaign loads every method's data before any run starts
+        config = replace(load_config(args.config), **overrides)
+        report = run_campaign(config)
+    except (ValueError, OSError) as error:
+        print(error, file=sys.stderr)
+        return 2
     out_dir = Path(args.out) if args.out else Path("campaign_" + "-".join(config.methods))
     emit_report(report, out_dir)
     print(f"campaign written to {out_dir}")
@@ -65,9 +68,13 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = load_config(args.config)
-    for kind in config.methods:
-        train, test, _ = prepare(replace(config, normalization=kind))
+    try:
+        config = load_config(args.config)
+        for kind in config.methods:
+            train, test, _ = prepare(replace(config, normalization=kind))
+    except (ValueError, OSError) as error:
+        print(error, file=sys.stderr)
+        return 2
     window = config.time_window
     print(f"ok: {train.n_assets} assets aligned: {', '.join(train.tickers)}")
     print(f"ok: train slice {train.n_steps} rows ({train.dates[0]}..{train.dates[-1]})")

@@ -3,7 +3,8 @@
 A campaign is N seeded train/backtest runs of each normalization method
 the config lists. Each run is fully determined by (config, method,
 seed): the pipeline loads and aligns the manifest's assets, splits
-train/test, fits/applies the normalization, trains the policy, and
+train/test and fits/applies the normalization once per method, before
+any run starts, then each run trains the policy on those frames and
 backtests with online learning. Reports carry per-run metrics,
 per-method aggregates (mean and 95% normal CI half-width of the mean),
 and plot-ready sample lists. Wall times go to a separate timings file so
@@ -175,7 +176,11 @@ def config_to_text(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def prepare(config: ExperimentConfig) -> tuple[MarketFrame, MarketFrame, NormalizationScheme]:
+# What prepare returns: (train frame, test frame, fitted scheme)
+Prepared = tuple[MarketFrame, MarketFrame, NormalizationScheme]
+
+
+def prepare(config: ExperimentConfig) -> Prepared:
     """Load, align and split the manifest's assets, then fit the config's
     normalization on the training rows only and apply it to both slices.
 
@@ -205,11 +210,14 @@ def prepare(config: ExperimentConfig) -> tuple[MarketFrame, MarketFrame, Normali
     return split.train, split.test, scheme_from_kind(config.normalization)
 
 
-def run_single(config: ExperimentConfig, seed: int) -> tuple[RunResult, Trajectory, tuple[float, ...] | None]:
-    """One fully seeded train + backtest of a single-method config;
-    returns metrics, trajectory, fitted data_max scales (or None)."""
+def run_single(config: ExperimentConfig, seed: int,
+               prepared: Prepared) -> tuple[RunResult, Trajectory, tuple[float, ...] | None]:
+    """One fully seeded train + backtest of a single-method config on
+    ``prepared``, what ``prepare(config)`` returned; returns metrics,
+    trajectory, fitted data_max scales (or None). The wall time covers
+    the training and the backtest, not the load."""
     started = time.perf_counter()
-    train_frame, test_frame, scheme = prepare(config)
+    train_frame, test_frame, scheme = prepared
     params = init_policy(
         train_frame.n_assets,
         config.time_window,
@@ -246,19 +254,21 @@ def run_single(config: ExperimentConfig, seed: int) -> tuple[RunResult, Trajecto
     return result, trajectory, scheme.scales
 
 
-def _finished_jobs(configs: dict[str, ExperimentConfig], jobs: list[tuple[str, int]], workers: int):
+def _finished_jobs(configs: dict[str, ExperimentConfig], prepared: dict[str, Prepared],
+                   jobs: list[tuple[str, int]], workers: int):
     """Yield ((method, seed), outcome) as jobs finish; the outcome is what
     run_single returned or the exception it raised."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_single, configs[kind], seed): (kind, seed) for kind, seed in jobs}
+            futures = {pool.submit(run_single, configs[kind], seed, prepared[kind]): (kind, seed)
+                       for kind, seed in jobs}
             for future in as_completed(futures):
                 error = future.exception()
                 yield futures[future], future.result() if error is None else error
     else:
         for kind, seed in jobs:
             try:
-                outcome = run_single(configs[kind], seed)
+                outcome = run_single(configs[kind], seed, prepared[kind])
             except Exception as exc:
                 outcome = exc
             yield (kind, seed), outcome
@@ -267,13 +277,16 @@ def _finished_jobs(configs: dict[str, ExperimentConfig], jobs: list[tuple[str, i
 def run_campaign(config: ExperimentConfig) -> CampaignReport:
     """Run config.runs seeds (seed = base_seed + k) of every listed method,
     serially or on config.workers processes, printing one progress line
-    per finished job on stderr. A failed run is recorded with its
-    message, never fatal, even when every run fails."""
+    per finished job on stderr. Every method's data is prepared before
+    any run starts, so a load error leaves here and no run starts. A
+    failed run is recorded with its message, never fatal, even when
+    every run fails."""
     configs = {kind: replace(config, normalization=kind) for kind in config.methods}
+    prepared = {kind: prepare(method_config) for kind, method_config in configs.items()}
     jobs = [(kind, config.base_seed + k) for kind in configs for k in range(config.runs)]
     outcomes: dict[tuple[str, int], object] = {}
     started = time.perf_counter()
-    for (kind, seed), outcome in _finished_jobs(configs, jobs, config.workers):
+    for (kind, seed), outcome in _finished_jobs(configs, prepared, jobs, config.workers):
         if isinstance(outcome, BaseException):
             outcome = f"{type(outcome).__name__}: {outcome}"  # a failure is kept as its message
         outcomes[kind, seed] = outcome

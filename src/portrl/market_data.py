@@ -87,6 +87,10 @@ class MarketFrame:
                 raise ValueError(f"{name} has shape {matrix.shape}, expected {(n, length)}")
             matrix.flags.writeable = False
 
+    def __reduce__(self):
+        # an unpickled copy (a campaign worker's) goes through __init__, so its matrices are read-only too
+        return MarketFrame, (self.tickers, self.dates, self.closes, self.highs, self.lows)
+
     @property
     def n_assets(self) -> int:
         return len(self.tickers)

@@ -9,9 +9,11 @@ never mix: the network is equivariant under asset permutation.
 
 The graph runs in two parts, split where the last action enters:
 ``features`` and ``head``. ``features`` gives a sample the same bits at
-any batch size, so the buffer rewrite runs it once per batch, over the
-objective's conv1 unfold, and chains only the head step
-(``head_chain``), which ``policy_forward`` runs for one sample: the
+any batch size: conv2 and the head's feature part run one product per
+sample, over its n asset rows, so the sample, not the batch, fixes the
+summation order. The buffer rewrite therefore runs ``features`` once
+per batch, over the objective's conv1 unfold, and chains only the head
+step (``head_chain``), which ``policy_forward`` runs for one sample: the
 filled and rewritten actions match ``policy_forward`` bit for bit.
 
 The learnable values live in one flat array, ``PolicyParams.theta``,
@@ -143,10 +145,11 @@ def features(params: PolicyParams, x: np.ndarray, unfolded: np.ndarray) -> tuple
     """
     h1 = ad.conv1d_over_time(x, params.conv1_kernels, params.conv1_bias, unfolded)
     np.maximum(h1, 0.0, out=h1)
-    h2 = ad.conv1d_over_time(h1, params.conv2_kernels, params.conv2_bias)
+    n = params.n_assets
+    h2 = ad.conv1d_over_time(h1, params.conv2_kernels, params.conv2_bias, group=n)
     np.maximum(h2, 0.0, out=h2)
-    scores = ad.conv1d_over_time(h2, params.out_kernels[:, :-1], params.out_bias)
-    return scores.reshape(-1, params.n_assets), (h1, h2)
+    scores = ad.conv1d_over_time(h2, params.out_kernels[:, :-1], params.out_bias, group=n)
+    return scores.reshape(-1, n), (h1, h2)
 
 
 def head(params: PolicyParams, scores: np.ndarray, last_actions: np.ndarray) -> np.ndarray:
@@ -163,20 +166,25 @@ def head_chain(params: PolicyParams, scores: np.ndarray, actions: np.ndarray) ->
     of ``scores`` (m, n), actions[j + 1] = head(scores[j], actions[j]), so
     ``actions`` (m + 1, n+1) holds the first last action in row 0.
 
-    One preallocated logits row runs ``head``'s ufuncs in its order, with
-    the same bits and without its per-call temporaries.
+    Preallocated rows run ``head``'s ufuncs in its order, with the same
+    bits and without its per-call temporaries: the logits row keeps the
+    cash bias in its first entry, so only the risky entries are computed,
+    and the row's max is taken in Python, where a NaN or inf still turns
+    the row, and every later one, NaN.
     """
-    risky_weight = params.out_kernels[0, -1, 0]
-    cash = params.cash_bias
+    risky_weight = float(params.out_kernels[0, -1, 0])
     logits = np.empty(actions.shape[1])
+    logits[0] = float(params.cash_bias)
     risky = logits[1:]
-    for score, last, new in zip(scores, actions, actions[1:]):
-        np.multiply(last, risky_weight, out=logits)
-        np.add(risky, score, out=risky)
-        logits[0] = cash
-        np.subtract(logits, np.maximum.reduce(logits), out=logits)
-        np.exp(logits, out=logits)
-        np.divide(logits, np.add.reduce(logits), out=new)
+    e = np.empty_like(logits)
+    # bound once, with positional outputs: the loop runs once per row
+    multiply, add, subtract, exp, divide, total = np.multiply, np.add, np.subtract, np.exp, np.divide, np.add.reduce
+    for score, last, new in zip(scores, actions[:, 1:], actions[1:]):
+        multiply(last, risky_weight, risky)
+        add(risky, score, risky)
+        subtract(logits, max(logits.tolist()), e)
+        exp(e, e)
+        divide(e, total(e), new)
 
 
 def backward_batch(params: PolicyParams, activations: tuple, grad_actions: np.ndarray) -> None:

@@ -20,7 +20,7 @@ from portrl.environment import (
     env_step,
     transaction_factor,
 )
-from portrl.experiment import emit_report, load_config, run_campaign, run_single
+from portrl.experiment import emit_report, load_config, prepare, run_campaign, run_single
 from portrl.metrics import mdd as fast_mdd
 from portrl.metrics import sharpe_from_returns
 from portrl.normalization import (
@@ -338,7 +338,7 @@ def test_reduced_directional_replication_micro(tmp_path):
         config.normalization = kind
         fapvs = []
         for seed in range(config.runs):
-            result, _, _ = run_single(config, seed)
+            result, _, _ = run_single(config, seed, prepare(config))
             assert math.isfinite(result.metrics.fapv)
             fapvs.append(result.metrics.fapv)
         means[kind] = float(np.mean(fapvs))
@@ -371,8 +371,8 @@ def test_determinism_of_runs_and_campaigns(tmp_path):
     ]) + "\n")
     config = load_config(config_path)
 
-    first, traj_a, _ = run_single(config, seed=1)
-    second, traj_b, _ = run_single(config, seed=1)
+    first, traj_a, _ = run_single(config, 1, prepare(config))
+    second, traj_b, _ = run_single(config, 1, prepare(config))
     assert first.metrics == second.metrics
     assert np.array_equal(traj_a.values, traj_b.values)
     assert np.array_equal(traj_a.actions, traj_b.actions)

@@ -239,15 +239,15 @@ class TestRunSingle:
     def test_untrained_policy_backtests_with_near_uniform_actions(self, tiny_config):
         tiny_config.steps = 0
         tiny_config.online_steps = 0
-        result, trajectory, scales = run_single(tiny_config, seed=0)
+        result, trajectory, scales = run_single(tiny_config, 0, prepare(tiny_config))
         assert scales is None
         assert np.isfinite([result.metrics.fapv, result.metrics.mdd, result.metrics.sharpe]).all()
         uniform = 1.0 / 4.0
         assert np.abs(trajectory.actions - uniform).max() < 0.1
 
     def test_rerun_reproduces_result_bitwise(self, tiny_config):
-        first, traj_a, _ = run_single(tiny_config, seed=3)
-        second, traj_b, _ = run_single(tiny_config, seed=3)
+        first, traj_a, _ = run_single(tiny_config, 3, prepare(tiny_config))
+        second, traj_b, _ = run_single(tiny_config, 3, prepare(tiny_config))
         assert first.metrics == second.metrics
         assert np.array_equal(traj_a.values, traj_b.values)
         assert np.array_equal(traj_a.actions, traj_b.actions)
@@ -256,7 +256,7 @@ class TestRunSingle:
         tiny_config.normalization = "data_max"
         tiny_config.steps = 0
         tiny_config.online_steps = 0
-        result, _, scales = run_single(tiny_config, seed=0)
+        result, _, scales = run_single(tiny_config, 0, prepare(tiny_config))
         assert scales is not None and len(scales) == 3
         assert all(s > 0 for s in scales)
 
@@ -294,10 +294,10 @@ class TestCampaign:
 
         original = experiment.run_single
 
-        def flaky(config, seed):
+        def flaky(config, seed, prepared):
             if seed == 1:
                 raise RuntimeError("synthetic failure")
-            return original(config, seed)
+            return original(config, seed, prepared)
 
         monkeypatch.setattr(experiment, "run_single", flaky)
         report = experiment.run_campaign(tiny_config)
@@ -363,7 +363,7 @@ def fail_every_run(monkeypatch):
     """Make every run fail with a message that names its seed."""
     import portrl.experiment as experiment
 
-    def always_fail(config, seed):
+    def always_fail(config, seed, prepared):
         raise RuntimeError(f"boom at seed {seed}")
 
     monkeypatch.setattr(experiment, "run_single", always_fail)
@@ -375,10 +375,10 @@ def fail_data_max(monkeypatch):
 
     original = experiment.run_single
 
-    def fails_for_data_max(config, seed):
+    def fails_for_data_max(config, seed, prepared):
         if config.normalization == "data_max":
             raise RuntimeError("data_max diverged")
-        return original(config, seed)
+        return original(config, seed, prepared)
 
     monkeypatch.setattr(experiment, "run_single", fails_for_data_max)
 
@@ -424,8 +424,8 @@ def test_no_look_ahead_and_train_only_fitting(kind, day, factors):
         manifest = perturb_after(tmp / "data", tmp / "perturbed", test_frame.dates[last_kept], factors)
         changed = replace(config, manifest=str(manifest))
         assert prepare(changed)[2] == scheme
-        _, base, base_scales = run_single(config, seed=1)
-        _, moved, moved_scales = run_single(changed, seed=1)
+        _, base, base_scales = run_single(config, 1, prepare(config))
+        _, moved, moved_scales = run_single(changed, 1, prepare(changed))
         assert base_scales == moved_scales
         kept = base.steps <= last_kept  # values and rewards up to day ``day``
         decided = base.steps <= last_kept + 1  # actions decided up to day ``day``
@@ -507,17 +507,38 @@ class TestCli:
         assert "3 assets" in out
         assert "decidable" in out
 
-    def test_validate_rejects_a_test_range_too_short_to_score(self, tmp_path):
+    def test_validate_rejects_a_test_range_too_short_to_score(self, tmp_path, capsys):
         config_path = write_config(tmp_path, write_market(tmp_path), test_end="2021-03-03")
-        with pytest.raises(ValueError) as err:
-            cli.main(["validate", str(config_path)])
-        assert "test_start" in str(err.value) and "test_end" in str(err.value)
+        assert cli.main(["validate", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "test_start" in err and "test_end" in err
 
-    def test_validate_rejects_a_batch_larger_than_the_training_slice(self, tmp_path):
+    def test_validate_rejects_a_batch_larger_than_the_training_slice(self, tmp_path, capsys):
         config_path = write_config(tmp_path, write_market(tmp_path), batch_size=500)
-        with pytest.raises(ValueError) as err:
-            cli.main(["validate", str(config_path)])
-        assert "batch_size = 500" in str(err.value) and "56 decidable training step" in str(err.value)
+        assert cli.main(["validate", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "batch_size = 500" in err and "56 decidable training step" in err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_a_manifest_load_error_is_its_message_alone_and_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        manifest = write_market(tmp_path)
+        manifest.write_text(manifest.read_text().replace("alignment = intersect", "alignment = forwardfill"))
+        config_path = write_config(tmp_path, manifest, normalization=ALL_METHODS)
+        calls = []
+        monkeypatch.setattr(portrl.experiment, "run_single", lambda *args: calls.append(args))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, str(config_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"{manifest}:1: alignment must be intersect or forward_fill, got 'forwardfill'\n"
+        assert calls == [] and not list(tmp_path.glob("campaign_*"))
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_a_config_error_is_its_message_alone_and_exit_2(self, tmp_path, capsys, command):
+        config_path = write_config(tmp_path, write_market(tmp_path))
+        config_path.write_text(config_path.read_text() + "step = 3\n")
+        line = len(config_path.read_text().splitlines())
+        assert cli.main([command, str(config_path)]) == 2
+        assert capsys.readouterr() == ("", f"{config_path}:{line}: unknown config key 'step'\n")
 
     def test_run_exits_1_when_a_method_fails_and_report_keeps_the_rest(self, tmp_path, capsys, monkeypatch):
         config_path = write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS)
@@ -535,11 +556,10 @@ class TestCli:
         assert capsys.readouterr().out == out.split("\n", 1)[1]  # the table, without the 'written to' line
         assert non_timing_files(out_dir) == before
 
-    def test_run_overrides_are_validated(self, tmp_path):
+    def test_run_overrides_are_validated(self, tmp_path, capsys):
         config_path = write_config(tmp_path, write_market(tmp_path))
-        with pytest.raises(ValueError) as err:
-            cli.main(["run", str(config_path), "--workers", "-2"])
-        assert "workers" in str(err.value)
+        assert cli.main(["run", str(config_path), "--workers", "-2"]) == 2
+        assert capsys.readouterr().err == "workers must be >= 1, got -2\n"
 
     def test_three_method_run_prints_verdict_and_report_reemits_files(self, tmp_path, capsys, monkeypatch):
         config_path = write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS)

@@ -1,3 +1,4 @@
+import pickle
 from datetime import date
 
 import numpy as np
@@ -258,6 +259,15 @@ def test_frame_matrices_are_read_only():
     frame = make_frame([[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
         frame.closes[0, 0] = 99.0
+
+
+def test_unpickled_frame_matrices_are_read_only():
+    # campaign workers train on frames unpickled from the parent process
+    frame = pickle.loads(pickle.dumps(make_frame([[1.0, 2.0, 3.0]])))
+    assert frame.closes.tolist() == [[1.0, 2.0, 3.0]]
+    for matrix in (frame.closes, frame.highs, frame.lows):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 99.0
 
 
 def test_manifest_parsing(tmp_path):

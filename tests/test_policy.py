@@ -11,6 +11,7 @@ from portrl.policy import (
     conv1_unfold,
     features,
     forward_batch,
+    head_chain,
     init_policy,
     policy_forward,
     stacked_rows,
@@ -177,3 +178,38 @@ class TestBatchInvariance:
         for offset in range(0, 223, 11):
             batched = scores(states[offset : offset + 7])
             assert np.array_equal(batched, singles[offset : offset + 7]), offset
+
+    # conv2 and the head run one product per sample of n rows: n = 1 makes
+    # one-row products, 9 one BLAS tile plus a remainder, 17 two plus one
+    @pytest.mark.parametrize("n_assets", [1, 9, 17])
+    def test_a_sample_has_the_same_bits_alone_and_in_batches_of_7_and_200(self, n_assets):
+        params = init_policy(n_assets, 50, seed=22)
+        states, _ = random_inputs(np.random.default_rng(22), n_assets, 50, batch=207)
+
+        def scores(batch):
+            x = stacked_rows(batch)
+            return features(params, x, conv1_unfold(params, x))[0]
+
+        singles = np.concatenate([scores(states[i : i + 1]) for i in range(len(states))])
+        for offset in range(8):
+            batched = scores(states[offset : offset + 200])
+            assert np.array_equal(batched, singles[offset : offset + 200]), offset
+        for offset in range(201):
+            batched = scores(states[offset : offset + 7])
+            assert np.array_equal(batched, singles[offset : offset + 7]), offset
+
+
+class TestHeadChain:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_a_non_finite_score_turns_its_row_and_every_later_one_nan(self, bad, column):
+        params = init_policy(3, 8, seed=23)
+        params.out_kernels[0, -1, 0] = 0.5  # the last action enters every later row
+        scores = np.random.default_rng(23).normal(size=(6, 3))
+        scores[2, column] = bad
+        actions = np.empty((7, 4))
+        actions[0] = 0.25
+        head_chain(params, scores, actions)
+        assert np.isfinite(actions[:3]).all()
+        assert np.isnan(actions[3:]).all()
