@@ -61,7 +61,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = load_campaign(args.campaign_dir)
+    try:
+        report = load_campaign(args.campaign_dir)
+    except (ValueError, OSError) as error:
+        print(error, file=sys.stderr)
+        return 2
     emit_report(report, args.campaign_dir)
     _print_table(report)
     return _exit_status(report)
@@ -70,8 +74,7 @@ def _cmd_report(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         config = load_config(args.config)
-        for kind in config.methods:
-            train, test, _ = prepare(replace(config, normalization=kind))
+        train, test, _ = prepare(config)[config.methods[0]]
     except (ValueError, OSError) as error:
         print(error, file=sys.stderr)
         return 2

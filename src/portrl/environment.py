@@ -90,31 +90,19 @@ def drift_value(value: float, weights: np.ndarray, rel: np.ndarray) -> float:
 
 
 def transaction_factor(w_from: np.ndarray, w_to: np.ndarray, commission: float) -> float:
-    """Cost factor mu of rebalancing w_from -> w_to at commission rate c.
-
-    mu is the fixed point of
-        mu = (1 - c*w_from[0] - (2c - c^2) * sum_i max(w_from[i] - mu*w_to[i], 0))
-             / (1 - c*w_to[0])
-    over the risky entries i >= 1, iterated from mu_0 = 1 - c*sum|delta|.
-    """
-    c = commission
-    risky_from, risky_to = w_from[1:], w_to[1:]
-    denominator = 1.0 - c * w_to[0]
-    mu = 1.0 - c * np.abs(risky_from - risky_to).sum()
-    for _ in range(MU_MAX_ITER):
-        sold = np.maximum(risky_from - mu * risky_to, 0.0).sum()
-        nxt = (1.0 - c * w_from[0] - (2.0 * c - c * c) * sold) / denominator
-        if abs(nxt - mu) < MU_TOL:
-            return nxt
-        mu = nxt
-    raise NoConvergence(f"mu fixed point did not converge (c={c}, last mu={mu})")
+    """Cost factor mu of rebalancing w_from -> w_to at commission rate c:
+    the one-row case of transaction_factor_batch."""
+    return float(transaction_factor_batch(w_from[None], w_to[None], commission)[0])
 
 
 def transaction_factor_batch(w_from: np.ndarray, w_to: np.ndarray, commission: float) -> np.ndarray:
-    """Row-wise transaction_factor over (B, n+1) weight matrices.
+    """Row-wise cost factor mu over (B, n+1) weight matrices.
 
-    Same fixed-point update, iterated until every row moves less than
-    ``MU_TOL``; each row satisfies the scalar stopping rule at return.
+    Each row's mu is the fixed point of
+        mu = (1 - c*w_from[0] - (2c - c^2) * sum_i max(w_from[i] - mu*w_to[i], 0))
+             / (1 - c*w_to[0])
+    over the risky entries i >= 1, iterated from mu_0 = 1 - c*sum|delta|
+    until every row moves less than ``MU_TOL``.
     """
     c = commission
     risky_from, risky_to = w_from[:, 1:], w_to[:, 1:]
@@ -126,7 +114,7 @@ def transaction_factor_batch(w_from: np.ndarray, w_to: np.ndarray, commission: f
         if np.abs(nxt - mu).max() < MU_TOL:
             return nxt
         mu = nxt
-    raise NoConvergence(f"batch mu fixed point did not converge (c={c})")
+    raise NoConvergence(f"mu fixed point did not converge (c={c})")
 
 
 def build_state(frame: MarketFrame, t: int, window: int, scheme: NormalizationScheme) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 A campaign is N seeded train/backtest runs of each normalization method
 the config lists. Each run is fully determined by (config, method,
-seed): the pipeline loads and aligns the manifest's assets, splits
-train/test and fits/applies the normalization once per method, before
-any run starts, then each run trains the policy on those frames and
+seed): before any run starts, the pipeline loads, aligns and splits the
+manifest's assets once and fits/applies each method's normalization to
+that split, then each run trains the policy on its method's frames and
 backtests with online learning. Reports carry per-run metrics,
 per-method aggregates (mean and 95% normal CI half-width of the mean),
 and plot-ready sample lists. Wall times go to a separate timings file so
@@ -17,7 +17,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date
 from pathlib import Path
 from typing import get_type_hints
@@ -176,16 +176,18 @@ def config_to_text(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-# What prepare returns: (train frame, test frame, fitted scheme)
+# One method's prepared data: (train frame, test frame, fitted scheme)
 Prepared = tuple[MarketFrame, MarketFrame, NormalizationScheme]
 
 
-def prepare(config: ExperimentConfig) -> Prepared:
-    """Load, align and split the manifest's assets, then fit the config's
-    normalization on the training rows only and apply it to both slices.
+def prepare(config: ExperimentConfig) -> dict[str, Prepared]:
+    """Load, align and split the manifest's assets once, then, for each
+    method the config lists, fit its normalization on the training rows
+    only and apply it to both slices.
 
-    Returns (train frame, test frame, scheme); the test frame carries the
-    (time_window - 1)-row prefix its first state needs.
+    Returns {method: (train frame, test frame, scheme)} in listed order;
+    each test frame carries the (time_window - 1)-row prefix its first
+    state needs.
     """
     entries, manifest_alignment = load_manifest(config.manifest)
     series = [load_ohlc_csv(csv_path, ticker) for ticker, csv_path in entries]
@@ -204,18 +206,20 @@ def prepare(config: ExperimentConfig) -> Prepared:
     if decidable < 2:
         raise ValueError(f"test_start = {config.test_start} .. test_end = {config.test_end} leaves "
                          f"{decidable} decidable test step(s); the metrics need at least 2")
-    if config.normalization == DATA_MAX:
-        scheme = fit_data_max(split.train)
-        return apply_data_max(scheme, split.train), apply_data_max(scheme, split.test), scheme
-    return split.train, split.test, scheme_from_kind(config.normalization)
+    prepared = {}
+    for kind in config.methods:
+        if kind == DATA_MAX:
+            scheme = fit_data_max(split.train)
+            prepared[kind] = apply_data_max(scheme, split.train), apply_data_max(scheme, split.test), scheme
+        else:
+            prepared[kind] = split.train, split.test, scheme_from_kind(kind)
+    return prepared
 
 
-def run_single(config: ExperimentConfig, seed: int,
-               prepared: Prepared) -> tuple[RunResult, Trajectory, tuple[float, ...] | None]:
-    """One fully seeded train + backtest of a single-method config on
-    ``prepared``, what ``prepare(config)`` returned; returns metrics,
-    trajectory, fitted data_max scales (or None). The wall time covers
-    the training and the backtest, not the load."""
+def run_single(config: ExperimentConfig, seed: int, prepared: Prepared) -> tuple[RunResult, Trajectory]:
+    """One fully seeded train + backtest on ``prepared``, one method's
+    entry of ``prepare(config)``; returns metrics and trajectory. The
+    wall time covers the training and the backtest, not the load."""
     started = time.perf_counter()
     train_frame, test_frame, scheme = prepared
     params = init_policy(
@@ -248,19 +252,18 @@ def run_single(config: ExperimentConfig, seed: int,
     result = RunResult(
         seed=seed,
         metrics=report,
-        trajectory_path=f"traj_{config.normalization}_{seed:05d}.tsv",
+        trajectory_path=f"traj_{scheme.kind}_{seed:05d}.tsv",
         wall_time=time.perf_counter() - started,
     )
-    return result, trajectory, scheme.scales
+    return result, trajectory
 
 
-def _finished_jobs(configs: dict[str, ExperimentConfig], prepared: dict[str, Prepared],
-                   jobs: list[tuple[str, int]], workers: int):
+def _finished_jobs(config: ExperimentConfig, prepared: dict[str, Prepared], jobs: list[tuple[str, int]]):
     """Yield ((method, seed), outcome) as jobs finish; the outcome is what
     run_single returned or the exception it raised."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_single, configs[kind], seed, prepared[kind]): (kind, seed)
+    if config.workers > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            futures = {pool.submit(run_single, config, seed, prepared[kind]): (kind, seed)
                        for kind, seed in jobs}
             for future in as_completed(futures):
                 error = future.exception()
@@ -268,7 +271,7 @@ def _finished_jobs(configs: dict[str, ExperimentConfig], prepared: dict[str, Pre
     else:
         for kind, seed in jobs:
             try:
-                outcome = run_single(configs[kind], seed, prepared[kind])
+                outcome = run_single(config, seed, prepared[kind])
             except Exception as exc:
                 outcome = exc
             yield (kind, seed), outcome
@@ -277,32 +280,30 @@ def _finished_jobs(configs: dict[str, ExperimentConfig], prepared: dict[str, Pre
 def run_campaign(config: ExperimentConfig) -> CampaignReport:
     """Run config.runs seeds (seed = base_seed + k) of every listed method,
     serially or on config.workers processes, printing one progress line
-    per finished job on stderr. Every method's data is prepared before
-    any run starts, so a load error leaves here and no run starts. A
-    failed run is recorded with its message, never fatal, even when
-    every run fails."""
-    configs = {kind: replace(config, normalization=kind) for kind in config.methods}
-    prepared = {kind: prepare(method_config) for kind, method_config in configs.items()}
-    jobs = [(kind, config.base_seed + k) for kind in configs for k in range(config.runs)]
+    per finished job on stderr. The data is prepared once, before any
+    run starts, so a load error leaves here and no run starts. A failed
+    run is recorded with its message, never fatal, even when every run
+    fails."""
+    prepared = prepare(config)
+    jobs = [(kind, config.base_seed + k) for kind in prepared for k in range(config.runs)]
     outcomes: dict[tuple[str, int], object] = {}
     started = time.perf_counter()
-    for (kind, seed), outcome in _finished_jobs(configs, prepared, jobs, config.workers):
+    for (kind, seed), outcome in _finished_jobs(config, prepared, jobs):
         if isinstance(outcome, BaseException):
             outcome = f"{type(outcome).__name__}: {outcome}"  # a failure is kept as its message
         outcomes[kind, seed] = outcome
         status = f"failed: {outcome}" if isinstance(outcome, str) else "done"
         print(f"[{time.perf_counter() - started:7.0f}s] {kind} seed {seed} {status}", file=sys.stderr, flush=True)
 
-    methods = {kind: MethodResults() for kind in configs}
+    methods = {kind: MethodResults(scales=scheme.scales) for kind, (_, _, scheme) in prepared.items()}
     for kind, seed in jobs:
         method, outcome = methods[kind], outcomes[kind, seed]
         if isinstance(outcome, str):
             method.failures.append((seed, outcome))
             continue
-        result, trajectory, scales = outcome
+        result, trajectory = outcome
         method.results.append(result)
         method.trajectories[seed] = trajectory
-        method.scales = scales
     return CampaignReport(config=config, methods=methods)
 
 

@@ -237,25 +237,25 @@ def split_periods(
     time_window: int,
 ) -> PeriodSplit:
     """Cut a frame into a train slice and a window-prefixed test slice."""
-    if train_range[1] >= test_range[0]:
-        raise RangesOverlap(f"train range {train_range} must end before test range {test_range}")
     dates = frame.dates
+    train_text = f"train range {train_range[0]}..{train_range[1]}"
+    test_text = f"test range {test_range[0]}..{test_range[1]}"
+    data_text = f"(data: {dates[0]}..{dates[-1]})"
+    if train_range[1] >= test_range[0]:
+        raise RangesOverlap(f"{train_text} must end before {test_text} starts {data_text}")
     train_idx = [i for i, d in enumerate(dates) if train_range[0] <= d <= train_range[1]]
     test_idx = [i for i, d in enumerate(dates) if test_range[0] <= d <= test_range[1]]
-    if not train_idx or not test_idx:
-        raise ValueError("both ranges must intersect the frame calendar")
+    for text, idx in ((train_text, train_idx), (test_text, test_idx)):
+        if not idx:
+            raise ValueError(f"{text} holds no rows {data_text}")
     if len(train_idx) < time_window + 1:
         raise InsufficientTrainLength(
-            f"train range holds {len(train_idx)} rows, need at least {time_window + 1}"
+            f"{train_text} holds {len(train_idx)} rows, need at least {time_window + 1} {data_text}"
         )
-    prefix_start = test_idx[0] - (time_window - 1)
-    if prefix_start < 0:
-        raise InsufficientTrainLength(
-            f"only {test_idx[0]} rows precede the test range, need {time_window - 1}"
-        )
+    # the train rows precede the test range, so its (time_window - 1)-row prefix exists
     return PeriodSplit(
         train=frame.slice(train_idx[0], train_idx[-1] + 1),
-        test=frame.slice(prefix_start, test_idx[-1] + 1),
+        test=frame.slice(test_idx[0] - (time_window - 1), test_idx[-1] + 1),
     )
 
 

@@ -207,7 +207,7 @@ def test_seeds_are_paired_across_methods(tiny_config):
     runs = {}
     for kind in KINDS:
         config = replace(tiny_config, normalization=kind)
-        train_frame, _, scheme = prepare(config)
+        train_frame, _, scheme = prepare(config)[kind]
         params = init_policy(train_frame.n_assets, config.time_window, seed, k1=config.kernel_width,
                              c1=config.conv1_channels, c2=config.conv2_channels)
         initial = params.theta.copy()
@@ -229,7 +229,7 @@ def test_seeds_are_paired_across_methods(tiny_config):
 
 def test_prepare_rejects_a_batch_larger_than_the_training_slice(tiny_config):
     # 60 training rows with window 4 leave 56 decidable steps, i.e. 56 buffer entries
-    assert prepare(replace(tiny_config, batch_size=56))[0].n_steps == 60
+    assert prepare(replace(tiny_config, batch_size=56))["last_close"][0].n_steps == 60
     with pytest.raises(ValueError) as err:
         prepare(replace(tiny_config, batch_size=57))
     assert "batch_size = 57" in str(err.value) and "56 decidable training step" in str(err.value)
@@ -239,15 +239,16 @@ class TestRunSingle:
     def test_untrained_policy_backtests_with_near_uniform_actions(self, tiny_config):
         tiny_config.steps = 0
         tiny_config.online_steps = 0
-        result, trajectory, scales = run_single(tiny_config, 0, prepare(tiny_config))
-        assert scales is None
+        prepared = prepare(tiny_config)["last_close"]
+        result, trajectory = run_single(tiny_config, 0, prepared)
+        assert prepared[2].scales is None
         assert np.isfinite([result.metrics.fapv, result.metrics.mdd, result.metrics.sharpe]).all()
         uniform = 1.0 / 4.0
         assert np.abs(trajectory.actions - uniform).max() < 0.1
 
     def test_rerun_reproduces_result_bitwise(self, tiny_config):
-        first, traj_a, _ = run_single(tiny_config, 3, prepare(tiny_config))
-        second, traj_b, _ = run_single(tiny_config, 3, prepare(tiny_config))
+        first, traj_a = run_single(tiny_config, 3, prepare(tiny_config)["last_close"])
+        second, traj_b = run_single(tiny_config, 3, prepare(tiny_config)["last_close"])
         assert first.metrics == second.metrics
         assert np.array_equal(traj_a.values, traj_b.values)
         assert np.array_equal(traj_a.actions, traj_b.actions)
@@ -256,9 +257,12 @@ class TestRunSingle:
         tiny_config.normalization = "data_max"
         tiny_config.steps = 0
         tiny_config.online_steps = 0
-        result, _, scales = run_single(tiny_config, 0, prepare(tiny_config))
+        prepared = prepare(tiny_config)["data_max"]
+        result, _ = run_single(tiny_config, 0, prepared)
+        scales = prepared[2].scales
         assert scales is not None and len(scales) == 3
         assert all(s > 0 for s in scales)
+        assert result.trajectory_path == "traj_data_max_00000.tsv"
 
 
 class TestCampaign:
@@ -327,11 +331,19 @@ class TestCampaign:
                 right[name] = right[name].replace(b'"workers": "2"', b"").replace(b"workers = 2", b"")
             assert left[name] == right[name], name
 
+    def test_a_multi_method_campaign_parses_each_csv_once(self, tmp_path, monkeypatch):
+        config = load_config(write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS))
+        loads = record_csv_loads(monkeypatch)
+        report = run_campaign(config)
+        assert loads == ["T0", "T1", "T2"]
+        assert all(len(method.results) == 2 for method in report.methods.values())
+
     def test_a_method_whose_runs_all_fail_keeps_the_others(self, tmp_path, tiny_config, monkeypatch):
         import portrl.experiment as experiment
 
         fail_data_max(monkeypatch)
-        report = experiment.run_campaign(replace(tiny_config, normalization="last_close, data_max"))
+        config = replace(tiny_config, normalization="last_close, data_max")
+        report = experiment.run_campaign(config)
         assert [r.seed for r in report.methods["last_close"].results] == [0, 1]
         assert report.methods["data_max"].results == []
         assert report.methods["data_max"].failures == [(0, "RuntimeError: data_max diverged"),
@@ -340,6 +352,8 @@ class TestCampaign:
         summary = json.loads((tmp_path / "campaign" / "summary.json").read_text())
         assert summary["methods"]["data_max"]["aggregates"] is None
         assert summary["methods"]["data_max"]["max_fapv"] is None
+        # the fitted scales belong to the prepared data, not to a run
+        assert summary["methods"]["data_max"]["data_max_scales"] == list(prepare(config)["data_max"][2].scales)
         assert summary["methods"]["last_close"]["aggregates"]["fapv"]["mean"] == \
             aggregate(report.methods["last_close"].results)["fapv"][0]
         loaded = load_campaign(tmp_path / "campaign")
@@ -369,6 +383,18 @@ def fail_every_run(monkeypatch):
     monkeypatch.setattr(experiment, "run_single", always_fail)
 
 
+def record_csv_loads(monkeypatch):
+    """Record the ticker of every CSV that portrl.experiment parses."""
+    original, tickers = portrl.experiment.load_ohlc_csv, []
+
+    def recording(path, ticker):
+        tickers.append(ticker)
+        return original(path, ticker)
+
+    monkeypatch.setattr(portrl.experiment, "load_ohlc_csv", recording)
+    return tickers
+
+
 def fail_data_max(monkeypatch):
     """Make every data_max run fail; the other methods run normally."""
     import portrl.experiment as experiment
@@ -376,7 +402,7 @@ def fail_data_max(monkeypatch):
     original = experiment.run_single
 
     def fails_for_data_max(config, seed, prepared):
-        if config.normalization == "data_max":
+        if prepared[2].kind == "data_max":
             raise RuntimeError("data_max diverged")
         return original(config, seed, prepared)
 
@@ -419,14 +445,13 @@ def test_no_look_ahead_and_train_only_fitting(kind, day, factors):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config = load_config(write_config(tmp, write_market(tmp), normalization=kind, steps=3, online_steps=2))
-        _, test_frame, scheme = prepare(config)
+        _, test_frame, scheme = prepare(config)[kind]
         last_kept = config.time_window - 1 + day  # test frame index of test day ``day``
         manifest = perturb_after(tmp / "data", tmp / "perturbed", test_frame.dates[last_kept], factors)
         changed = replace(config, manifest=str(manifest))
-        assert prepare(changed)[2] == scheme
-        _, base, base_scales = run_single(config, 1, prepare(config))
-        _, moved, moved_scales = run_single(changed, 1, prepare(changed))
-        assert base_scales == moved_scales
+        assert prepare(changed)[kind][2] == scheme
+        _, base = run_single(config, 1, prepare(config)[kind])
+        _, moved = run_single(changed, 1, prepare(changed)[kind])
         kept = base.steps <= last_kept  # values and rewards up to day ``day``
         decided = base.steps <= last_kept + 1  # actions decided up to day ``day``
         assert kept.any() and np.array_equal(base.steps, moved.steps)
@@ -506,6 +531,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "3 assets" in out
         assert "decidable" in out
+
+    def test_validate_parses_each_csv_once_for_every_method(self, tmp_path, capsys, monkeypatch):
+        config_path = write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS)
+        loads = record_csv_loads(monkeypatch)
+        assert cli.main(["validate", str(config_path)]) == 0
+        assert loads == ["T0", "T1", "T2"]
+        assert "normalization 'last_close, last_price, data_max'" in capsys.readouterr().out
+
+    def test_validate_names_a_test_range_outside_the_data(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, write_market(tmp_path), test_start="2030-01-01", test_end="2030-12-31")
+        assert cli.main(["validate", str(config_path)]) == 2
+        assert capsys.readouterr() == ("", "test range 2030-01-01..2030-12-31 holds no rows "
+                                           "(data: 2021-01-01..2021-04-30)\n")
+
+    def test_report_on_a_missing_directory_is_its_message_alone_and_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "campaign"
+        assert cli.main(["report", str(missing)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and str(missing) in err and err.count("\n") == 1
+        assert not missing.exists()
 
     def test_validate_rejects_a_test_range_too_short_to_score(self, tmp_path, capsys):
         config_path = write_config(tmp_path, write_market(tmp_path), test_end="2021-03-03")

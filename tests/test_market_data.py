@@ -1,4 +1,5 @@
 import pickle
+import re
 from datetime import date
 
 import numpy as np
@@ -200,13 +201,26 @@ class TestSplit:
 
     def test_insufficient_train_length(self):
         frame = random_walk_frame(np.random.default_rng(2), 1, 60)
-        with pytest.raises(InsufficientTrainLength):
+        message = "train range 2020-01-01..2020-01-03 holds 3 rows, need at least 51 (data: 2020-01-01..2020-02-29)"
+        with pytest.raises(InsufficientTrainLength, match=re.escape(message)):
             split_periods(frame, (frame.dates[0], frame.dates[2]), (frame.dates[3], frame.dates[59]), 50)
 
     def test_overlapping_ranges(self):
         frame = random_walk_frame(np.random.default_rng(3), 1, 30)
-        with pytest.raises(RangesOverlap):
+        message = ("train range 2020-01-01..2020-01-16 must end before test range 2020-01-11..2020-01-30 "
+                   "starts (data: 2020-01-01..2020-01-30)")
+        with pytest.raises(RangesOverlap, match=re.escape(message)):
             split_periods(frame, (frame.dates[0], frame.dates[15]), (frame.dates[10], frame.dates[29]), 3)
+
+    @pytest.mark.parametrize("empty, outside", [("train", (date(2019, 1, 1), date(2019, 12, 31))),
+                                                 ("test", (date(2030, 1, 1), date(2030, 12, 31)))])
+    def test_a_range_without_rows_is_named_with_its_dates(self, empty, outside):
+        frame = random_walk_frame(np.random.default_rng(3), 1, 30)
+        ranges = {"train": (frame.dates[0], frame.dates[20]), "test": (frame.dates[21], frame.dates[29])}
+        ranges[empty] = outside
+        message = f"{empty} range {outside[0]}..{outside[1]} holds no rows (data: 2020-01-01..2020-01-30)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            split_periods(frame, ranges["train"], ranges["test"], 3)
 
     def test_nyse_style_date_config(self):
         frame = random_walk_frame(np.random.default_rng(4), 2, 3400, vol=0.01)
