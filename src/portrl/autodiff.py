@@ -52,10 +52,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # sample is ``group`` consecutive rows (the policy's n assets of one
 # window). A narrow kernel (conv1) makes one GEMM over the unfold of its
 # input, which keeps each output's 3*k-term sum in one fixed order. A
-# full-width kernel (conv2, the head) runs as one small product per
-# sample: a single GEMM over all rows changes its blocking, and with it
-# the summation order, with the row count, while a product of one
-# sample's rows has the same shape, and so the same bits, in any batch.
+# full-width kernel (conv2, the head) runs as small products per sample:
+# a single GEMM over all rows changes its blocking, and with it the
+# summation order, with the row count, while a product of one sample's
+# rows has the same shape, and so the same bits, in any batch.
+#
+# conv2 reads conv1's output where conv1 wrote it, channel-major
+# (C_in, rows, k): its forward is one product per input channel and
+# sample, over x[c], summed in channel order; its kernel gradient is one
+# GEMM per channel, g . x[c], and its input gradient one GEMM per channel,
+# g^T . K[:, c], written straight into the (C_in, rows, k) result. None of
+# the three makes a transposed copy of its input. conv2 writes its output
+# rows-major, so the 1-tap head reads it as one product per sample with
+# no copy either. The kernel width picks the form.
 
 
 def unfold(x: np.ndarray, k: int) -> np.ndarray:
@@ -90,15 +99,21 @@ def conv1d_over_time(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
         raise ShapeMismatch(f"conv1d_over_time: bias {bias.shape} vs kernels {kernels.shape}")
     rows = x.shape[1]
     t_out = x.shape[2] - k + 1
-    flat_kernels = kernels.reshape(c_out, c_in * k)
-    if t_out == 1:
-        per_group = np.matmul(x.transpose(1, 0, 2).reshape(rows // group, group, c_in * k), flat_kernels.T)
-        out = per_group.reshape(rows, c_out).T.reshape(c_out, rows, 1)
-    elif unfolded is None or unfolded.shape != (c_in, k, rows, t_out):
-        raise ShapeMismatch(f"conv1d_over_time: unfold {getattr(unfolded, 'shape', None)} vs input {x.shape} "
-                            f"and kernels {kernels.shape}")
+    if t_out > 1:
+        if unfolded is None or unfolded.shape != (c_in, k, rows, t_out):
+            raise ShapeMismatch(f"conv1d_over_time: unfold {getattr(unfolded, 'shape', None)} vs input {x.shape} "
+                                f"and kernels {kernels.shape}")
+        out = np.dot(kernels.reshape(c_out, c_in * k), unfolded.reshape(c_in * k, rows * t_out))
+        out = out.reshape(c_out, rows, t_out)
     else:
-        out = np.dot(flat_kernels, unfolded.reshape(c_in * k, rows * t_out)).reshape(c_out, rows, t_out)
+        if k == 1:  # one product per sample, over the rows-major input
+            per_group = np.matmul(x[:, :, 0].T.reshape(rows // group, group, c_in), kernels[:, :, 0].T)
+        else:  # per sample, one product per channel of the channel-major input, summed in channel order
+            samples = x.reshape(c_in, rows // group, group, k)
+            per_group = np.matmul(samples[0], kernels[:, 0].T)
+            for c in range(1, c_in):
+                per_group += np.matmul(samples[c], kernels[:, c].T)
+        out = per_group.reshape(rows, c_out).T.reshape(c_out, rows, 1)  # rows-major
     out += bias[:, None, None]  # out is this call's own product, in the layout a new sum would get
     return out
 
@@ -111,11 +126,12 @@ def conv1d_kernel_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     narrow kernel's input.
     """
     c_out, rows, t_out = g.shape
-    if t_out == 1:
-        c_in, k = x.shape[0], x.shape[2]
-        return np.dot(g[:, :, 0], x.transpose(1, 0, 2).reshape(rows, c_in * k)).reshape(c_out, c_in, k)
-    c_in, k = x.shape[:2]
-    return np.dot(g.reshape(c_out, rows * t_out), x.reshape(c_in * k, rows * t_out).T).reshape(c_out, c_in, k)
+    if t_out > 1:
+        c_in, k = x.shape[:2]
+        return np.dot(g.reshape(c_out, rows * t_out), x.reshape(c_in * k, rows * t_out).T).reshape(c_out, c_in, k)
+    if x.shape[2] == 1:
+        return np.dot(g[:, :, 0], x[:, :, 0].T)[:, :, None]
+    return np.stack([np.dot(g[:, :, 0], channel) for channel in x], axis=1)
 
 
 def conv1d_input_grad(g: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -125,9 +141,13 @@ def conv1d_input_grad(g: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     The graph only needs it for conv2 and the head: conv1's input is the
     state, which has no parameter behind it.
     """
-    c_out, c_in, k = kernels.shape
+    _, c_in, k = kernels.shape
     rows, t_out = g.shape[1], g.shape[2]
     if t_out != 1:
         raise ShapeMismatch(f"conv1d_input_grad: output gradient {g.shape} spans more than one step")
-    folded = np.dot(kernels.reshape(c_out, c_in * k).T, g[:, :, 0])
-    return np.ascontiguousarray(folded.reshape(c_in, k, rows).transpose(0, 2, 1))
+    if k == 1:
+        return np.dot(kernels[:, :, 0].T, g[:, :, 0])[:, :, None]
+    grad = np.empty((c_in, rows, k))
+    for c in range(c_in):
+        np.dot(g[:, :, 0].T, kernels[:, c], out=grad[c])
+    return grad

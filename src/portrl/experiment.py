@@ -342,14 +342,16 @@ def _write_trajectory(traj: Trajectory, path: Path) -> None:
 
 
 def _read_trajectory(path: Path) -> Trajectory:
-    lines = path.read_text().splitlines()
-    rows = [line.split("\t") for line in lines[1:]]
-    return Trajectory(
-        steps=np.array([int(r[0]) for r in rows], dtype=np.int64),
-        values=np.array([float(r[1]) for r in rows]),
-        rewards=np.array([float(r[2]) for r in rows]),
-        actions=np.array([[float(x) for x in r[3:]] for r in rows]),
-    )
+    rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+    try:
+        return Trajectory(
+            steps=np.array([int(r[0]) for r in rows], dtype=np.int64),
+            values=np.array([float(r[1]) for r in rows]),
+            rewards=np.array([float(r[2]) for r in rows]),
+            actions=np.array([[float(x) for x in r[3:]] for r in rows]),
+        )
+    except (ValueError, IndexError) as error:
+        raise ValueError(f"{path}: {error}") from None
 
 
 def summary_dict(report: CampaignReport) -> dict:
@@ -419,31 +421,51 @@ def emit_report(report: CampaignReport, out_dir: str | Path) -> None:
 
 
 def load_campaign(out_dir: str | Path) -> CampaignReport:
-    """Rebuild a CampaignReport from an emitted directory."""
+    """Rebuild a CampaignReport from an emitted directory.
+
+    A file that does not parse raises ValueError naming it: a
+    ``timings.tsv`` line with its line number, a missing ``summary.json``
+    key by name.
+    """
     out = Path(out_dir)
     config = load_config(out / "config_resolved.txt")
-    summary = json.loads((out / "summary.json").read_text())
+    timings_path = out / "timings.tsv"
     timings: dict[tuple[str, int], float] = {}
-    for line in (out / "timings.tsv").read_text().splitlines()[1:]:
-        kind, seed, wall = line.split("\t")
-        timings[(kind, int(seed))] = float(wall)
+    for number, line in enumerate(timings_path.read_text().splitlines()[1:], start=2):
+        try:
+            kind, seed, wall = line.split("\t")
+            timings[(kind, int(seed))] = float(wall)
+        except ValueError:
+            raise ValueError(f"{timings_path}:{number}: expected method, seed and wall time, got {line!r}") from None
 
-    methods: dict[str, MethodResults] = {}
-    for kind, entry in summary["methods"].items():
-        method = MethodResults()
-        for run in entry["runs"]:
-            result = RunResult(
-                seed=run["seed"],
-                metrics=metrics_mod.MetricReport(**{name: run[name] for name in _RUN_METRICS}),
-                trajectory_path=run["trajectory"],
-                wall_time=timings.get((kind, run["seed"]), 0.0),
-            )
-            method.results.append(result)
-            traj_file = out / run["trajectory"]
-            if traj_file.exists():
-                method.trajectories[result.seed] = _read_trajectory(traj_file)
-        method.failures = [(f["seed"], f["error"]) for f in entry["failures"]]
-        scales = entry["data_max_scales"]
-        method.scales = tuple(scales) if scales is not None else None
-        methods[kind] = method
+    summary_path = out / "summary.json"
+    try:
+        summary = json.loads(summary_path.read_text())
+        methods = {kind: _load_method(out, kind, entry, timings) for kind, entry in summary["methods"].items()}
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{summary_path}: not valid JSON: {error}") from None
+    except KeyError as error:
+        raise ValueError(f"{summary_path}: missing key {error}") from None
+    except (TypeError, AttributeError) as error:
+        raise ValueError(f"{summary_path}: {error}") from None
     return CampaignReport(config=config, methods=methods)
+
+
+def _load_method(out: Path, kind: str, entry: dict, timings: dict[tuple[str, int], float]) -> MethodResults:
+    """One method's entry of summary.json, with its trajectories and wall times."""
+    method = MethodResults()
+    for run in entry["runs"]:
+        result = RunResult(
+            seed=run["seed"],
+            metrics=metrics_mod.MetricReport(**{name: run[name] for name in _RUN_METRICS}),
+            trajectory_path=run["trajectory"],
+            wall_time=timings.get((kind, run["seed"]), 0.0),
+        )
+        method.results.append(result)
+        traj_file = out / run["trajectory"]
+        if traj_file.exists():
+            method.trajectories[result.seed] = _read_trajectory(traj_file)
+    method.failures = [(f["seed"], f["error"]) for f in entry["failures"]]
+    scales = entry["data_max_scales"]
+    method.scales = tuple(scales) if scales is not None else None
+    return method

@@ -9,12 +9,16 @@ never mix: the network is equivariant under asset permutation.
 
 The graph runs in two parts, split where the last action enters:
 ``features`` and ``head``. ``features`` gives a sample the same bits at
-any batch size: conv2 and the head's feature part run one product per
-sample, over its n asset rows, so the sample, not the batch, fixes the
-summation order. The buffer rewrite therefore runs ``features`` once
-per batch, over the objective's conv1 unfold, and chains only the head
-step (``head_chain``), which ``policy_forward`` runs for one sample: the
-filled and rewritten actions match ``policy_forward`` bit for bit.
+any batch size: conv2 runs one product per input channel per sample,
+over the sample's n asset rows of conv1's channel-major output, and the
+head's feature part one product per sample, so the sample, not the
+batch, fixes the summation order. The buffer rewrite therefore runs
+``features`` once per batch, over the objective's conv1 unfold, and
+chains only the head step (``head_chain``), which ``policy_forward``
+runs for one sample: the filled and rewritten actions match
+``policy_forward`` bit for bit. conv1 writes its output channel-major
+and conv2 reads it so, in its forward and in both its gradients, with
+no transposed copy.
 
 The learnable values live in one flat array, ``PolicyParams.theta``,
 whose named blocks every function here reads as views;
@@ -191,7 +195,9 @@ def backward_batch(params: PolicyParams, activations: tuple, grad_actions: np.nd
     """Set every entry of ``params.grad`` from d(loss)/d(actions) of one forward_batch.
 
     A ReLU passes gradient only where its output is positive (the
-    subgradient at 0 is 0).
+    subgradient at 0 is 0). Both masks apply in place to the input
+    gradients the conv kernels return fresh; ``activations`` is left as
+    it was, and the buffer rewrite reads its unfold again.
     """
     unfolded, h1, h2, last_actions, actions = activations
     grad = params.views(params.grad)
@@ -203,10 +209,12 @@ def backward_batch(params: PolicyParams, activations: tuple, grad_actions: np.nd
     memory = last_actions[:, 1:].reshape(1, -1, 1)
     grad["out_kernels"][...] = ad.conv1d_kernel_grad(g, np.concatenate([h2, memory]))
     grad["out_bias"][...] = g.sum(axis=(1, 2))
-    g = ad.conv1d_input_grad(g, params.out_kernels[:, :-1]) * (h2 > 0.0)
+    g = ad.conv1d_input_grad(g, params.out_kernels[:, :-1])
+    g *= h2 > 0.0
     grad["conv2_kernels"][...] = ad.conv1d_kernel_grad(g, h1)
     grad["conv2_bias"][...] = g.sum(axis=(1, 2))
-    g = ad.conv1d_input_grad(g, params.conv2_kernels) * (h1 > 0.0)
+    g = ad.conv1d_input_grad(g, params.conv2_kernels)
+    g *= h1 > 0.0
     grad["conv1_kernels"][...] = ad.conv1d_kernel_grad(g, unfolded)
     grad["conv1_bias"][...] = g.sum(axis=(1, 2))
 

@@ -99,6 +99,38 @@ def test_conv_gradients_match_finite_differences_both_paths():
     assert max(check(full)) < 1e-6
 
 
+@pytest.mark.parametrize("c_in, t, group, rows_major", [
+    (2, 6, 3, False),  # conv2: multi-tap, one product per channel of its channel-major input
+    (3, 5, 2, False),
+    (4, 1, 3, True),   # the head: 1-tap, one product over its rows-major input
+    (4, 1, 3, False),
+])
+def test_full_width_kernels_match_einsum_and_finite_differences(c_in, t, group, rows_major):
+    rng = np.random.default_rng(c_in * 10 + t)
+    rows, c_out = 3 * group, 5
+    x = rng.normal(size=(c_in, rows, t))
+    if rows_major:  # laid out as conv2 writes its output
+        x = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+    kernels = rng.normal(size=(c_out, c_in, t))
+    bias = rng.normal(size=(c_out,))
+
+    def loss(inputs):
+        out = ad.conv1d_over_time(inputs, kernels, bias, group=group)
+        return float((out * out).mean())
+
+    out = ad.conv1d_over_time(x, kernels, bias, group=group)
+    reference = np.einsum("crt,oct->or", x, kernels)[:, :, None] + bias[:, None, None]
+    assert out.shape == (c_out, rows, 1)
+    assert np.allclose(out, reference, rtol=1e-13, atol=1e-13)
+    g = 2.0 * out / out.size
+    grad_k = ad.conv1d_kernel_grad(g, x)
+    assert max_fd_error(lambda: loss(x), kernels.reshape(-1), grad_k, 1e-5) < 1e-6
+    grad_x = ad.conv1d_input_grad(g, kernels)
+    assert grad_x.shape == x.shape
+    flat = x.copy()  # a contiguous copy, which the finite differences perturb through its flat view
+    assert max_fd_error(lambda: loss(flat), flat.reshape(-1), grad_x, 1e-5) < 1e-6
+
+
 def test_input_grad_rejects_narrow_kernels():
     with pytest.raises(ShapeMismatch):
         ad.conv1d_input_grad(np.zeros((4, 3, 6)), np.zeros((4, 2, 3)))

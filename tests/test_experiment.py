@@ -552,6 +552,58 @@ class TestCli:
         assert out == "" and str(missing) in err and err.count("\n") == 1
         assert not missing.exists()
 
+    def emitted_campaign(self, tmp_path, capsys):
+        out_dir = tmp_path / "campaign"
+        config_path = write_config(tmp_path, write_market(tmp_path))
+        assert cli.main(["run", str(config_path), "--out", str(out_dir), "--runs", "1", "--steps", "1"]) == 0
+        capsys.readouterr()
+        return out_dir
+
+    def report_error(self, out_dir, capsys):
+        """The report's stderr, after checking it exits 2 with nothing else printed or written."""
+        before = non_timing_files(out_dir)
+        assert cli.main(["report", str(out_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert non_timing_files(out_dir) == before
+        return err
+
+    def test_report_on_a_summary_that_is_not_json_names_the_file(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        summary = out_dir / "summary.json"
+        summary.write_text(summary.read_text().replace('"methods"', "methods"))
+        assert self.report_error(out_dir, capsys).startswith(f"{summary}: not valid JSON: Expecting property name")
+
+    def test_report_on_a_summary_missing_a_key_names_the_file_and_key(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        summary = out_dir / "summary.json"
+        content = json.loads(summary.read_text())
+        del content["methods"]["last_close"]["failures"]
+        summary.write_text(json.dumps(content))
+        assert self.report_error(out_dir, capsys) == f"{summary}: missing key 'failures'\n"
+
+    def test_report_on_a_summary_of_the_wrong_shape_names_the_file(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        summary = out_dir / "summary.json"
+        content = json.loads(summary.read_text())
+        content["methods"]["last_close"]["runs"] = 3
+        summary.write_text(json.dumps(content))
+        assert self.report_error(out_dir, capsys) == f"{summary}: 'int' object is not iterable\n"
+
+    def test_report_on_a_malformed_timings_line_names_the_file_and_line(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        timings = out_dir / "timings.tsv"
+        timings.write_text(timings.read_text() + "last_close\t1\n")
+        assert self.report_error(out_dir, capsys) == (
+            f"{timings}:3: expected method, seed and wall time, got 'last_close\\t1'\n")
+
+    def test_report_on_a_malformed_trajectory_names_the_file(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        trajectory = next(out_dir.glob("traj_*.tsv"))
+        header = trajectory.read_text().splitlines()[0]
+        trajectory.write_text(f"{header}\n1\tx\t0.0\n")
+        assert self.report_error(out_dir, capsys).startswith(f"{trajectory}: could not convert string to float")
+
     def test_validate_rejects_a_test_range_too_short_to_score(self, tmp_path, capsys):
         config_path = write_config(tmp_path, write_market(tmp_path), test_end="2021-03-03")
         assert cli.main(["validate", str(config_path)]) == 2

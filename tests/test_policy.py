@@ -142,6 +142,24 @@ class TestForward:
             assert np.isfinite(grad).all(), name
             assert np.abs(grad).max() > 0.0, name
 
+    def test_backward_leaves_its_activations_alone(self):
+        # the ReLU masks apply in place to fresh input gradients; the buffer rewrite reads the unfold again
+        rng = np.random.default_rng(15)
+        params = init_policy(9, 50, seed=15)
+        states, lasts = random_inputs(rng, 9, 50, batch=7)
+        actions, activations = forward_batch(params, states, lasts)
+        _, h1, h2, _, _ = activations
+        assert (h1 == 0.0).any() and (h1 > 0.0).any() and (h2 == 0.0).any() and (h2 > 0.0).any()
+        before = [array.copy() for array in activations]
+        grad_actions = rng.normal(size=actions.shape)
+        backward_batch(params, activations, grad_actions)
+        first = params.grad.copy()
+        names = ("unfold", "h1", "h2", "last actions", "actions")
+        for name, array, kept in zip(names, activations, before):
+            assert array.tobytes() == kept.tobytes(), name
+        backward_batch(params, activations, grad_actions)
+        assert params.grad.tobytes() == first.tobytes()
+
     def test_batch_gradient_is_the_sum_of_per_sample_gradients(self):
         # the batch folds into the convolutions' row axis; backward must not mix samples
         params = init_policy(4, 10, seed=9)
