@@ -14,6 +14,7 @@ every other emitted byte is reproducible from (config, seed) alone.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -25,7 +26,8 @@ from typing import get_type_hints
 import numpy as np
 
 from . import metrics as metrics_mod
-from .market_data import ALIGNMENT_POLICIES, MarketFrame, align_assets, load_manifest, load_ohlc_csv, split_periods
+from .market_data import (ALIGNMENT_POLICIES, MarketFrame, align_assets, load_manifest, load_ohlc_csv, read_text,
+                          split_periods)
 from .normalization import DATA_MAX, KINDS, NormalizationScheme, apply_data_max, fit_data_max, scheme_from_kind
 from .policy import init_policy
 from .training import Trainer, TrainerConfig, Trajectory
@@ -37,14 +39,14 @@ _METRIC_NAMES = tuple(name for name, hint in get_type_hints(metrics_mod.MetricRe
 _ALIGNMENTS = ("", *ALIGNMENT_POLICIES)
 # Allowed range of each numeric key: (test, description). NaN fails every test.
 _RANGES = {
-    "learning_rate": (lambda v: v > 0, "> 0"),
+    "learning_rate": (lambda v: 0 < v < math.inf, "finite and > 0"),
     "batch_size": (lambda v: v >= 1, ">= 1"),
     "sample_bias": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "steps": (lambda v: v >= 0, ">= 0"),
     "online_steps": (lambda v: v >= 0, ">= 0"),
     "commission_rate": (lambda v: 0 <= v < 1, "in [0, 1)"),
-    "initial_value": (lambda v: v > 0, "> 0"),
-    "weight_decay": (lambda v: v >= 0, ">= 0"),
+    "initial_value": (lambda v: 0 < v < math.inf, "finite and > 0"),
+    "weight_decay": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
     "runs": (lambda v: v >= 1, ">= 1"),
     "base_seed": (lambda v: v >= 0, ">= 0"),
     "workers": (lambda v: v >= 1, ">= 1"),
@@ -136,7 +138,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     values: dict[str, object] = {}
     key_lines: dict[str, int] = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -190,8 +192,8 @@ def prepare(config: ExperimentConfig) -> dict[str, Prepared]:
     state needs.
     """
     entries, manifest_alignment = load_manifest(config.manifest)
-    series = [load_ohlc_csv(csv_path, ticker) for ticker, csv_path in entries]
-    frame = align_assets(series, config.alignment or manifest_alignment or "intersect")
+    frames = [load_ohlc_csv(csv_path, ticker) for ticker, csv_path in entries]
+    frame = align_assets(frames, config.alignment or manifest_alignment or "intersect")
     split = split_periods(
         frame,
         (config.train_start, config.train_end),

@@ -1,15 +1,20 @@
 """Loading, validation, alignment, and splitting of daily OHLC series.
 
-CSV inputs carry a header with date/open/high/low/close columns
-(case-insensitive, extra columns ignored), ISO-8601 dates, and plain
-decimal prices. Aligned data lives in an immutable MarketFrame whose
-matrices are (assets, days); cash is implicit at index 0 of every
+CSV inputs are UTF-8 (a leading byte-order mark is allowed) and carry a
+header with date/open/high/low/close columns (case-insensitive, extra
+columns ignored), ISO-8601 dates, and plain decimal prices. All price
+data lives in one immutable type, MarketFrame, whose matrices are
+(assets, days): loading a CSV gives a one-asset frame, and alignment
+joins frames onto one calendar by a sorted-date search, each frame
+contributing its own assets. Cash is implicit at index 0 of every
 relative vector with a price ratio of exactly 1.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -38,10 +43,6 @@ class EmptyIntersection(ValueError):
     pass
 
 
-class NoCommonStart(ValueError):
-    pass
-
-
 class RangesOverlap(ValueError):
     pass
 
@@ -55,23 +56,9 @@ class IndexOutOfRange(IndexError):
 
 
 @dataclass(frozen=True, eq=False)
-class AssetSeries:
-    """One asset's validated OHLC history, sorted by date; the open is
-    checked against low/high on load but not kept."""
-
-    ticker: str
-    dates: tuple[date, ...]
-    highs: np.ndarray
-    lows: np.ndarray
-    closes: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-
-@dataclass(frozen=True, eq=False)
 class MarketFrame:
-    """Aligned close/high/low matrices of shape (assets, days)."""
+    """Close/high/low matrices of shape (assets, days): one loaded CSV's
+    asset, or a basket aligned onto one calendar."""
 
     tickers: tuple[str, ...]
     dates: tuple[date, ...]
@@ -118,30 +105,42 @@ class PeriodSplit:
     test: MarketFrame
 
 
-def load_ohlc_csv(path: str | Path, ticker: str) -> AssetSeries:
-    """Parse and validate one asset's OHLC CSV, sorting rows by date."""
+def read_text(path: Path) -> str:
+    """A text file's contents as UTF-8, without a leading byte-order mark.
+    A byte that is not UTF-8 raises a ValueError naming the file and line."""
+    try:
+        return path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line_no = exc.object[:exc.start].count(b"\n") + 1
+        raise ValueError(f"{path}:{line_no}: byte {exc.object[exc.start]:#04x} is not UTF-8 "
+                         f"({exc.reason})") from None
+
+
+def load_ohlc_csv(path: str | Path, ticker: str) -> MarketFrame:
+    """Parse and validate one asset's OHLC CSV into a one-asset frame,
+    sorting rows by date; the open is checked against low/high but not
+    kept."""
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptySeries(f"{path}: file is empty") from None
+    columns = {name.strip().lower(): i for i, name in enumerate(header)}
+    required = ("date", "open", "high", "low", "close")
+    for name in required:
+        if name not in columns:
+            raise MissingColumn(f"{path}: missing column '{name}' in header {header}")
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptySeries(f"{path}: file is empty") from None
-        columns = {name.strip().lower(): i for i, name in enumerate(header)}
-        required = ("date", "open", "high", "low", "close")
-        for name in required:
-            if name not in columns:
-                raise MissingColumn(f"{path}: missing column '{name}' in header {header}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                day = date.fromisoformat(row[columns["date"]].strip())
-                values = [float(row[columns[name]]) for name in required[1:]]
-            except (ValueError, IndexError) as exc:
-                raise UnparsableRow(f"{path}:{line_no}: {exc}") from None
-            rows.append((day, line_no, values))
+            day = date.fromisoformat(row[columns["date"]].strip())
+            values = [float(row[columns[name]]) for name in required[1:]]
+        except (ValueError, IndexError) as exc:
+            raise UnparsableRow(f"{path}:{line_no}: {exc}") from None
+        rows.append((day, line_no, values))
 
     if not rows:
         raise EmptySeries(f"{path}: no data rows")
@@ -162,68 +161,48 @@ def load_ohlc_csv(path: str | Path, ticker: str) -> AssetSeries:
                 f"{path}:{line_no}: OHLC ordering violated on {day} (open={o}, high={h}, low={l}, close={c})"
             )
         highs[i], lows[i], closes[i] = h, l, c
-    return AssetSeries(
-        ticker=ticker,
+    return MarketFrame(
+        tickers=(ticker,),
         dates=tuple(day for day, _, _ in rows),
-        highs=highs,
-        lows=lows,
-        closes=closes,
+        closes=closes[np.newaxis],
+        highs=highs[np.newaxis],
+        lows=lows[np.newaxis],
     )
 
 
 ALIGNMENT_POLICIES = ("intersect", "forward_fill")
 
 
-def align_assets(series: list[AssetSeries], policy: str = "intersect") -> MarketFrame:
-    """Merge per-asset series onto one calendar.
+def align_assets(frames: list[MarketFrame], policy: str = "intersect") -> MarketFrame:
+    """Join frames, each with sorted unique dates, onto one calendar; the
+    result lists every frame's assets in order.
 
-    ``intersect`` keeps dates present in every series; ``forward_fill``
-    uses the union calendar, copying each asset's most recent prior row
-    into gaps, and trims leading dates for which some asset has no prior
-    row yet.
+    ``intersect`` keeps the dates present in every frame; ``forward_fill``
+    keeps the union of their dates on or after the latest first date, and
+    fills each asset's gaps with its most recent earlier row (which may
+    predate that start).
     """
-    if not series:
-        raise ValueError("align_assets needs at least one series")
+    if not frames:
+        raise ValueError("align_assets needs at least one frame")
     if policy not in ALIGNMENT_POLICIES:
         raise ValueError(f"unknown alignment policy '{policy}'")
-
+    # ordinals, not datetime64: numpy converts date objects to datetime64 slowly
+    days = [np.fromiter(map(date.toordinal, frame.dates), np.int64, frame.n_steps) for frame in frames]
+    tickers = tuple(ticker for frame in frames for ticker in frame.tickers)
     if policy == "intersect":
-        common = set(series[0].dates)
-        for s in series[1:]:
-            common &= set(s.dates)
-        if not common:
-            raise EmptyIntersection(f"no common dates across {[s.ticker for s in series]}")
-        calendar = sorted(common)
+        calendar = functools.reduce(np.intersect1d, days)
+        if not calendar.size:
+            raise EmptyIntersection(f"no common dates across {list(tickers)}")
     else:
-        union: set[date] = set()
-        for s in series:
-            union |= set(s.dates)
-        start = max(s.dates[0] for s in series)
-        calendar = sorted(d for d in union if d >= start)
-        if not calendar:
-            raise NoCommonStart(f"no date on or after every series start across {[s.ticker for s in series]}")
-
-    n, length = len(series), len(calendar)
-    closes, highs, lows = np.empty((n, length)), np.empty((n, length)), np.empty((n, length))
-    for i, s in enumerate(series):
-        lookup = {d: j for j, d in enumerate(s.dates)}
-        # most recent row at or before the calendar start (may predate it)
-        last = None
-        for j, day in enumerate(s.dates):
-            if day > calendar[0]:
-                break
-            last = j
-        for j, day in enumerate(calendar):
-            if day in lookup:
-                last = lookup[day]
-            elif policy == "intersect" or last is None:
-                raise NoCommonStart(f"{s.ticker}: no prior row for {day}")
-            closes[i, j] = s.closes[last]
-            highs[i, j] = s.highs[last]
-            lows[i, j] = s.lows[last]
+        calendar = functools.reduce(np.union1d, days)
+        calendar = calendar[calendar >= max(d[0] for d in days)]
+    # each frame's row on a calendar day is its last row on or before that day
+    rows = [np.searchsorted(d, calendar, side="right") - 1 for d in days]
+    closes, highs, lows = (np.concatenate([getattr(frame, name)[:, r] for frame, r in zip(frames, rows)])
+                           for name in ("closes", "highs", "lows"))
     return MarketFrame(
-        tickers=tuple(s.ticker for s in series),
-        dates=tuple(calendar),
+        tickers=tickers,
+        dates=tuple(map(date.fromordinal, calendar.tolist())),
         closes=closes,
         highs=highs,
         lows=lows,
@@ -279,7 +258,7 @@ def load_manifest(path: str | Path) -> tuple[list[tuple[str, Path]], str | None]
     alignment = None
     alignment_line = None
     ticker_lines: dict[str, int] = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

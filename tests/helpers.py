@@ -1,5 +1,6 @@
-"""Shared test helpers: synthetic market data, the finite-difference
-oracle with mu held constant, and the bisection oracle for mu."""
+"""Shared test helpers: synthetic market data, the per-day alignment
+oracle, the finite-difference oracle with mu held constant, and the
+bisection oracle for mu."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from portrl import training
 from portrl.environment import transaction_factor_batch
-from portrl.market_data import MarketFrame
+from portrl.market_data import EmptyIntersection, MarketFrame
 
 
 def make_frame(closes, spread: float = 0.01, start: date = date(2020, 1, 1), tickers=None) -> MarketFrame:
@@ -36,6 +37,50 @@ def random_walk_frame(rng: np.random.Generator, n: int, length: int,
 def write_ohlc_csv(path, rows, header="date,open,high,low,close") -> None:
     lines = [header] + [",".join(str(cell) for cell in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
+
+
+def align_assets_reference(frames: list[MarketFrame], policy: str) -> MarketFrame:
+    """Oracle for market_data.align_assets: set-built calendars, then a
+    loop over every (asset, calendar day) that takes the asset's row on
+    that day or its most recent earlier row."""
+    if policy == "intersect":
+        common = set(frames[0].dates)
+        for frame in frames[1:]:
+            common &= set(frame.dates)
+        if not common:
+            raise EmptyIntersection("no common dates")
+        calendar = sorted(common)
+    else:
+        union: set[date] = set()
+        for frame in frames:
+            union |= set(frame.dates)
+        start = max(frame.dates[0] for frame in frames)
+        calendar = sorted(d for d in union if d >= start)
+    assets = [(frame, a) for frame in frames for a in range(frame.n_assets)]
+    closes, highs, lows = (np.empty((len(assets), len(calendar))) for _ in range(3))
+    for i, (frame, a) in enumerate(assets):
+        lookup = {d: j for j, d in enumerate(frame.dates)}
+        # most recent row at or before the calendar start (may predate it)
+        last = None
+        for j, day in enumerate(frame.dates):
+            if day > calendar[0]:
+                break
+            last = j
+        for j, day in enumerate(calendar):
+            if day in lookup:
+                last = lookup[day]
+            elif policy == "intersect" or last is None:
+                raise AssertionError(f"{frame.tickers[a]}: no row on or before {day}")
+            closes[i, j] = frame.closes[a, last]
+            highs[i, j] = frame.highs[a, last]
+            lows[i, j] = frame.lows[a, last]
+    return MarketFrame(
+        tickers=tuple(frame.tickers[a] for frame, a in assets),
+        dates=tuple(calendar),
+        closes=closes,
+        highs=highs,
+        lows=lows,
+    )
 
 
 def random_simplex(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -122,6 +122,7 @@ class TestConfig:
         ("kernel_width", "0"), ("conv1_channels", "0"), ("conv2_channels", "0"),
         ("weight_decay", "-1"), ("base_seed", "-1"),
         ("learning_rate", "0"), ("batch_size", "0"), ("runs", "0"), ("initial_value", "-1"),
+        ("learning_rate", "inf"), ("weight_decay", "inf"), ("initial_value", "inf"),
         ("time_window", "3"),  # the default kernel_width 3 needs at least 4
         ("alignment", "outer"),
         ("normalization", "last_close, zscore"), ("normalization", "data_max, data_max"),
@@ -132,6 +133,11 @@ class TestConfig:
         with pytest.raises(ValueError) as err:
             load_config(path)
         assert str(path) in str(err.value) and key in str(err.value)
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, tiny_config):
+        path = write_config(tmp_path, tmp_path / "data" / "portfolio.txt")
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_config(path) == tiny_config
 
     def test_repeated_key_names_file_and_both_lines(self, tmp_path):
         path = write_config(tmp_path, tmp_path / "portfolio.txt", steps=300000)  # steps is line 10
@@ -544,6 +550,16 @@ class TestCli:
         assert cli.main(["validate", str(config_path)]) == 2
         assert capsys.readouterr() == ("", "test range 2030-01-01..2030-12-31 holds no rows "
                                            "(data: 2021-01-01..2021-04-30)\n")
+
+    def test_validate_names_the_csv_and_line_of_a_byte_that_is_not_utf8(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, write_market(tmp_path))
+        csv_path = tmp_path / "data" / "T1.csv"
+        lines = csv_path.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b"2021", b"2\xe921", 1)
+        csv_path.write_bytes(b"\n".join(lines))
+        assert cli.main(["validate", str(config_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"{csv_path.resolve()}:4: byte 0xe9 is not UTF-8")
 
     def test_report_on_a_missing_directory_is_its_message_alone_and_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "campaign"

@@ -1,20 +1,21 @@
 import pickle
 import re
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_frame, random_walk_frame, write_ohlc_csv
+from helpers import align_assets_reference, make_frame, random_walk_frame, write_ohlc_csv
 from portrl.market_data import (
+    ALIGNMENT_POLICIES,
     EmptyIntersection,
     EmptySeries,
     IndexOutOfRange,
     InsufficientTrainLength,
+    MarketFrame,
     MissingColumn,
-    NoCommonStart,
     OhlcOrderingViolation,
     RangesOverlap,
     UnparsableRow,
@@ -38,11 +39,11 @@ class TestLoadCsv:
             tmp_path,
             [("2020-01-02", 10, 12, 9, 11), ("2020-01-03", 11, 13, 10, 12)],
         )
-        assert len(series) == 2
+        assert series.n_steps == 2
         assert series.dates == (date(2020, 1, 2), date(2020, 1, 3))
-        assert np.array_equal(series.closes, [11.0, 12.0])
-        assert np.array_equal(series.highs, [12.0, 13.0])
-        assert np.array_equal(series.lows, [9.0, 10.0])
+        assert np.array_equal(series.closes[0], [11.0, 12.0])
+        assert np.array_equal(series.highs[0], [12.0, 13.0])
+        assert np.array_equal(series.lows[0], [9.0, 10.0])
         assert not hasattr(series, "opens")  # the open is validated, not stored
 
     def test_close_above_high_rejected(self, tmp_path):
@@ -92,13 +93,30 @@ class TestLoadCsv:
         with pytest.raises(EmptySeries):
             series_from_rows(tmp_path, [])
 
+    def test_byte_order_mark_before_the_header_is_skipped(self, tmp_path):
+        rows = [("2020-01-02", 10, 12, 9, 11), ("2020-01-03", 11, 13, 10, 12)]
+        plain = series_from_rows(tmp_path, rows, ticker="P")
+        path = tmp_path / "BOM.csv"
+        write_ohlc_csv(path, rows)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked = load_ohlc_csv(path, "BOM")
+        assert marked.dates == plain.dates
+        assert np.array_equal(marked.closes, plain.closes)
+
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "LATIN1.csv"
+        path.write_bytes(b"date,open,high,low,close\n2020-01-02,10,12,9,11\n2020-01-03,1\xe9,13,10,12\n")
+        with pytest.raises(ValueError) as err:
+            load_ohlc_csv(path, "L")
+        assert str(err.value).startswith(f"{path}:3: byte 0xe9 is not UTF-8")
+
     def test_extra_columns_and_case_insensitive_header(self, tmp_path):
         series = series_from_rows(
             tmp_path,
             [("2020-01-02", 10, 12, 9, 11, 99999)],
             header="Date,Open,High,Low,Close,Volume",
         )
-        assert series.closes[0] == 11.0
+        assert series.closes[0, 0] == 11.0
 
 
 def two_series(tmp_path):
@@ -122,8 +140,8 @@ class TestAlign:
         b = series_from_rows(tmp_path, rows, ticker="B")
         frame = align_assets([a, b], "intersect")
         assert frame.dates == a.dates
-        assert np.array_equal(frame.closes[0], a.closes)
-        assert np.array_equal(frame.closes[1], b.closes)
+        assert np.array_equal(frame.closes[0], a.closes[0])
+        assert np.array_equal(frame.closes[1], b.closes[0])
 
     def test_intersect_drops_partial_dates(self, tmp_path):
         a, b = two_series(tmp_path)
@@ -187,7 +205,51 @@ class TestAlign:
         frame = align_assets(sources, "forward_fill")
         assert np.isfinite(frame.closes).all()
         for i, source in enumerate(sources):
-            assert set(frame.closes[i]) <= set(source.closes)
+            assert set(frame.closes[i]) <= set(source.closes[0])
+
+
+def frames_on_calendars(calendars, seed):
+    """One frame per (days, n_assets) pair: days are offsets from
+    2020-01-01, prices random and distinct across the three matrices."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for k, (days, n_assets) in enumerate(calendars):
+        shape = (n_assets, len(days))
+        frames.append(MarketFrame(
+            tickers=tuple(f"F{k}A{a}" for a in range(n_assets)),
+            dates=tuple(date(2020, 1, 1) + timedelta(days=d) for d in sorted(days)),
+            closes=rng.uniform(1.0, 2.0, shape),
+            highs=rng.uniform(2.0, 3.0, shape),
+            lows=rng.uniform(0.5, 1.0, shape),
+        ))
+    return frames
+
+
+def aligned_or_empty(align, frames, policy):
+    try:
+        return align(frames, policy)
+    except EmptyIntersection:
+        return None
+
+
+@given(
+    calendars=st.lists(st.tuples(st.sets(st.integers(0, 20), min_size=1, max_size=15), st.integers(1, 2)),
+                       min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(calendars=[({0, 1, 3, 4}, 2), ({1, 2, 4}, 1)], seed=0)
+@settings(max_examples=150, deadline=None)
+def test_align_matches_the_per_day_reference(calendars, seed):
+    frames = frames_on_calendars(calendars, seed)
+    for policy in ALIGNMENT_POLICIES:
+        got = aligned_or_empty(align_assets, frames, policy)
+        want = aligned_or_empty(align_assets_reference, frames, policy)
+        assert (got is None) == (want is None), policy
+        if want is None:
+            continue
+        assert got.dates == want.dates and got.tickers == want.tickers
+        for name in ("closes", "highs", "lows"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (policy, name)
 
 
 class TestSplit:
@@ -297,6 +359,13 @@ def test_manifest_parsing(tmp_path):
     bad.write_text("files = x\n")
     with pytest.raises(ValueError):
         load_manifest(bad)
+
+
+def test_manifest_byte_order_mark_is_not_part_of_the_first_ticker(tmp_path):
+    manifest = tmp_path / "portfolio.txt"
+    manifest.write_bytes("\ufeffCOIN1 a.csv\nCOIN2 b.csv\n".encode("utf-8"))
+    entries, _ = load_manifest(manifest)
+    assert [ticker for ticker, _ in entries] == ["COIN1", "COIN2"]
 
 
 def test_manifest_ticker_listed_twice_names_file_and_both_lines(tmp_path):

@@ -181,6 +181,7 @@ class TestBatchInvariance:
     not depend on the batch around it: the buffer rewrite takes one batched
     pass where the backtest and the tests make one call per sample."""
 
+    @pytest.mark.blas_invariance
     def test_features_have_the_same_bits_at_batch_sizes_1_7_and_200(self):
         params = init_policy(9, 50, seed=21)
         states, _ = random_inputs(np.random.default_rng(21), 9, 50, batch=230)
@@ -199,6 +200,7 @@ class TestBatchInvariance:
 
     # conv2 and the head run one product per sample of n rows: n = 1 makes
     # one-row products, 9 one BLAS tile plus a remainder, 17 two plus one
+    @pytest.mark.blas_invariance
     @pytest.mark.parametrize("n_assets", [1, 9, 17])
     def test_a_sample_has_the_same_bits_alone_and_in_batches_of_7_and_200(self, n_assets):
         params = init_policy(n_assets, 50, seed=22)

@@ -116,6 +116,7 @@ class TestFillBuffer:
         expected = frame.closes[:, 4] / frame.closes[:, 3]
         assert np.array_equal(trainer.buffer.relatives[0, 1:], expected)
 
+    @pytest.mark.blas_invariance
     @pytest.mark.parametrize("kind", KINDS)
     def test_passes_of_any_size_store_the_policy_forward_chain_at_paper_shape(self, kind):
         # 9 assets, window 50, c2 = 20, 230 rows: passes of 1, 7 and 200
@@ -361,6 +362,7 @@ class TestTrainStep:
             expected = policy_forward(trainer.params, buffer.states(j - 1, j)[0], buffer.last_actions[j - 1])
             assert np.array_equal(buffer.last_actions[j], expected), j
 
+    @pytest.mark.blas_invariance
     @pytest.mark.parametrize("kind", KINDS)
     def test_rewrite_at_paper_shape_equals_policy_forward_bitwise(self, kind, monkeypatch):
         # 9 assets, window 50, c2 = 20, batch 200: the shapes at which a
