@@ -2,7 +2,11 @@
 
 CSV inputs are UTF-8 (a leading byte-order mark is allowed) and carry a
 header with date/open/high/low/close columns (case-insensitive, extra
-columns ignored), ISO-8601 dates, and plain decimal prices. All price
+columns ignored), ISO-8601 dates, and plain decimal prices. The csv
+module splits a file into rows, and each required column is converted
+in one pass and checked with array operations. Errors name the file and
+line: conversion errors first, at the first failing row in file order,
+then duplicate dates, then OHLC ordering at the earliest date. All price
 data lives in one immutable type, MarketFrame, whose matrices are
 (assets, days): loading a CSV gives a one-asset frame, and alignment
 joins frames onto one calendar by a sorted-date search, each frame
@@ -15,7 +19,9 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -131,39 +137,53 @@ def load_ohlc_csv(path: str | Path, ticker: str) -> MarketFrame:
     for name in required:
         if name not in columns:
             raise MissingColumn(f"{path}: missing column '{name}' in header {header}")
-    rows = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        try:
-            day = date.fromisoformat(row[columns["date"]].strip())
-            values = [float(row[columns[name]]) for name in required[1:]]
-        except (ValueError, IndexError) as exc:
-            raise UnparsableRow(f"{path}:{line_no}: {exc}") from None
-        rows.append((day, line_no, values))
-
+    records = list(reader)
+    # drop a row whose joined cells are blank; a row's line counts
+    # records, the header being line 1
+    kept = list(map(bool, map(str.strip, map("".join, records))))
+    rows = list(itertools.compress(records, kept))
+    lines = list(itertools.compress(itertools.count(2), kept))
     if not rows:
         raise EmptySeries(f"{path}: no data rows")
-    rows.sort(key=lambda item: item[0])
-    for (day, _, _), (next_day, line_no, _) in zip(rows, rows[1:]):
-        if day == next_day:
-            raise UnparsableRow(f"{path}:{line_no}: duplicate date {day}")
 
-    highs, lows, closes = (np.empty(len(rows)) for _ in range(3))
-    for i, (day, line_no, (o, h, l, c)) in enumerate(rows):
-        # NaN fails every comparison and high < inf bounds the rest, so
-        # this one chain also rejects non-finite prices.
-        if not (0.0 < l <= c <= h < math.inf and l <= o <= h):
-            if not all(map(math.isfinite, (o, h, l, c))):
-                raise UnparsableRow(f"{path}:{line_no}: non-finite price on {day} "
-                                    f"(open={o}, high={h}, low={l}, close={c})")
-            raise OhlcOrderingViolation(
-                f"{path}:{line_no}: OHLC ordering violated on {day} (open={o}, high={h}, low={l}, close={c})"
-            )
-        highs[i], lows[i], closes[i] = h, l, c
+    date_cells, *price_cells = (map(operator.itemgetter(columns[name]), rows) for name in required)
+    try:
+        days = list(map(date.fromisoformat, map(str.strip, date_cells)))
+        prices = np.array([np.fromiter(map(float, cells), np.float64, len(rows)) for cells in price_cells])
+    except (ValueError, IndexError):
+        # a column failed somewhere: name the first failing row in file order
+        for line_no, row in zip(lines, rows):
+            try:
+                date.fromisoformat(row[columns["date"]].strip())
+                for name in required[1:]:
+                    float(row[columns[name]])
+            except (ValueError, IndexError) as exc:
+                raise UnparsableRow(f"{path}:{line_no}: {exc}") from None
+        raise
+
+    ordinals = np.fromiter(map(date.toordinal, days), np.int64, len(days))
+    order = np.argsort(ordinals, kind="stable")
+    repeats = np.flatnonzero(np.diff(ordinals[order]) == 0)
+    if repeats.size:
+        k = order[repeats[0] + 1]
+        raise UnparsableRow(f"{path}:{lines[k]}: duplicate date {days[k]}")
+
+    opens, highs, lows, closes = prices.take(order, axis=1)
+    # NaN fails every comparison and high < inf bounds the rest, so this
+    # one mask also rejects non-finite prices.
+    valid = (0.0 < lows) & (lows <= closes) & (closes <= highs) & (highs < np.inf) & (lows <= opens) & (opens <= highs)
+    if not valid.all():
+        k = order[np.argmin(valid)]
+        o, h, l, c = prices[:, k].tolist()
+        where = f"{path}:{lines[k]}"
+        if not all(map(math.isfinite, (o, h, l, c))):
+            raise UnparsableRow(f"{where}: non-finite price on {days[k]} (open={o}, high={h}, low={l}, close={c})")
+        raise OhlcOrderingViolation(
+            f"{where}: OHLC ordering violated on {days[k]} (open={o}, high={h}, low={l}, close={c})"
+        )
     return MarketFrame(
         tickers=(ticker,),
-        dates=tuple(day for day, _, _ in rows),
+        dates=tuple(map(days.__getitem__, order.tolist())),
         closes=closes[np.newaxis],
         highs=highs[np.newaxis],
         lows=lows[np.newaxis],
@@ -189,12 +209,15 @@ def align_assets(frames: list[MarketFrame], policy: str = "intersect") -> Market
     # ordinals, not datetime64: numpy converts date objects to datetime64 slowly
     days = [np.fromiter(map(date.toordinal, frame.dates), np.int64, frame.n_steps) for frame in frames]
     tickers = tuple(ticker for frame in frames for ticker in frame.tickers)
+    # each frame's days are unique, so neither calendar needs np.unique
+    # (whose first call in a process costs about 1.5 MB of peak memory)
     if policy == "intersect":
-        calendar = functools.reduce(np.intersect1d, days)
+        calendar = functools.reduce(functools.partial(np.intersect1d, assume_unique=True), days)
         if not calendar.size:
             raise EmptyIntersection(f"no common dates across {list(tickers)}")
     else:
-        calendar = functools.reduce(np.union1d, days)
+        merged = np.sort(np.concatenate(days))
+        calendar = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
         calendar = calendar[calendar >= max(d[0] for d in days)]
     # each frame's row on a calendar day is its last row on or before that day
     rows = [np.searchsorted(d, calendar, side="right") - 1 for d in days]

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor
 from .environment import FrameTooShort, env_reset, env_step, transaction_factor_batch
-from .market_data import MarketFrame, price_relatives
+from .market_data import MarketFrame
 from .normalization import NormalizationScheme, normalize_window
 from .policy import (PolicyParams, backward_batch, conv1_unfold, features, forward_batch, head_chain,
                      policy_forward, stacked_rows)
@@ -92,7 +92,9 @@ class ReplayBuffer:
         rows = frame.n_steps - self.window
         if rows < 1:
             raise FrameTooShort(f"frame of length {frame.n_steps} allows no step with window {self.window}")
-        relatives = np.stack([price_relatives(frame, self.window + j) for j in range(rows)])
+        # row j holds price_relatives(frame, window + j): cash, then each close over the one before
+        relatives = np.ones((rows, frame.n_assets + 1))
+        relatives[:, 1:] = (frame.closes[:, self.window:] / frame.closes[:, self.window - 1:-1]).T
         self._starts = np.concatenate([self._starts, self._prices.shape[2] + np.arange(rows)])
         self._prices = np.concatenate([self._prices, np.stack([frame.closes, frame.highs, frame.lows])], axis=2)
         self._last_actions = np.concatenate([self._last_actions, np.empty((rows,) + self._last_actions.shape[1:])])

@@ -1,16 +1,28 @@
-"""Shared test helpers: synthetic market data, the per-day alignment
-oracle, the finite-difference oracle with mu held constant, and the
-bisection oracle for mu."""
+"""Shared test helpers: synthetic market data, the row-by-row CSV
+loader and per-day alignment oracles, the finite-difference oracle with
+mu held constant, and the bisection oracle for mu."""
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 
 from portrl import training
 from portrl.environment import transaction_factor_batch
-from portrl.market_data import EmptyIntersection, MarketFrame
+from portrl.market_data import (
+    EmptyIntersection,
+    EmptySeries,
+    MarketFrame,
+    MissingColumn,
+    OhlcOrderingViolation,
+    UnparsableRow,
+    read_text,
+)
 
 
 def make_frame(closes, spread: float = 0.01, start: date = date(2020, 1, 1), tickers=None) -> MarketFrame:
@@ -37,6 +49,58 @@ def random_walk_frame(rng: np.random.Generator, n: int, length: int,
 def write_ohlc_csv(path, rows, header="date,open,high,low,close") -> None:
     lines = [header] + [",".join(str(cell) for cell in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
+
+
+def load_ohlc_csv_reference(path: str | Path, ticker: str) -> MarketFrame:
+    """Oracle for market_data.load_ohlc_csv: parse and check one row at a
+    time, stop at the first unparsable row, sort by date, then walk the
+    sorted rows for a repeated date and then for an OHLC violation."""
+    path = Path(path)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptySeries(f"{path}: file is empty") from None
+    columns = {name.strip().lower(): i for i, name in enumerate(header)}
+    required = ("date", "open", "high", "low", "close")
+    for name in required:
+        if name not in columns:
+            raise MissingColumn(f"{path}: missing column '{name}' in header {header}")
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            day = date.fromisoformat(row[columns["date"]].strip())
+            values = [float(row[columns[name]]) for name in required[1:]]
+        except (ValueError, IndexError) as exc:
+            raise UnparsableRow(f"{path}:{line_no}: {exc}") from None
+        rows.append((day, line_no, values))
+
+    if not rows:
+        raise EmptySeries(f"{path}: no data rows")
+    rows.sort(key=lambda item: item[0])
+    for (day, _, _), (next_day, line_no, _) in zip(rows, rows[1:]):
+        if day == next_day:
+            raise UnparsableRow(f"{path}:{line_no}: duplicate date {day}")
+
+    highs, lows, closes = (np.empty(len(rows)) for _ in range(3))
+    for i, (day, line_no, (o, h, l, c)) in enumerate(rows):
+        if not (0.0 < l <= c <= h < math.inf and l <= o <= h):
+            if not all(map(math.isfinite, (o, h, l, c))):
+                raise UnparsableRow(f"{path}:{line_no}: non-finite price on {day} "
+                                    f"(open={o}, high={h}, low={l}, close={c})")
+            raise OhlcOrderingViolation(
+                f"{path}:{line_no}: OHLC ordering violated on {day} (open={o}, high={h}, low={l}, close={c})"
+            )
+        highs[i], lows[i], closes[i] = h, l, c
+    return MarketFrame(
+        tickers=(ticker,),
+        dates=tuple(day for day, _, _ in rows),
+        closes=closes[np.newaxis],
+        highs=highs[np.newaxis],
+        lows=lows[np.newaxis],
+    )
 
 
 def align_assets_reference(frames: list[MarketFrame], policy: str) -> MarketFrame:

@@ -1,5 +1,6 @@
 import pickle
 import re
+import sys
 from datetime import date, timedelta
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import align_assets_reference, make_frame, random_walk_frame, write_ohlc_csv
+from helpers import align_assets_reference, load_ohlc_csv_reference, make_frame, random_walk_frame, write_ohlc_csv
 from portrl.market_data import (
     ALIGNMENT_POLICIES,
     EmptyIntersection,
@@ -117,6 +118,93 @@ class TestLoadCsv:
             header="Date,Open,High,Low,Close,Volume",
         )
         assert series.closes[0, 0] == 11.0
+
+
+REQUIRED = ("date", "open", "high", "low", "close")
+CORRUPTIONS = ("short", "date", "price", "non_finite", "duplicate", "ohlc")
+
+
+def csv_cell(draw, text):
+    """A cell as written: plain, quoted, or padded with spaces."""
+    style = draw(st.sampled_from(("plain", "plain", "quoted", "spaced")))
+    if style == "quoted":
+        return f'"{text}"'
+    return f" {text}  " if style == "spaced" else text
+
+
+@st.composite
+def ohlc_csv_texts(draw):
+    """CSV bytes in the accepted syntax: required columns in any order and
+    case among extra ones, rows in any date order, blank rows, quoted and
+    padded cells, either line ending, an optional byte-order mark; 0-3
+    rows are then corrupted."""
+    extras = draw(st.lists(st.sampled_from(("volume", "adj close", "note")), unique=True))
+    names = draw(st.permutations(REQUIRED + tuple(extras)))
+    header = [draw(st.sampled_from((name, name.upper(), name.title(), f" {name} "))) for name in names]
+    days = draw(st.lists(st.integers(0, 60), min_size=1, max_size=10, unique=True))
+    rows = []
+    for day in days:
+        low, open_, close, high = sorted(draw(st.lists(st.floats(0.01, 1e4), min_size=4, max_size=4)))
+        if draw(st.booleans()):
+            open_, close = close, open_
+        rows.append({"date": (date(2020, 1, 1) + timedelta(days=day)).isoformat(), "open": repr(open_),
+                     "high": repr(high), "low": repr(low), "close": repr(close),
+                     "volume": str(draw(st.integers(0, 10**6))), "adj close": repr(close), "note": "x y"})
+    short = set()
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(CORRUPTIONS))
+        price = draw(st.sampled_from(REQUIRED[1:]))
+        if kind == "short":
+            short.add(id(row))
+        elif kind == "date":
+            row["date"] = draw(st.sampled_from(("2020-02-30", "not-a-date", "", "2020/01/02")))
+        elif kind == "price":
+            row[price] = draw(st.sampled_from(("abc", "", "1.5.0", "--1")))
+        elif kind == "non_finite":
+            row[price] = draw(st.sampled_from(("inf", "nan", "-inf", "Infinity")))
+        elif kind == "duplicate":
+            row["date"] = draw(st.sampled_from(rows))["date"]
+        else:
+            row[price] = draw(st.sampled_from(("0", "-1.5", "1e9", "1e-9")))
+    lines = [",".join(header)]
+    for row in rows:
+        cells = [csv_cell(draw, row[name]) for name in names]
+        if id(row) in short:
+            cells = cells[:draw(st.integers(0, len(cells) - 1))]
+        lines.append(",".join(cells))
+    for _ in range(draw(st.integers(0, 3))):
+        blank = draw(st.sampled_from(("", "   ", " , ,", '""', "\t")))
+        lines.insert(draw(st.integers(1, len(lines))), blank)
+    text = draw(st.sampled_from(("\n", "\r\n"))).join(lines) + "\n"
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
+
+
+def loaded_or_error(load, path):
+    try:
+        return load(path, "XYZ")
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(text=ohlc_csv_texts())
+@example(text=b"date,open,high,low,close\n2020-01-02,10,12,9,11\n2020-01-03,1,abc,1,1\n"
+              b"2020-01-0x,1,2,1,1\n")  # a bad price on an earlier line than a bad date
+@example(text=b"Close,DATE,low,high,open\n\n1.5,2020-01-03,1,2,1.5\n\"2\", 2020-01-02 ,1,3,1\n"
+              b"2,2020-01-03,1,3,2\n")  # a duplicate date, named at the later line (5: the blank one counts)
+@settings(max_examples=300, deadline=None)
+def test_load_matches_the_row_by_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "XYZ.csv"
+    path.write_bytes(text)
+    got = loaded_or_error(load_ohlc_csv, path)
+    want = loaded_or_error(load_ohlc_csv_reference, path)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert got.dates == want.dates and got.tickers == want.tickers
+    for name in ("closes", "highs", "lows"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def two_series(tmp_path):
@@ -250,6 +338,30 @@ def test_align_matches_the_per_day_reference(calendars, seed):
         assert got.dates == want.dates and got.tickers == want.tickers
         for name in ("closes", "highs", "lows"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (policy, name)
+
+
+@pytest.mark.parametrize("policy", ALIGNMENT_POLICIES)
+def test_loading_and_aligning_never_call_np_unique(tmp_path, monkeypatch, policy):
+    # the first np.unique in a process costs about 1.5 MB of peak memory
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    # np.intersect1d and np.union1d call their own module's unique, not np.unique
+    set_ops = [sys.modules[name] for name in ("numpy.lib._arraysetops_impl", "numpy.lib.arraysetops")
+               if name in sys.modules]
+    assert len(set_ops) == 1
+    for module in (np, *set_ops):
+        monkeypatch.setattr(module, "unique", unique)
+    a = series_from_rows(tmp_path, [("2020-01-03", 3, 3, 3, 3), ("2020-01-01", 1, 1, 1, 1),
+                                    ("2020-01-02", 2, 2, 2, 2)], ticker="A")
+    b = series_from_rows(tmp_path, [("2020-01-03", 7, 7, 7, 7), ("2020-01-01", 5, 5, 5, 5)], ticker="B")
+    frame = align_assets([a, b], policy)
+    if policy == "intersect":
+        assert frame.dates == (date(2020, 1, 1), date(2020, 1, 3))
+        assert np.array_equal(frame.closes, [[1.0, 3.0], [5.0, 7.0]])
+    else:
+        assert frame.dates == (date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 3))
+        assert np.array_equal(frame.closes, [[1.0, 2.0, 3.0], [5.0, 5.0, 7.0]])
 
 
 class TestSplit:

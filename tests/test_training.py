@@ -168,6 +168,20 @@ class TestPriceTape:
         assert batch.transpose(1, 0, 2, 3).flags.c_contiguous
         assert np.shares_memory(stacked_rows(batch), batch)  # the convolutions read the batch without a copy
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stored_relatives_are_the_price_relatives_of_their_own_frame(self, kind):
+        window = 5
+        scheme, train, test = normalized_frames(kind, random_walk_frame(np.random.default_rng(35), 3, 30),
+                                                random_walk_frame(np.random.default_rng(36), 3, 15))
+        trainer = Trainer(init_policy(3, window, seed=0, c1=2, c2=4), train, window, scheme, 1e5, 0.0025,
+                          TrainerConfig(batch_size=8), np.random.default_rng(0))
+        buffer = trainer.fill_buffer()
+        trainer.backtest(test, online_steps=0)
+        expected = [price_relatives(frame, t) for frame in (train, test) for t in range(window, frame.n_steps)]
+        assert len(buffer) == len(expected)
+        for j, relatives in enumerate(expected):
+            assert buffer.relatives[j].tobytes() == relatives.tobytes(), j
+
 
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=10)
