@@ -47,13 +47,13 @@ def _exit_status(report) -> int:
 
 def _cmd_run(args) -> int:
     overrides = {name: getattr(args, name) for name in ("runs", "steps", "workers") if getattr(args, name) is not None}
-    try:  # a config or data error: run_campaign loads every method's data before any run starts
-        config = replace(load_config(args.config), **overrides)
-        report = run_campaign(config)
-    except (ValueError, OSError) as error:
-        print(error, file=sys.stderr)
-        return 2
+    config = replace(load_config(args.config), **overrides)
     out_dir = Path(args.out) if args.out else Path("campaign_" + "-".join(config.methods))
+    # checked before any run: emit_report can only write into a directory
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"output directory {out_dir}: {existing} is not a directory")
+    report = run_campaign(config)  # loads every method's data before any run starts
     emit_report(report, out_dir)
     print(f"campaign written to {out_dir}")
     _print_table(report)
@@ -61,23 +61,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        report = load_campaign(args.campaign_dir)
-    except (ValueError, OSError) as error:
-        print(error, file=sys.stderr)
-        return 2
+    report = load_campaign(args.campaign_dir)
     emit_report(report, args.campaign_dir)
     _print_table(report)
     return _exit_status(report)
 
 
 def _cmd_validate(args) -> int:
-    try:
-        config = load_config(args.config)
-        train, test, _ = prepare(config)[config.methods[0]]
-    except (ValueError, OSError) as error:
-        print(error, file=sys.stderr)
-        return 2
+    config = load_config(args.config)
+    train, test, _ = prepare(config)[config.methods[0]]
     window = config.time_window
     print(f"ok: {train.n_assets} assets aligned: {', '.join(train.tickers)}")
     print(f"ok: train slice {train.n_steps} rows ({train.dates[0]}..{train.dates[-1]})")
@@ -108,7 +100,11 @@ def main(argv=None) -> int:
     validate_parser.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as error:  # a config, data or file error: its message alone
+        print(error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ relative vector with a price ratio of exactly 1.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import io
@@ -245,19 +246,20 @@ def split_periods(
     data_text = f"(data: {dates[0]}..{dates[-1]})"
     if train_range[1] >= test_range[0]:
         raise RangesOverlap(f"{train_text} must end before {test_text} starts {data_text}")
-    train_idx = [i for i, d in enumerate(dates) if train_range[0] <= d <= train_range[1]]
-    test_idx = [i for i, d in enumerate(dates) if test_range[0] <= d <= test_range[1]]
-    for text, idx in ((train_text, train_idx), (test_text, test_idx)):
-        if not idx:
+    # each range's rows, found by search on the sorted calendar (empty when none fall in it)
+    train_rows = range(bisect.bisect_left(dates, train_range[0]), bisect.bisect_right(dates, train_range[1]))
+    test_rows = range(bisect.bisect_left(dates, test_range[0]), bisect.bisect_right(dates, test_range[1]))
+    for text, rows in ((train_text, train_rows), (test_text, test_rows)):
+        if not rows:
             raise ValueError(f"{text} holds no rows {data_text}")
-    if len(train_idx) < time_window + 1:
+    if len(train_rows) < time_window + 1:
         raise InsufficientTrainLength(
-            f"{train_text} holds {len(train_idx)} rows, need at least {time_window + 1} {data_text}"
+            f"{train_text} holds {len(train_rows)} rows, need at least {time_window + 1} {data_text}"
         )
     # the train rows precede the test range, so its (time_window - 1)-row prefix exists
     return PeriodSplit(
-        train=frame.slice(train_idx[0], train_idx[-1] + 1),
-        test=frame.slice(test_idx[0] - (time_window - 1), test_idx[-1] + 1),
+        train=frame.slice(train_rows.start, train_rows.stop),
+        test=frame.slice(test_rows.start - (time_window - 1), test_rows.stop),
     )
 
 

@@ -48,16 +48,8 @@ def mdd(traj: Trajectory) -> float:
     """Largest peak-to-trough relative loss, 0 if values never decline."""
     if len(traj) == 0:
         raise EmptyTrajectory("trajectory has no steps")
-    peak = traj.values[0]
-    worst = 0.0
-    for value in traj.values:
-        if value > peak:
-            peak = value
-        else:
-            drop = (peak - value) / peak
-            if drop > worst:
-                worst = drop
-    return worst
+    peaks = np.maximum.accumulate(traj.values)
+    return float(((peaks - traj.values) / peaks).max())
 
 
 def sharpe_from_returns(returns: np.ndarray) -> float:

@@ -14,11 +14,12 @@ over the sample's n asset rows of conv1's channel-major output, and the
 head's feature part one product per sample, so the sample, not the
 batch, fixes the summation order. The buffer rewrite therefore runs
 ``features`` once per batch, over the objective's conv1 unfold, and
-chains only the head step (``head_chain``), which ``policy_forward``
-runs for one sample: the filled and rewritten actions match
-``policy_forward`` bit for bit. conv1 writes its output channel-major
-and conv2 reads it so, in its forward and in both its gradients, with
-no transposed copy.
+chains only the head step (``head_chain``), which gives each row the
+bits ``head`` gives it (``test_head_and_head_chain_agree_bit_for_bit_per_row``
+in tests/test_policy.py). ``policy_forward`` is the one-sample
+``forward_batch``, so the filled and rewritten actions match it bit for
+bit. conv1 writes its output channel-major and conv2 reads it so, in its
+forward and in both its gradients, with no transposed copy.
 
 The learnable values live in one flat array, ``PolicyParams.theta``,
 whose named blocks every function here reads as views;
@@ -222,9 +223,9 @@ def backward_batch(params: PolicyParams, activations: tuple, grad_actions: np.nd
 def policy_forward(params: PolicyParams, state: np.ndarray, last_action: np.ndarray) -> np.ndarray:
     """Pure inference for one (3, n, t) state: returns the (n+1,) action.
 
-    The batch-of-one case of ``features`` and ``head_chain``, so it gives
-    the same bits as the same sample inside any batch and as the buffer
-    rewrite.
+    The one-sample ``forward_batch``, so it gives the same bits as the same
+    sample inside any batch and, since ``head`` and ``head_chain`` agree
+    bit for bit per row, as the buffer rewrite.
     """
     values = np.asarray(state)
     last_action = np.asarray(last_action)
@@ -233,9 +234,4 @@ def policy_forward(params: PolicyParams, state: np.ndarray, last_action: np.ndar
             f"state {values.shape} / last_action {last_action.shape} incompatible with "
             f"policy (3, {params.n_assets}, {params.window})"
         )
-    x = stacked_rows(values[None])
-    scores, _ = features(params, x, conv1_unfold(params, x))
-    actions = np.empty((2, params.n_assets + 1))
-    actions[0] = last_action
-    head_chain(params, scores, actions)
-    return actions[1]
+    return forward_batch(params, values[None], last_action[None])[0][0]

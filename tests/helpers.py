@@ -1,6 +1,7 @@
 """Shared test helpers: synthetic market data, the row-by-row CSV
-loader and per-day alignment oracles, the finite-difference oracle with
-mu held constant, and the bisection oracle for mu."""
+loader and per-day alignment oracles, the running-peak loop oracle for
+the maximum drawdown, the finite-difference oracle with mu held
+constant, and the bisection oracle for mu."""
 
 from __future__ import annotations
 
@@ -145,6 +146,21 @@ def align_assets_reference(frames: list[MarketFrame], policy: str) -> MarketFram
         highs=highs,
         lows=lows,
     )
+
+
+def mdd_reference(values: np.ndarray) -> float:
+    """Oracle for metrics.mdd: one pass that keeps the running peak and
+    the largest relative drop below it."""
+    peak = values[0]
+    worst = 0.0
+    for value in values:
+        if value > peak:
+            peak = value
+        else:
+            drop = (peak - value) / peak
+            if drop > worst:
+                worst = drop
+    return worst
 
 
 def random_simplex(rng: np.random.Generator, size: int) -> np.ndarray:

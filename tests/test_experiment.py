@@ -620,6 +620,15 @@ class TestCli:
         trajectory.write_text(f"{header}\n1\tx\t0.0\n")
         assert self.report_error(out_dir, capsys).startswith(f"{trajectory}: could not convert string to float")
 
+    def test_report_into_a_runs_tsv_that_is_a_directory_is_its_message_alone_and_exit_2(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        runs = out_dir / "runs.tsv"
+        runs.unlink()
+        runs.mkdir()
+        assert cli.main(["report", str(out_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and str(runs) in err and err.count("\n") == 1
+
     def test_validate_rejects_a_test_range_too_short_to_score(self, tmp_path, capsys):
         config_path = write_config(tmp_path, write_market(tmp_path), test_end="2021-03-03")
         assert cli.main(["validate", str(config_path)]) == 2
@@ -644,6 +653,18 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err == f"{manifest}:1: alignment must be intersect or forward_fill, got 'forwardfill'\n"
         assert calls == [] and not list(tmp_path.glob("campaign_*"))
+
+    @pytest.mark.parametrize("inside", [False, True], ids=["the_file", "under_the_file"])
+    def test_run_rejects_an_out_path_at_or_under_a_file_before_any_run(self, tmp_path, capsys, monkeypatch, inside):
+        config_path = write_config(tmp_path, write_market(tmp_path))
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out_dir = taken / "campaign" if inside else taken
+        calls = []
+        monkeypatch.setattr(portrl.experiment, "run_single", lambda *args: calls.append(args))
+        assert cli.main(["run", str(config_path), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr() == ("", f"output directory {out_dir}: {taken} is not a directory\n")
+        assert calls == [] and taken.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_a_config_error_is_its_message_alone_and_exit_2(self, tmp_path, capsys, command):

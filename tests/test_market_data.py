@@ -413,6 +413,36 @@ class TestSplit:
         rebuilt = np.concatenate([split.train.closes, split.test.closes[:, window - 1 :]], axis=1)
         assert np.array_equal(rebuilt, frame.closes)
 
+    def test_ranges_ending_on_missing_days_match_a_per_date_filter(self):
+        weekdays = [date(2020, 1, 1) + timedelta(days=i) for i in range(120)]
+        weekdays = [day for day in weekdays if day.weekday() < 5]
+        frame = MarketFrame(("A",), tuple(weekdays), *np.ones((3, 1, len(weekdays))))
+        window = 5
+        rng = np.random.default_rng(6)
+        outcomes = set()
+        for _ in range(400):
+            # four ordered calendar days, weekends included, so range ends often fall on a missing day
+            offsets = np.sort(rng.choice(130, size=4, replace=False)) - 5
+            train_range, test_range = [tuple(date(2020, 1, 1) + timedelta(days=int(o)) for o in pair)
+                                       for pair in offsets.reshape(2, 2)]
+            train = [i for i, day in enumerate(weekdays) if train_range[0] <= day <= train_range[1]]
+            test = [i for i, day in enumerate(weekdays) if test_range[0] <= day <= test_range[1]]
+            if not train or not test:
+                empty, (start, end) = ("train", train_range) if not train else ("test", test_range)
+                with pytest.raises(ValueError, match=f"^{empty} range {start}..{end} holds no rows "):
+                    split_periods(frame, train_range, test_range, window)
+                outcomes.add(empty)
+            elif len(train) < window + 1:
+                with pytest.raises(InsufficientTrainLength, match=f" holds {len(train)} rows, need at least "):
+                    split_periods(frame, train_range, test_range, window)
+                outcomes.add("short")
+            else:
+                split = split_periods(frame, train_range, test_range, window)
+                assert split.train.dates == tuple(weekdays[train[0] : train[-1] + 1])
+                assert split.test.dates == tuple(weekdays[test[0] - (window - 1) : test[-1] + 1])
+                outcomes.add("split")
+        assert outcomes == {"train", "test", "short", "split"}
+
 
 class TestPriceRelatives:
     def test_direct_division(self):

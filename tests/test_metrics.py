@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import mdd_reference
 from portrl.metrics import (
     EmptyTrajectory,
     TooShort,
@@ -91,6 +92,20 @@ class TestMdd:
         length = int(rng.integers(1, 60))
         values = np.exp(rng.normal(0, 0.1, length).cumsum()) * 50.0
         assert mdd(traj_from_values(values)) == brute_force_mdd(values)
+
+    def test_matches_the_running_peak_loop_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        cases = [np.array([7.0]), np.full(6, 3.0), np.linspace(1.0, 2.0, 30), np.linspace(2.0, 1.0, 30),
+                 np.array([100.0, 80.0]), np.array([80.0, 100.0]), np.array([100.0, 100.0])]
+        for _ in range(600):
+            length = int(rng.integers(1, 401))
+            sigma = float(np.exp(rng.uniform(np.log(0.001), np.log(0.3))))
+            values = 100.0 * np.exp(rng.normal(0.0, sigma, length).cumsum())
+            if rng.random() < 0.3:  # three significant digits: equal values tie with the peak
+                values = np.array([float(f"{value:.3g}") for value in values])
+            cases.append(values)
+        for values in cases:
+            assert float(mdd(traj_from_values(values))).hex() == float(mdd_reference(values)).hex(), values
 
 
 class TestSharpe:

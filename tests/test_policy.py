@@ -11,6 +11,7 @@ from portrl.policy import (
     conv1_unfold,
     features,
     forward_batch,
+    head,
     head_chain,
     init_policy,
     policy_forward,
@@ -233,3 +234,37 @@ class TestHeadChain:
         head_chain(params, scores, actions)
         assert np.isfinite(actions[:3]).all()
         assert np.isnan(actions[3:]).all()
+
+    def chain(self, n_assets, scores):
+        """``head_chain`` over ``scores`` from a random first action, with the
+        last action and cash bias both entering the logits."""
+        params = init_policy(n_assets, 8, seed=24)
+        params.out_kernels[0, -1, 0] = 0.5
+        params.cash_bias[...] = 0.3
+        actions = np.empty((len(scores) + 1, n_assets + 1))
+        actions[0] = np.random.default_rng(24).dirichlet(np.ones(n_assets + 1))
+        head_chain(params, scores, actions)
+        return params, actions
+
+    # 1, 9 and 17 assets put 2, 10 and 18 logits in a row: below the 8 at
+    # which numpy's pairwise sum starts unrolling, and above once and twice that
+    @pytest.mark.parametrize("n_assets", [1, 9, 17])
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 1e300])
+    def test_head_and_head_chain_agree_bit_for_bit_per_row(self, n_assets, scale):
+        scores = np.random.default_rng(n_assets).normal(size=(40, n_assets)) * scale
+        params, actions = self.chain(n_assets, scores)
+        assert np.isfinite(actions).all()
+        batched = head(params, scores, actions[:-1])
+        for row, (alone, chained) in enumerate(zip(batched, actions[1:])):
+            assert alone.tobytes() == chained.tobytes(), row
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("n_assets", [1, 9, 17])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_score_makes_its_row_all_nan_in_head_and_head_chain(self, n_assets, bad):
+        scores = np.random.default_rng(n_assets).normal(size=(6, n_assets))
+        scores[2, n_assets // 2] = bad
+        params, actions = self.chain(n_assets, scores)
+        batched = head(params, scores, actions[:-1])
+        assert np.isnan(actions[3]).all() and np.isnan(batched[2]).all()
+        assert batched[:2].tobytes() == actions[1:3].tobytes()
