@@ -2,15 +2,21 @@
 
 CSV inputs are UTF-8 (a leading byte-order mark is allowed) and carry a
 header with date/open/high/low/close columns (case-insensitive, extra
-columns ignored), ISO-8601 dates, and plain decimal prices. The csv
-module splits a file into rows, and each required column is converted
-in one pass and checked with array operations. Errors name the file and
-line: conversion errors first, at the first failing row in file order,
-then duplicate dates, then OHLC ordering at the earliest date. All price
-data lives in one immutable type, MarketFrame, whose matrices are
-(assets, days): loading a CSV gives a one-asset frame, and alignment
-joins frames onto one calendar by a sorted-date search, each frame
-contributing its own assets. Cash is implicit at index 0 of every
+columns ignored), YYYY-MM-DD dates on every Python (3.11's
+date.fromisoformat also takes 20180101 and 2018-W01-2; they are
+refused), and plain decimal prices. A file with no quote, NUL or lone
+carriage return is read by one np.loadtxt call, numpy's C reader, and
+checked with array operations. Any other file, and any file that reader
+declines (a row it cannot read, a date cell that fills its string
+field, a failed check), is split into rows by the csv module and each
+required column converted in one pass. Only the csv path raises, so the
+errors and their order do not depend on the reader. Errors name the
+file and line: conversion errors first, at the first failing row in
+file order, then duplicate dates, then OHLC ordering at the earliest
+date. All price data lives in one immutable type, MarketFrame, whose
+matrices are (assets, days): loading a CSV gives a one-asset frame, and
+alignment joins frames onto one calendar by a sorted-date search, each
+frame contributing its own assets. Cash is implicit at index 0 of every
 relative vector with a price ratio of exactly 1.
 """
 
@@ -23,6 +29,7 @@ import io
 import itertools
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -123,21 +130,82 @@ def read_text(path: Path) -> str:
                          f"({exc.reason})") from None
 
 
+REQUIRED_COLUMNS = ("date", "open", "high", "low", "close")
+# numpy's string field cuts a longer cell short without an error, so the
+# C reader declines a file with a date cell that fills it
+DATE_WIDTH = 16
+PLAIN_FIELDS = [("date", f"U{DATE_WIDTH}")] + [(name, np.float64) for name in REQUIRED_COLUMNS[1:]]
+
+
 def load_ohlc_csv(path: str | Path, ticker: str) -> MarketFrame:
     """Parse and validate one asset's OHLC CSV into a one-asset frame,
     sorting rows by date; the open is checked against low/high but not
-    kept."""
+    kept. numpy's C reader reads the file unless it declines it; then,
+    and for every error, the csv module reads it."""
     path = Path(path)
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    text = read_text(path)
+    try:
+        return frame_from_loadtxt(path, ticker, text)
+    except (ValueError, Warning):
+        pass  # declined: the csv path reads the file and names its first error
+    return frame_from_csv_module(path, ticker, text)
+
+
+def required_columns(path: Path, header: list[str]) -> list[int]:
+    """Indices of the date, open, high, low and close cells; names match
+    case-insensitively and a later column of the same name wins."""
+    columns = {name.strip().lower(): i for i, name in enumerate(header)}
+    for name in REQUIRED_COLUMNS:
+        if name not in columns:
+            raise MissingColumn(f"{path}: missing column '{name}' in header {header}")
+    return [columns[name] for name in REQUIRED_COLUMNS]
+
+
+def iso_days(cells) -> list[date]:
+    """The days that date cells name. A cell must read YYYY-MM-DD once
+    stripped: Python 3.11's date.fromisoformat also takes forms such as
+    20180101 and 2018-W01-2, which are refused with Python 3.10's message."""
+    texts = list(map(str.strip, cells))
+    days = list(map(date.fromisoformat, texts))
+    # of the forms fromisoformat takes, only YYYY-MM-DD is ten characters
+    # with dashes at 4 and 7: a test ten times cheaper than formatting each day
+    joined = "".join(texts)
+    if not (set(map(len, texts)) <= {10} and joined[4::10] + joined[7::10] == "-" * (2 * len(texts))):
+        for text, day in zip(texts, days):
+            if day.isoformat() != text:
+                raise ValueError(f"Invalid isoformat string: {text!r}")
+    return days
+
+
+def frame_from_loadtxt(path: Path, ticker: str, text: str) -> MarketFrame:
+    """The frame of a file read by one np.loadtxt call, or a ValueError or
+    Warning where this reader declines the file: a file with a quote, NUL
+    or lone carriage return (which the csv module reads differently), a
+    row loadtxt cannot read, or any failed check, whose message would
+    carry stand-in line numbers."""
+    if '"' in text or "\0" in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
+        raise ValueError("left to the csv module")
+    header = text.partition("\n")[0].removesuffix("\r").split(",")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a header-only file warns
+        table = np.loadtxt(io.StringIO(text), dtype=PLAIN_FIELDS, delimiter=",", comments=None,
+                           skiprows=1, usecols=required_columns(path, header), ndmin=1)
+    cells = table["date"].tolist()
+    if max(map(len, cells)) >= DATE_WIDTH:
+        raise ValueError("a date cell may have been cut short")
+    prices = np.array([table[name] for name in REQUIRED_COLUMNS[1:]])
+    return sorted_frame(path, ticker, iso_days(cells), prices, range(len(cells)))
+
+
+def frame_from_csv_module(path: Path, ticker: str, text: str) -> MarketFrame:
+    """The frame of a file split into rows by the csv module, or the error
+    at the file's first failing row."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
         raise EmptySeries(f"{path}: file is empty") from None
-    columns = {name.strip().lower(): i for i, name in enumerate(header)}
-    required = ("date", "open", "high", "low", "close")
-    for name in required:
-        if name not in columns:
-            raise MissingColumn(f"{path}: missing column '{name}' in header {header}")
+    usecols = required_columns(path, header)
     records = list(reader)
     # drop a row whose joined cells are blank; a row's line counts
     # records, the header being line 1
@@ -147,21 +215,26 @@ def load_ohlc_csv(path: str | Path, ticker: str) -> MarketFrame:
     if not rows:
         raise EmptySeries(f"{path}: no data rows")
 
-    date_cells, *price_cells = (map(operator.itemgetter(columns[name]), rows) for name in required)
+    date_cells, *price_cells = (map(operator.itemgetter(i), rows) for i in usecols)
     try:
-        days = list(map(date.fromisoformat, map(str.strip, date_cells)))
+        days = iso_days(date_cells)
         prices = np.array([np.fromiter(map(float, cells), np.float64, len(rows)) for cells in price_cells])
     except (ValueError, IndexError):
         # a column failed somewhere: name the first failing row in file order
         for line_no, row in zip(lines, rows):
             try:
-                date.fromisoformat(row[columns["date"]].strip())
-                for name in required[1:]:
-                    float(row[columns[name]])
+                iso_days([row[usecols[0]]])
+                for i in usecols[1:]:
+                    float(row[i])
             except (ValueError, IndexError) as exc:
                 raise UnparsableRow(f"{path}:{line_no}: {exc}") from None
         raise
+    return sorted_frame(path, ticker, days, prices, lines)
 
+
+def sorted_frame(path: Path, ticker: str, days: list[date], prices: np.ndarray, lines) -> MarketFrame:
+    """The one-asset frame of parsed rows, sorted by date, after the
+    duplicate-date and OHLC checks; lines[k] is row k's line in the file."""
     ordinals = np.fromiter(map(date.toordinal, days), np.int64, len(days))
     order = np.argsort(ordinals, kind="stable")
     repeats = np.flatnonzero(np.diff(ordinals[order]) == 0)

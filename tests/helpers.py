@@ -54,8 +54,9 @@ def write_ohlc_csv(path, rows, header="date,open,high,low,close") -> None:
 
 def load_ohlc_csv_reference(path: str | Path, ticker: str) -> MarketFrame:
     """Oracle for market_data.load_ohlc_csv: parse and check one row at a
-    time, stop at the first unparsable row, sort by date, then walk the
-    sorted rows for a repeated date and then for an OHLC violation."""
+    time (a date must read YYYY-MM-DD), stop at the first unparsable row,
+    sort by date, then walk the sorted rows for a repeated date and then
+    for an OHLC violation."""
     path = Path(path)
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
@@ -72,7 +73,10 @@ def load_ohlc_csv_reference(path: str | Path, ticker: str) -> MarketFrame:
         if not row or all(not cell.strip() for cell in row):
             continue
         try:
-            day = date.fromisoformat(row[columns["date"]].strip())
+            text = row[columns["date"]].strip()
+            day = date.fromisoformat(text)
+            if day.isoformat() != text:  # Python 3.11 also takes 20180101 and 2018-W01-2
+                raise ValueError(f"Invalid isoformat string: {text!r}")
             values = [float(row[columns[name]]) for name in required[1:]]
         except (ValueError, IndexError) as exc:
             raise UnparsableRow(f"{path}:{line_no}: {exc}") from None

@@ -1,7 +1,10 @@
+import csv
 import pickle
 import re
 import sys
+import warnings
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,27 +124,48 @@ class TestLoadCsv:
 
 
 REQUIRED = ("date", "open", "high", "low", "close")
-CORRUPTIONS = ("short", "date", "price", "non_finite", "duplicate", "ohlc")
+CORRUPTIONS = ("short", "date", "price", "non_finite", "duplicate", "ohlc",
+               "extra", "hash", "spelling", "long_date", "nul")
+# how many rows to corrupt, or blank rows to insert: none in half the
+# files, so that many reach numpy's reader
+COUNTS = (0, 0, 0, 1, 2, 3)
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
 
 
-def csv_cell(draw, text):
-    """A cell as written: plain, quoted, or padded with spaces."""
-    style = draw(st.sampled_from(("plain", "plain", "quoted", "spaced")))
+def csv_cell(draw, text, quote_free):
+    """A cell as written: plain, quoted (unless quote-free), or padded
+    with spaces, NBSPs or tabs."""
+    style = draw(st.sampled_from(("plain", "plain", "spaced", "padded") + (() if quote_free else ("quoted",))))
     if style == "quoted":
         return f'"{text}"'
+    if style == "padded":
+        return draw(st.sampled_from(("\xa0", "\t"))) + text + draw(st.sampled_from(("", "\xa0", "\t")))
     return f" {text}  " if style == "spaced" else text
+
+
+def respelled(draw, number):
+    """The same number as float() reads it, with an underscore between
+    two digits or in Arabic-Indic digits; numpy's parser takes neither."""
+    pairs = [i for i in range(1, len(number)) if number[i - 1].isdigit() and number[i].isdigit()]
+    if pairs and draw(st.booleans()):
+        i = draw(st.sampled_from(pairs))
+        return f"{number[:i]}_{number[i:]}"
+    return number.translate(ARABIC_INDIC)
 
 
 @st.composite
 def ohlc_csv_texts(draw):
     """CSV bytes in the accepted syntax: required columns in any order and
-    case among extra ones, rows in any date order, blank rows, quoted and
-    padded cells, either line ending, an optional byte-order mark; 0-3
-    rows are then corrupted."""
+    case among extra ones, rows (possibly none) in any date order, blank
+    rows, quoted (in about half the files) and padded cells, either line
+    ending, an optional byte-order mark; 0-3 rows are then corrupted,
+    including in ways on which numpy's C reader and the csv module part,
+    and a line may end in a lone carriage return."""
+    quote_free = draw(st.booleans())
     extras = draw(st.lists(st.sampled_from(("volume", "adj close", "note")), unique=True))
     names = draw(st.permutations(REQUIRED + tuple(extras)))
     header = [draw(st.sampled_from((name, name.upper(), name.title(), f" {name} "))) for name in names]
-    days = draw(st.lists(st.integers(0, 60), min_size=1, max_size=10, unique=True))
+    days = draw(st.lists(st.integers(0, 60), min_size=0, max_size=10, unique=True))
     rows = []
     for day in days:
         low, open_, close, high = sorted(draw(st.lists(st.floats(0.01, 1e4), min_size=4, max_size=4)))
@@ -149,42 +173,78 @@ def ohlc_csv_texts(draw):
             open_, close = close, open_
         rows.append({"date": (date(2020, 1, 1) + timedelta(days=day)).isoformat(), "open": repr(open_),
                      "high": repr(high), "low": repr(low), "close": repr(close),
-                     "volume": str(draw(st.integers(0, 10**6))), "adj close": repr(close), "note": "x y"})
-    short = set()
-    for _ in range(draw(st.integers(0, 3))):
+                     "volume": str(draw(st.integers(0, 10**6))), "adj close": repr(close),
+                     "note": draw(st.sampled_from(("x y", "x#y")))})
+    short, extra = set(), set()
+    for _ in range(draw(st.sampled_from(COUNTS)) if rows else 0):
         row = rows[draw(st.integers(0, len(rows) - 1))]
         kind = draw(st.sampled_from(CORRUPTIONS))
         price = draw(st.sampled_from(REQUIRED[1:]))
         if kind == "short":
             short.add(id(row))
+        elif kind == "extra":
+            extra.add(id(row))
         elif kind == "date":
-            row["date"] = draw(st.sampled_from(("2020-02-30", "not-a-date", "", "2020/01/02")))
+            row["date"] = draw(st.sampled_from(("2020-02-30", "not-a-date", "", "2020/01/02",
+                                                "20200102", "2020-W01-2", "2020W011")))
         elif kind == "price":
             row[price] = draw(st.sampled_from(("abc", "", "1.5.0", "--1")))
         elif kind == "non_finite":
             row[price] = draw(st.sampled_from(("inf", "nan", "-inf", "Infinity")))
         elif kind == "duplicate":
             row["date"] = draw(st.sampled_from(rows))["date"]
+        elif kind == "hash":
+            name = draw(st.sampled_from(REQUIRED))
+            row[name] = draw(st.sampled_from((f"{row[name]}#", f"#{row[name]}", "#")))
+        elif kind == "spelling":
+            row[price] = respelled(draw, row[price])
+        elif kind == "long_date":
+            # padding that may fill numpy's 16-character string field, then maybe a stray letter
+            row["date"] += " " * draw(st.integers(4, 10)) + draw(st.sampled_from(("", "x")))
+        elif kind == "nul":
+            name = draw(st.sampled_from(REQUIRED))
+            row[name] += "\0"
         else:
             row[price] = draw(st.sampled_from(("0", "-1.5", "1e9", "1e-9")))
     lines = [",".join(header)]
     for row in rows:
-        cells = [csv_cell(draw, row[name]) for name in names]
+        cells = [csv_cell(draw, row[name], quote_free) for name in names]
         if id(row) in short:
             cells = cells[:draw(st.integers(0, len(cells) - 1))]
+        if id(row) in extra:
+            cells.append(draw(st.sampled_from(("", "9", "x"))))
         lines.append(",".join(cells))
-    for _ in range(draw(st.integers(0, 3))):
-        blank = draw(st.sampled_from(("", "   ", " , ,", '""', "\t")))
-        lines.insert(draw(st.integers(1, len(lines))), blank)
-    text = draw(st.sampled_from(("\n", "\r\n"))).join(lines) + "\n"
+    blanks = ("", "   ", " , ,", ",,", "\t", "\xa0") + (() if quote_free else ('""',))
+    for _ in range(draw(st.sampled_from(COUNTS))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(blanks)))
+    ends = [draw(st.sampled_from(("\n", "\r\n")))] * len(lines)
+    if draw(st.integers(0, 4)) == 0:
+        ends[draw(st.integers(0, len(lines) - 1))] = "\r"
+    text = "".join(map(str.__add__, lines, ends))
     return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
 
 
 def loaded_or_error(load, path):
     try:
         return load(path, "XYZ")
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:  # the csv module of Python 3.10 refuses a NUL
         return type(exc), str(exc)
+
+
+def assert_same_frame(got, want):
+    assert got.dates == want.dates and got.tickers == want.tickers
+    for name in ("closes", "highs", "lows"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def assert_loads_as_the_reference(path):
+    got = loaded_or_error(load_ohlc_csv, path)
+    want = loaded_or_error(load_ohlc_csv_reference, path)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert_same_frame(got, want)
 
 
 @given(text=ohlc_csv_texts())
@@ -196,15 +256,81 @@ def loaded_or_error(load, path):
 def test_load_matches_the_row_by_row_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "XYZ.csv"
     path.write_bytes(text)
-    got = loaded_or_error(load_ohlc_csv, path)
-    want = loaded_or_error(load_ohlc_csv_reference, path)
-    if isinstance(want, tuple):
-        assert got == want
-        return
-    assert not isinstance(got, tuple), got
-    assert got.dates == want.dates and got.tickers == want.tickers
-    for name in ("closes", "highs", "lows"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert_loads_as_the_reference(path)
+
+
+HEADER = "date,open,high,low,close\n"
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(HEADER + "2020-01-02,1,2#,0.5,1.5\n", id="hash_in_a_price"),
+    pytest.param(HEADER + "2020-01-02#,1,2,0.5,1.5\n", id="hash_after_a_date"),
+    pytest.param(HEADER + "2020-01-02,1,2,0.5,1.5#x\n", id="hash_after_the_last_price"),
+    pytest.param("date,note,open,high,low,close\n2020-01-02,a#b,1,2,0.5,1.5\n", id="hash_in_an_unused_cell"),
+    pytest.param(HEADER + "2020-01-02,1_5,2_0,0.5,1.5\n", id="underscore_in_prices"),
+    pytest.param(HEADER + "2020-01-02,\u0661,\u0662,0.5,1.5\n", id="arabic_indic_prices"),
+    pytest.param(HEADER + "\xa02020-01-02\t,\t1\xa0,2,\xa00.5,1.5\t\n", id="nbsp_and_tab_padding"),
+    pytest.param(HEADER + " \n2020-01-02,1,2,0.5,1.5\n\t\n", id="whitespace_only_rows"),
+    pytest.param(HEADER + ",,,,\n2020-01-02,1,2,0.5,1.5\n , ,\n", id="comma_only_rows"),
+    pytest.param(HEADER + "2020-01-02,1,2,0.5,1.5,9\n2020-01-03,1,2,0.5,1.5\n", id="extra_trailing_cell"),
+    # loadtxt's skiprows=1 would skip the header and the 2020-01-02 row as one line
+    pytest.param("date,open,high,low,close,volume\r2020-01-02,1,2,0.5,1.5,7\n2020-01-03,1,2,0.5,1.5,8\n",
+                 id="lone_cr_after_the_header"),
+    pytest.param(HEADER + "2020-01-02,1,2,0.5,1.5\r2020-01-03,1,2,0.5,1.5\r", id="lone_cr_line_endings"),
+    pytest.param(HEADER.replace("\n", "\r\n") + "2020-01-02,1,2,0.5,1.5\r\n\r\n", id="crlf_and_a_blank_line"),
+    pytest.param(HEADER + "2020-01-02\0,1,2,0.5,1.5\n", id="nul_after_a_date"),
+    pytest.param(HEADER + "2020-01-02,1,2,0.5,1.5\0\n", id="nul_after_a_price"),
+    pytest.param(HEADER + "2018-01-01        x,1,2,0.5,1.5\n", id="letter_after_padding_past_the_field"),
+    pytest.param(HEADER + "2018-01-01          ,1,2,0.5,1.5\n", id="padding_past_the_field"),
+    pytest.param(HEADER, id="header_only"),
+    pytest.param(HEADER + "\n\n", id="header_and_empty_lines"),
+])
+def test_inputs_on_which_numpy_and_the_csv_module_part_load_as_the_reference(tmp_path, text):
+    path = tmp_path / "XYZ.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_loads_as_the_reference(path)
+    assert not caught  # loadtxt warns on a header-only file; the warning must not escape
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("day", ["20180101", "2018-W01-2", "2018W011"])
+def test_dates_other_than_yyyy_mm_dd_are_refused_on_every_python(tmp_path, day, quoted):
+    cell = f'"{day}"' if quoted else day
+    path = tmp_path / "XYZ.csv"
+    path.write_text(f"{HEADER}2017-12-31,1,2,0.5,1.5\n{cell},1,2,0.5,1.5\n")
+    with pytest.raises(UnparsableRow) as err:
+        load_ohlc_csv(path, "XYZ")
+    assert str(err.value) == f"{path}:3: Invalid isoformat string: '{day}'"
+
+
+BUNDLED = sorted((Path(__file__).resolve().parents[1] / "data" / "synth_crypto").glob("*.csv"))
+
+
+def test_the_bundled_csvs_are_read_without_the_csv_module(monkeypatch):
+    want = [load_ohlc_csv_reference(path, path.stem) for path in BUNDLED]
+
+    def reader(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", reader)
+    assert len(BUNDLED) == 9
+    for path, frame in zip(BUNDLED, want):
+        assert_same_frame(load_ohlc_csv(path, path.stem), frame)
+
+
+def test_the_bundled_csvs_load_the_same_through_the_csv_module_when_loadtxt_fails(monkeypatch):
+    calls = []
+
+    def loadtxt(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("loadtxt failed")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    for path in BUNDLED:
+        assert_same_frame(load_ohlc_csv(path, path.stem), load_ohlc_csv_reference(path, path.stem))
+    assert len(calls) == len(BUNDLED) == 9
 
 
 def two_series(tmp_path):
