@@ -122,8 +122,7 @@ def build_state(frame: MarketFrame, t: int, window: int, scheme: NormalizationSc
     deciding at step t (the window ends at t, inclusive)."""
     if t < window - 1 or t >= frame.n_steps:
         raise WindowOutOfRange(f"step {t} with window {window} outside frame of length {frame.n_steps}")
-    cols = slice(t - window + 1, t + 1)
-    return normalize_window(scheme, np.stack([frame.closes[:, cols], frame.highs[:, cols], frame.lows[:, cols]]))
+    return normalize_window(scheme, frame.prices[:, :, t - window + 1 : t + 1].copy())
 
 
 def env_reset(frame: MarketFrame, window: int, scheme: NormalizationScheme,

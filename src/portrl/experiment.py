@@ -264,7 +264,8 @@ def _finished_jobs(config: ExperimentConfig, prepared: dict[str, Prepared], jobs
     """Yield ((method, seed), outcome) as jobs finish; the outcome is what
     run_single returned or the exception it raised."""
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # the fork start method starts every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(jobs))) as pool:
             futures = {pool.submit(run_single, config, seed, prepared[kind]): (kind, seed)
                        for kind, seed in jobs}
             for future in as_completed(futures):

@@ -5,18 +5,20 @@ header with date/open/high/low/close columns (case-insensitive, extra
 columns ignored), YYYY-MM-DD dates on every Python (3.11's
 date.fromisoformat also takes 20180101 and 2018-W01-2; they are
 refused), and plain decimal prices. A file with no quote, NUL or lone
-carriage return is read by one np.loadtxt call, numpy's C reader, and
-checked with array operations. Any other file, and any file that reader
-declines (a row it cannot read, a date cell that fills its string
-field, a failed check), is split into rows by the csv module and each
-required column converted in one pass. Only the csv path raises, so the
-errors and their order do not depend on the reader. Errors name the
-file and line: conversion errors first, at the first failing row in
-file order, then duplicate dates, then OHLC ordering at the earliest
-date. All price data lives in one immutable type, MarketFrame, whose
-matrices are (assets, days): loading a CSV gives a one-asset frame, and
-alignment joins frames onto one calendar by a sorted-date search, each
-frame contributing its own assets. Cash is implicit at index 0 of every
+carriage return, and no line longer than the csv module's field limit,
+is read by one np.loadtxt call, numpy's C reader, and checked with
+array operations. Any other file, and any file that reader declines (a
+row it cannot read, a date cell that fills its string field, a failed
+check), is read row by row by the csv module. Only the csv path
+raises, so the errors and their order do not depend on the reader.
+Errors name the file and line: conversion errors first (a record the
+csv module refuses among them), at the first failing row in file
+order, then duplicate dates, then OHLC ordering at the earliest date.
+All price data lives in one immutable type, MarketFrame, whose prices
+are (3, assets, days) in (close, high, low) order, the order of every
+state window: loading a CSV gives a one-asset frame, and alignment
+joins frames onto one calendar by a sorted-date search, each frame
+contributing its own assets. Cash is implicit at index 0 of every
 relative vector with a price ratio of exactly 1.
 """
 
@@ -26,9 +28,7 @@ import bisect
 import csv
 import functools
 import io
-import itertools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from datetime import date
@@ -71,26 +71,34 @@ class IndexOutOfRange(IndexError):
 
 @dataclass(frozen=True, eq=False)
 class MarketFrame:
-    """Close/high/low matrices of shape (assets, days): one loaded CSV's
-    asset, or a basket aligned onto one calendar."""
+    """Read-only (close, high, low) prices of shape (3, assets, days): one
+    loaded CSV's asset, or a basket aligned onto one calendar."""
 
     tickers: tuple[str, ...]
     dates: tuple[date, ...]
-    closes: np.ndarray
-    highs: np.ndarray
-    lows: np.ndarray
+    prices: np.ndarray
 
     def __post_init__(self):
-        n, length = len(self.tickers), len(self.dates)
-        for name in ("closes", "highs", "lows"):
-            matrix = getattr(self, name)
-            if matrix.shape != (n, length):
-                raise ValueError(f"{name} has shape {matrix.shape}, expected {(n, length)}")
-            matrix.flags.writeable = False
+        expected = (3, len(self.tickers), len(self.dates))
+        if self.prices.shape != expected:
+            raise ValueError(f"prices has shape {self.prices.shape}, expected {expected}")
+        self.prices.flags.writeable = False
 
     def __reduce__(self):
-        # an unpickled copy (a campaign worker's) goes through __init__, so its matrices are read-only too
-        return MarketFrame, (self.tickers, self.dates, self.closes, self.highs, self.lows)
+        # an unpickled copy (a campaign worker's) goes through __init__, so its prices are read-only too
+        return MarketFrame, (self.tickers, self.dates, self.prices)
+
+    @property
+    def closes(self) -> np.ndarray:
+        return self.prices[0]
+
+    @property
+    def highs(self) -> np.ndarray:
+        return self.prices[1]
+
+    @property
+    def lows(self) -> np.ndarray:
+        return self.prices[2]
 
     @property
     def n_assets(self) -> int:
@@ -104,9 +112,7 @@ class MarketFrame:
         return MarketFrame(
             tickers=self.tickers,
             dates=self.dates[start:stop],
-            closes=self.closes[:, start:stop].copy(),
-            highs=self.highs[:, start:stop].copy(),
-            lows=self.lows[:, start:stop].copy(),
+            prices=self.prices[:, :, start:stop].copy(),
         )
 
 
@@ -181,10 +187,14 @@ def frame_from_loadtxt(path: Path, ticker: str, text: str) -> MarketFrame:
     """The frame of a file read by one np.loadtxt call, or a ValueError or
     Warning where this reader declines the file: a file with a quote, NUL
     or lone carriage return (which the csv module reads differently), a
-    row loadtxt cannot read, or any failed check, whose message would
-    carry stand-in line numbers."""
+    line longer than csv.field_size_limit() (which may hold a cell the
+    csv module refuses), a row loadtxt cannot read, or any failed check,
+    whose message would carry stand-in line numbers."""
     if '"' in text or "\0" in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
         raise ValueError("left to the csv module")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, text.split("\n"))) > limit:
+        raise ValueError("a cell may be past the csv module's field limit")
     header = text.partition("\n")[0].removesuffix("\r").split(",")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a header-only file warns
@@ -198,38 +208,31 @@ def frame_from_loadtxt(path: Path, ticker: str, text: str) -> MarketFrame:
 
 
 def frame_from_csv_module(path: Path, ticker: str, text: str) -> MarketFrame:
-    """The frame of a file split into rows by the csv module, or the error
-    at the file's first failing row."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    """The frame of a file read row by row by the csv module: each row
+    that is not blank is converted and checked in file order, and the
+    first failure raises, a record the csv module refuses (say, a cell
+    past csv.field_size_limit()) among them. A row's line counts
+    records, the header being line 1."""
+    days, prices, lines = [], [], []
+    line_no = 0
     try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptySeries(f"{path}: file is empty") from None
-    usecols = required_columns(path, header)
-    records = list(reader)
-    # drop a row whose joined cells are blank; a row's line counts
-    # records, the header being line 1
-    kept = list(map(bool, map(str.strip, map("".join, records))))
-    rows = list(itertools.compress(records, kept))
-    lines = list(itertools.compress(itertools.count(2), kept))
-    if not rows:
+        for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            if line_no == 1:
+                usecols = required_columns(path, row)
+            elif "".join(row).strip():
+                try:
+                    days += iso_days([row[usecols[0]]])
+                    prices.append([float(row[i]) for i in usecols[1:]])
+                except (ValueError, IndexError) as exc:
+                    raise UnparsableRow(f"{path}:{line_no}: {exc}") from None
+                lines.append(line_no)
+    except csv.Error as exc:
+        raise UnparsableRow(f"{path}:{line_no + 1}: {exc}") from None
+    if not line_no:
+        raise EmptySeries(f"{path}: file is empty")
+    if not lines:
         raise EmptySeries(f"{path}: no data rows")
-
-    date_cells, *price_cells = (map(operator.itemgetter(i), rows) for i in usecols)
-    try:
-        days = iso_days(date_cells)
-        prices = np.array([np.fromiter(map(float, cells), np.float64, len(rows)) for cells in price_cells])
-    except (ValueError, IndexError):
-        # a column failed somewhere: name the first failing row in file order
-        for line_no, row in zip(lines, rows):
-            try:
-                iso_days([row[usecols[0]]])
-                for i in usecols[1:]:
-                    float(row[i])
-            except (ValueError, IndexError) as exc:
-                raise UnparsableRow(f"{path}:{line_no}: {exc}") from None
-        raise
-    return sorted_frame(path, ticker, days, prices, lines)
+    return sorted_frame(path, ticker, days, np.array(prices).T, lines)
 
 
 def sorted_frame(path: Path, ticker: str, days: list[date], prices: np.ndarray, lines) -> MarketFrame:
@@ -258,9 +261,7 @@ def sorted_frame(path: Path, ticker: str, days: list[date], prices: np.ndarray, 
     return MarketFrame(
         tickers=(ticker,),
         dates=tuple(map(days.__getitem__, order.tolist())),
-        closes=closes[np.newaxis],
-        highs=highs[np.newaxis],
-        lows=lows[np.newaxis],
+        prices=np.stack([closes, highs, lows])[:, np.newaxis],
     )
 
 
@@ -295,14 +296,10 @@ def align_assets(frames: list[MarketFrame], policy: str = "intersect") -> Market
         calendar = calendar[calendar >= max(d[0] for d in days)]
     # each frame's row on a calendar day is its last row on or before that day
     rows = [np.searchsorted(d, calendar, side="right") - 1 for d in days]
-    closes, highs, lows = (np.concatenate([getattr(frame, name)[:, r] for frame, r in zip(frames, rows)])
-                           for name in ("closes", "highs", "lows"))
     return MarketFrame(
         tickers=tickers,
         dates=tuple(map(date.fromordinal, calendar.tolist())),
-        closes=closes,
-        highs=highs,
-        lows=lows,
+        prices=np.concatenate([frame.prices.take(r, axis=2) for frame, r in zip(frames, rows)], axis=1),
     )
 
 

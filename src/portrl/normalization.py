@@ -90,7 +90,5 @@ def apply_data_max(scheme: NormalizationScheme, frame: MarketFrame) -> MarketFra
     return MarketFrame(
         tickers=frame.tickers,
         dates=frame.dates,
-        closes=frame.closes / divisor,
-        highs=frame.highs / divisor,
-        lows=frame.lows / divisor,
+        prices=frame.prices / divisor,
     )

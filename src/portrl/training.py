@@ -96,7 +96,7 @@ class ReplayBuffer:
         relatives = np.ones((rows, frame.n_assets + 1))
         relatives[:, 1:] = (frame.closes[:, self.window:] / frame.closes[:, self.window - 1:-1]).T
         self._starts = np.concatenate([self._starts, self._prices.shape[2] + np.arange(rows)])
-        self._prices = np.concatenate([self._prices, np.stack([frame.closes, frame.highs, frame.lows])], axis=2)
+        self._prices = np.concatenate([self._prices, frame.prices], axis=2)
         self._last_actions = np.concatenate([self._last_actions, np.empty((rows,) + self._last_actions.shape[1:])])
         self._relatives = np.concatenate([self._relatives, relatives])
 

@@ -33,9 +33,7 @@ def make_frame(closes, spread: float = 0.01, start: date = date(2020, 1, 1), tic
     return MarketFrame(
         tickers=tuple(tickers) if tickers else tuple(f"A{i}" for i in range(n)),
         dates=tuple(start + timedelta(days=i) for i in range(length)),
-        closes=closes,
-        highs=closes * (1.0 + spread),
-        lows=closes * (1.0 - spread),
+        prices=np.stack([closes, closes * (1.0 + spread), closes * (1.0 - spread)]),
     )
 
 
@@ -52,15 +50,31 @@ def write_ohlc_csv(path, rows, header="date,open,high,low,close") -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def load_ohlc_csv_reference(path: str | Path, ticker: str) -> MarketFrame:
-    """Oracle for market_data.load_ohlc_csv: parse and check one row at a
-    time (a date must read YYYY-MM-DD), stop at the first unparsable row,
-    sort by date, then walk the sorted rows for a repeated date and then
-    for an OHLC violation."""
-    path = Path(path)
+def numbered_records(path: Path):
+    """(line, cells) of each record of a CSV file, counting records from
+    the header's line 1; a record the csv module refuses is unparsable."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    line_no = 1
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # say, a cell past csv.field_size_limit()
+            raise UnparsableRow(f"{path}:{line_no}: {exc}") from None
+        yield line_no, record
+        line_no += 1
+
+
+def load_ohlc_csv_reference(path: str | Path, ticker: str) -> MarketFrame:
+    """Oracle for market_data.load_ohlc_csv: read and check one row at a
+    time (a date must read YYYY-MM-DD), stop at the first record the csv
+    module refuses or row that does not parse, sort by date, then walk
+    the sorted rows for a repeated date and then for an OHLC violation."""
+    path = Path(path)
+    records = numbered_records(path)
     try:
-        header = next(reader)
+        _, header = next(records)
     except StopIteration:
         raise EmptySeries(f"{path}: file is empty") from None
     columns = {name.strip().lower(): i for i, name in enumerate(header)}
@@ -69,7 +83,7 @@ def load_ohlc_csv_reference(path: str | Path, ticker: str) -> MarketFrame:
         if name not in columns:
             raise MissingColumn(f"{path}: missing column '{name}' in header {header}")
     rows = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in records:
         if not row or all(not cell.strip() for cell in row):
             continue
         try:
@@ -89,7 +103,7 @@ def load_ohlc_csv_reference(path: str | Path, ticker: str) -> MarketFrame:
         if day == next_day:
             raise UnparsableRow(f"{path}:{line_no}: duplicate date {day}")
 
-    highs, lows, closes = (np.empty(len(rows)) for _ in range(3))
+    prices = np.empty((3, 1, len(rows)))
     for i, (day, line_no, (o, h, l, c)) in enumerate(rows):
         if not (0.0 < l <= c <= h < math.inf and l <= o <= h):
             if not all(map(math.isfinite, (o, h, l, c))):
@@ -98,13 +112,11 @@ def load_ohlc_csv_reference(path: str | Path, ticker: str) -> MarketFrame:
             raise OhlcOrderingViolation(
                 f"{path}:{line_no}: OHLC ordering violated on {day} (open={o}, high={h}, low={l}, close={c})"
             )
-        highs[i], lows[i], closes[i] = h, l, c
+        prices[:, 0, i] = c, h, l
     return MarketFrame(
         tickers=(ticker,),
         dates=tuple(day for day, _, _ in rows),
-        closes=closes[np.newaxis],
-        highs=highs[np.newaxis],
-        lows=lows[np.newaxis],
+        prices=prices,
     )
 
 
@@ -126,7 +138,7 @@ def align_assets_reference(frames: list[MarketFrame], policy: str) -> MarketFram
         start = max(frame.dates[0] for frame in frames)
         calendar = sorted(d for d in union if d >= start)
     assets = [(frame, a) for frame in frames for a in range(frame.n_assets)]
-    closes, highs, lows = (np.empty((len(assets), len(calendar))) for _ in range(3))
+    prices = np.empty((3, len(assets), len(calendar)))
     for i, (frame, a) in enumerate(assets):
         lookup = {d: j for j, d in enumerate(frame.dates)}
         # most recent row at or before the calendar start (may predate it)
@@ -140,15 +152,11 @@ def align_assets_reference(frames: list[MarketFrame], policy: str) -> MarketFram
                 last = lookup[day]
             elif policy == "intersect" or last is None:
                 raise AssertionError(f"{frame.tickers[a]}: no row on or before {day}")
-            closes[i, j] = frame.closes[a, last]
-            highs[i, j] = frame.highs[a, last]
-            lows[i, j] = frame.lows[a, last]
+            prices[:, i, j] = frame.prices[:, a, last]
     return MarketFrame(
         tickers=tuple(frame.tickers[a] for frame, a in assets),
         dates=tuple(calendar),
-        closes=closes,
-        highs=highs,
-        lows=lows,
+        prices=prices,
     )
 
 

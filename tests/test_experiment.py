@@ -315,6 +315,31 @@ class TestCampaign:
         assert [r.seed for r in method.results] == [0]
         assert method.failures == [(1, "RuntimeError: synthetic failure")]
 
+    def test_the_pool_starts_no_more_workers_than_jobs(self, tmp_path, tiny_config, monkeypatch):
+        import portrl.experiment as experiment
+
+        sizes = []
+        pool = experiment.ProcessPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        tiny_config.runs = 1
+        serial = run_campaign(tiny_config)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", recording_pool)
+        parallel = run_campaign(replace(tiny_config, workers=4))
+        assert sizes == [1]
+        serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
+        emit_report(serial, serial_dir)
+        emit_report(parallel, parallel_dir)
+        left, right = non_timing_files(serial_dir), non_timing_files(parallel_dir)
+        for name in ("summary.json", "config_resolved.txt"):
+            # the configs differ only in the workers knob
+            left[name] = left[name].replace(b'"workers": "1"', b"").replace(b"workers = 1", b"")
+            right[name] = right[name].replace(b'"workers": "4"', b"").replace(b"workers = 4", b"")
+        assert left == right
+
     def test_multi_method_campaign_is_one_report_serial_or_parallel(self, tmp_path, capsys):
         config = replace(load_config(write_config(tmp_path, write_market(tmp_path))), normalization=ALL_METHODS)
         serial = run_campaign(config)
@@ -560,6 +585,17 @@ class TestCli:
         assert cli.main(["validate", str(config_path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"{csv_path.resolve()}:4: byte 0xe9 is not UTF-8")
+
+    def test_validate_names_the_csv_and_line_of_a_cell_past_the_csv_field_limit(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, write_market(tmp_path))
+        csv_path = tmp_path / "data" / "T1.csv"
+        header, first, rest = csv_path.read_text().split("\n", 2)
+        first = first.rpartition(",")[0] + ',"' + "9" * 200_000 + '"'  # a quoted close of 200,000 characters
+        csv_path.write_text("\n".join([header, first, rest]))
+        assert cli.main(["validate", str(config_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"{csv_path.resolve()}:2: field larger than field limit")
 
     def test_report_on_a_missing_directory_is_its_message_alone_and_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "campaign"

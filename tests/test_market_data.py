@@ -227,7 +227,7 @@ def ohlc_csv_texts(draw):
 def loaded_or_error(load, path):
     try:
         return load(path, "XYZ")
-    except (ValueError, csv.Error) as exc:  # the csv module of Python 3.10 refuses a NUL
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
@@ -284,6 +284,14 @@ HEADER = "date,open,high,low,close\n"
     pytest.param(HEADER + "2018-01-01          ,1,2,0.5,1.5\n", id="padding_past_the_field"),
     pytest.param(HEADER, id="header_only"),
     pytest.param(HEADER + "\n\n", id="header_and_empty_lines"),
+    # csv.field_size_limit() is 131,072 characters; loadtxt reads longer cells
+    pytest.param(HEADER + "2020-01-02,1,2,0.5,1." + "5" * 200_000 + "\n", id="price_past_the_csv_field_limit"),
+    pytest.param("date,note,open,high,low,close\n2020-01-02," + "x" * 200_000 + ",1,2,0.5,1.5\n",
+                 id="unused_cell_past_the_csv_field_limit"),
+    pytest.param("date,open,high,low,close," + "x" * 200_000 + "\n2020-01-02,1,2,0.5,1.5\n",
+                 id="header_cell_past_the_csv_field_limit"),
+    pytest.param(HEADER + "2020-01-0x,1,2,0.5,1.5\n2020-01-03,1,2,0.5," + "5" * 200_000 + "\n",
+                 id="bad_date_before_a_cell_past_the_csv_field_limit"),
 ])
 def test_inputs_on_which_numpy_and_the_csv_module_part_load_as_the_reference(tmp_path, text):
     path = tmp_path / "XYZ.csv"
@@ -424,7 +432,7 @@ class TestAlign:
 
 def frames_on_calendars(calendars, seed):
     """One frame per (days, n_assets) pair: days are offsets from
-    2020-01-01, prices random and distinct across the three matrices."""
+    2020-01-01, prices random and distinct across the three channels."""
     rng = np.random.default_rng(seed)
     frames = []
     for k, (days, n_assets) in enumerate(calendars):
@@ -432,9 +440,8 @@ def frames_on_calendars(calendars, seed):
         frames.append(MarketFrame(
             tickers=tuple(f"F{k}A{a}" for a in range(n_assets)),
             dates=tuple(date(2020, 1, 1) + timedelta(days=d) for d in sorted(days)),
-            closes=rng.uniform(1.0, 2.0, shape),
-            highs=rng.uniform(2.0, 3.0, shape),
-            lows=rng.uniform(0.5, 1.0, shape),
+            prices=np.stack([rng.uniform(1.0, 2.0, shape), rng.uniform(2.0, 3.0, shape),
+                             rng.uniform(0.5, 1.0, shape)]),
         ))
     return frames
 
@@ -542,7 +549,7 @@ class TestSplit:
     def test_ranges_ending_on_missing_days_match_a_per_date_filter(self):
         weekdays = [date(2020, 1, 1) + timedelta(days=i) for i in range(120)]
         weekdays = [day for day in weekdays if day.weekday() < 5]
-        frame = MarketFrame(("A",), tuple(weekdays), *np.ones((3, 1, len(weekdays))))
+        frame = MarketFrame(("A",), tuple(weekdays), np.ones((3, 1, len(weekdays))))
         window = 5
         rng = np.random.default_rng(6)
         outcomes = set()
@@ -599,19 +606,36 @@ class TestPriceRelatives:
             assert np.array_equal(price_relatives(frame, t), expected)
 
 
+@pytest.mark.parametrize("shape", [(2, 4), (3, 3, 4), (3, 2, 3), (4, 2, 4)],
+                         ids=["no_channel_axis", "one_asset_too_many", "one_day_too_few", "four_channels"])
+def test_prices_of_another_shape_than_channels_assets_days_are_refused(shape):
+    dates = tuple(date(2020, 1, 1) + timedelta(days=i) for i in range(4))
+    with pytest.raises(ValueError) as err:
+        MarketFrame(("A", "B"), dates, np.ones(shape))
+    assert str(err.value) == f"prices has shape {shape}, expected (3, 2, 4)"
+
+
+def test_frame_channels_are_views_of_its_prices():
+    frame = make_frame([[1.0, 2.0, 3.0]], spread=0.5)
+    assert np.shares_memory(frame.closes, frame.prices)
+    assert [frame.closes.tolist(), frame.highs.tolist(), frame.lows.tolist()] == frame.prices.tolist()
+    assert frame.prices.tolist() == [[[1.0, 2.0, 3.0]], [[1.5, 3.0, 4.5]], [[0.5, 1.0, 1.5]]]
+
+
 def test_frame_matrices_are_read_only():
     frame = make_frame([[1.0, 2.0, 3.0]])
-    with pytest.raises(ValueError):
-        frame.closes[0, 0] = 99.0
+    for matrix in (frame.prices, frame.closes):
+        with pytest.raises(ValueError):
+            matrix[..., 0] = 99.0
 
 
 def test_unpickled_frame_matrices_are_read_only():
     # campaign workers train on frames unpickled from the parent process
     frame = pickle.loads(pickle.dumps(make_frame([[1.0, 2.0, 3.0]])))
     assert frame.closes.tolist() == [[1.0, 2.0, 3.0]]
-    for matrix in (frame.closes, frame.highs, frame.lows):
+    for matrix in (frame.prices, frame.closes, frame.highs, frame.lows):
         with pytest.raises(ValueError):
-            matrix[0, 0] = 99.0
+            matrix[..., 0] = 99.0
 
 
 def test_manifest_parsing(tmp_path):

@@ -83,9 +83,7 @@ class TestDataMax:
         frame = MarketFrame(
             tickers=("A",),
             dates=make_frame([[1.0, 1.0, 1.0]]).dates,
-            closes=np.array([[1.9, 7.5, 3.8]]),
-            highs=np.array([[2.0, 8.0, 4.0]]),
-            lows=np.array([[1.8, 7.0, 3.5]]),
+            prices=np.array([[[1.9, 7.5, 3.8]], [[2.0, 8.0, 4.0]], [[1.8, 7.0, 3.5]]]),
         )
         scheme = fit_data_max(frame)
         assert scheme.scales == (8.0,)
@@ -99,7 +97,7 @@ class TestDataMax:
 
     def test_constant_asset_normalizes_to_one(self):
         flat = np.full((1, 5), 4.2)
-        frame = MarketFrame(("A",), make_frame(flat).dates, flat, flat.copy(), flat.copy())
+        frame = MarketFrame(("A",), make_frame(flat).dates, np.stack([flat] * 3))
         scheme = fit_data_max(frame)
         scaled = apply_data_max(scheme, frame)
         assert np.allclose(scaled.highs, 1.0)
@@ -127,13 +125,13 @@ class TestDataMax:
     def test_ticker_mismatch(self):
         frame = random_walk_frame(np.random.default_rng(4), 2, 5)
         scheme = fit_data_max(frame)
-        other = MarketFrame(("X", "Y"), frame.dates, frame.closes.copy(), frame.highs.copy(), frame.lows.copy())
+        other = MarketFrame(("X", "Y"), frame.dates, frame.prices.copy())
         with pytest.raises(TickerMismatch):
             apply_data_max(scheme, other)
 
     def test_non_positive_scale_is_defended(self):
         zeros = np.zeros((1, 3))
-        frame = MarketFrame(("A",), make_frame(zeros).dates, zeros, zeros.copy(), zeros.copy())
+        frame = MarketFrame(("A",), make_frame(zeros).dates, np.stack([zeros] * 3))
         with pytest.raises(NonPositiveScale):
             fit_data_max(frame)
 
