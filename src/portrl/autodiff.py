@@ -2,12 +2,15 @@
 ``backward`` runs its hand-written backward pass, on float64 numpy buffers.
 
 ``policy.features`` runs the graph's convolutions through
-``conv1d_over_time``, conv1 over the input's ``unfold``, and
-``policy.head`` ends it with ``softmax``; ``policy.backward_batch``
-differentiates it with the two conv-gradient kernels below. ``Tensor``
-is a scalar loss: its value ``data`` and the closure that sets every
-entry of the policy's flat ``grad``, so ``loss.backward()`` is the whole
-backward pass. Gradients are set, never accumulated.
+``conv1d_over_time``, over a time-major batch that none of them copies,
+and ``policy.head`` ends it with ``softmax``; ``policy.backward_batch``
+differentiates it with the two conv-gradient kernels below. conv1 is
+one stacked matmul over strided windows of its input, each output a
+sum in (k, c) order, and pads a lone row to two columns so that BLAS
+keeps it on gemm. ``Tensor`` is a scalar loss: its value ``data`` and
+the closure that sets every entry of the policy's flat ``grad``, so
+``loss.backward()`` is the whole backward pass. Gradients are set,
+never accumulated.
 """
 
 from __future__ import annotations
@@ -46,49 +49,68 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # The contractions below hand-inline np.tensordot's transpose/reshape/dot
 # sequence; tensordot's per-call overhead dominates single-sample forwards.
 #
+# conv1 reads its input time-major, (t, C_in, rows) in C order, the layout
+# the replay buffer gathers a batch in. There the k * C_in values of one
+# output step's window lie at one stride from each other, so every window
+# of the input is one strided view (t_out, k * C_in, rows) of it, and
+# conv1 is one stacked matmul of its (C_out, k * C_in) kernel matrix over
+# that view, one product per output step, with no copy of the input: each
+# output is one 3 * k-term sum in (k, c) order. BLAS computes those sums
+# in the same order at any column count but one: numpy hands a one-column
+# product to BLAS's matrix-vector kernel, whose bits differ from gemm's,
+# so a lone row is padded to two columns.
+#
 # A sample's output must have the same bits whatever the number of
 # samples in the call, because the buffer rewrite runs the features of a
 # whole batch at once where the backtest and the tests run one sample. A
 # sample is ``group`` consecutive rows (the policy's n assets of one
-# window). A narrow kernel (conv1) makes one GEMM over the unfold of its
-# input, which keeps each output's 3*k-term sum in one fixed order. A
-# full-width kernel (conv2, the head) runs as small products per sample:
-# a single GEMM over all rows changes its blocking, and with it the
+# window). A full-width kernel (conv2, the head) runs as one product per
+# sample, of its rows' k * C_in values by the taps in (k, c) order: a
+# single GEMM over all rows changes its blocking, and with it the
 # summation order, with the row count, while a product of one sample's
-# rows has the same shape, and so the same bits, in any batch.
+# rows has the same shape, and so the same bits, in any batch. conv2
+# reads conv1's time-major output in place and writes rows-major, which
+# the 1-tap head reads in place.
 #
-# conv2 reads conv1's output where conv1 wrote it, channel-major
-# (C_in, rows, k): its forward is one product per input channel and
-# sample, over x[c], summed in channel order; its kernel gradient is one
-# GEMM per channel, g . x[c], and its input gradient one GEMM per channel,
-# g^T . K[:, c], written straight into the (C_in, rows, k) result. None of
-# the three makes a transposed copy of its input. conv2 writes its output
-# rows-major, so the 1-tap head reads it as one product per sample with
-# no copy either. The kernel width picks the form.
+# Every kernel gradient is one stacked matmul of the time-major output
+# gradient with the input's windows, summed over the output steps in
+# order, and a full-width kernel's input gradient is one GEMM written
+# time-major, which the ReLU mask and the kernel gradient below it read
+# as it lies.
 
 
-def unfold(x: np.ndarray, k: int) -> np.ndarray:
-    """(C_in, k, rows, t_out) copy of ``x`` whose [:, :, r, s] holds x[:, r, s : s + k].
-
-    A narrow kernel's convolution and its kernel gradient are each one
-    GEMM over it, so a training step builds it once and hands it to both.
-    """
-    c_in, rows, t = x.shape
-    s_c, s_r, s_t = x.strides
-    windows = as_strided(x, (c_in, k, rows, t - k + 1), (s_c, s_t, s_r, s_t), writeable=False)
-    return np.ascontiguousarray(windows)
+def time_major(x: np.ndarray) -> np.ndarray:
+    """(C, rows, t) ``x`` as the (t, C, rows) array in C order: a view of
+    ``x`` when it is laid out so, a copy otherwise."""
+    return np.ascontiguousarray(x.transpose(2, 0, 1))
 
 
-def conv1d_over_time(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
-                     unfolded: np.ndarray | None = None, *, group: int = 1) -> np.ndarray:
+def time_windows(x: np.ndarray, k: int) -> np.ndarray:
+    """(t - k + 1, k * C, rows) read-only view of a time-major (t, C, rows)
+    array whose [s, j * C + c] is x[s + j, c]: every width-k window."""
+    t, c, rows = x.shape
+    return as_strided(x, (t - k + 1, k * c, rows), x.strides, writeable=False)
+
+
+def tap_rows(kernels: np.ndarray) -> np.ndarray:
+    """(k * C_in, C_out) C-order copy of (C_out, C_in, k) ``kernels`` whose
+    [j * C_in + c] is kernels[:, c, j]. BLAS multiplies a transposed view of
+    it by a transposed sample about half as fast, with the same bits."""
+    c_out, c_in, k = kernels.shape
+    return kernels.transpose(2, 1, 0).reshape(k * c_in, c_out)
+
+
+def conv1d_over_time(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *, group: int = 1) -> np.ndarray:
     """Valid 1-d convolution along the trailing (time) axis.
 
     ``x`` has shape (C_in, rows, t), ``kernels`` (C_out, C_in, k) and
-    ``bias`` (C_out,). A kernel narrower than the time axis reads
-    ``unfolded``, which must be ``unfold(x, k)``; a full-width kernel
-    reads ``x``, one product per ``group`` consecutive rows. Rows never
-    mix: row j of every output channel depends only on row j of the
-    input, and has the same bits wherever its group sits among the rows.
+    ``bias`` (C_out,). A kernel narrower than the time axis reads ``x``
+    time-major, in place when it is laid out so, and returns a view of
+    its time-major output; a full-width kernel makes one product per
+    ``group`` consecutive rows and returns a view of its rows-major
+    output. Rows never mix: row j of every output channel depends only
+    on row j of the input, and has the same bits wherever its group sits
+    among the rows.
     """
     if x.ndim != 3 or kernels.ndim != 3 or x.shape[0] != kernels.shape[1]:
         raise ShapeMismatch(f"conv1d_over_time: input {x.shape} vs kernels {kernels.shape}")
@@ -98,45 +120,34 @@ def conv1d_over_time(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     if bias.shape != (c_out,):
         raise ShapeMismatch(f"conv1d_over_time: bias {bias.shape} vs kernels {kernels.shape}")
     rows = x.shape[1]
-    t_out = x.shape[2] - k + 1
-    if t_out > 1:
-        if unfolded is None or unfolded.shape != (c_in, k, rows, t_out):
-            raise ShapeMismatch(f"conv1d_over_time: unfold {getattr(unfolded, 'shape', None)} vs input {x.shape} "
-                                f"and kernels {kernels.shape}")
-        out = np.dot(kernels.reshape(c_out, c_in * k), unfolded.reshape(c_in * k, rows * t_out))
-        out = out.reshape(c_out, rows, t_out)
-    else:
-        if k == 1:  # one product per sample, over the rows-major input
-            per_group = np.matmul(x[:, :, 0].T.reshape(rows // group, group, c_in), kernels[:, :, 0].T)
-        else:  # per sample, one product per channel of the channel-major input, summed in channel order
-            samples = x.reshape(c_in, rows // group, group, k)
-            per_group = np.matmul(samples[0], kernels[:, 0].T)
-            for c in range(1, c_in):
-                per_group += np.matmul(samples[c], kernels[:, c].T)
-        out = per_group.reshape(rows, c_out).T.reshape(c_out, rows, 1)  # rows-major
-    out += bias[:, None, None]  # out is this call's own product, in the layout a new sum would get
-    return out
+    if x.shape[2] > k:
+        steps = time_major(x)
+        if rows == 1:  # two columns keep the product on gemm; the first is the row's
+            steps = np.concatenate([steps, steps], axis=2)
+        out = np.matmul(kernels.transpose(0, 2, 1).reshape(c_out, k * c_in), time_windows(steps, k))
+        out += bias[:, None]  # out is this call's own product, in the layout a new sum would get
+        return out[:, :, :rows].transpose(1, 2, 0)
+    # a view of conv1's time-major output and of conv2's rows-major one
+    samples = x.transpose(1, 2, 0).reshape(rows // group, group, k * c_in)
+    out = np.matmul(samples, tap_rows(kernels)).reshape(rows, c_out)
+    out += bias
+    return out.T[:, :, None]
 
 
 def conv1d_kernel_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient wrt the kernels of a conv1d_over_time whose output has gradient ``g``.
-
-    ``x`` is what the forward's product read: the input (C_in, rows, t)
-    of a full-width kernel, or the ``unfold`` (C_in, k, rows, t_out) of a
-    narrow kernel's input.
-    """
-    c_out, rows, t_out = g.shape
-    if t_out > 1:
-        c_in, k = x.shape[:2]
-        return np.dot(g.reshape(c_out, rows * t_out), x.reshape(c_in * k, rows * t_out).T).reshape(c_out, c_in, k)
-    if x.shape[2] == 1:
-        return np.dot(g[:, :, 0], x[:, :, 0].T)[:, :, None]
-    return np.stack([np.dot(g[:, :, 0], channel) for channel in x], axis=1)
+    """Gradient wrt the kernels of a conv1d_over_time over input ``x``
+    (C_in, rows, t) whose output has gradient ``g``. It reads both
+    time-major, in place when they are laid out so."""
+    c_out, _, t_out = g.shape
+    c_in, k = x.shape[0], x.shape[2] - t_out + 1
+    per_step = np.matmul(time_major(g), time_windows(time_major(x), k).transpose(0, 2, 1))
+    return np.add.reduce(per_step, axis=0).reshape(c_out, k, c_in).transpose(0, 2, 1)
 
 
 def conv1d_input_grad(g: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Gradient wrt the input of a full-width conv1d_over_time (one output
-    step) with ``kernels`` whose output has gradient ``g``.
+    step) with ``kernels`` whose output has gradient ``g``, as a view of
+    its time-major layout.
 
     The graph only needs it for conv2 and the head: conv1's input is the
     state, which has no parameter behind it.
@@ -145,9 +156,5 @@ def conv1d_input_grad(g: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     rows, t_out = g.shape[1], g.shape[2]
     if t_out != 1:
         raise ShapeMismatch(f"conv1d_input_grad: output gradient {g.shape} spans more than one step")
-    if k == 1:
-        return np.dot(kernels[:, :, 0].T, g[:, :, 0])[:, :, None]
-    grad = np.empty((c_in, rows, k))
-    for c in range(c_in):
-        np.dot(g[:, :, 0].T, kernels[:, c], out=grad[c])
-    return grad
+    steps = np.dot(tap_rows(kernels), g[:, :, 0])
+    return steps.reshape(k, c_in, rows).transpose(1, 2, 0)

@@ -8,18 +8,23 @@ Because kernels are shared and convolution runs along time only, assets
 never mix: the network is equivariant under asset permutation.
 
 The graph runs in two parts, split where the last action enters:
-``features`` and ``head``. ``features`` gives a sample the same bits at
-any batch size: conv2 runs one product per input channel per sample,
-over the sample's n asset rows of conv1's channel-major output, and the
-head's feature part one product per sample, so the sample, not the
-batch, fixes the summation order. The buffer rewrite therefore runs
-``features`` once per batch, over the objective's conv1 unfold, and
-chains only the head step (``head_chain``), which gives each row the
-bits ``head`` gives it (``test_head_and_head_chain_agree_bit_for_bit_per_row``
-in tests/test_policy.py). ``policy_forward`` is the one-sample
+``features`` and ``head``. ``features`` reads a batch time-major,
+(t, 3, B*n) in C order as the replay buffer gathers it, and gives a
+sample the same bits at any batch size: conv1 is one stacked matmul
+over strided windows of its input, whose 9-term sums run in (k, c)
+order at any row count (a lone row is padded to two columns, which
+keeps BLAS on gemm), and conv2 and the head's feature part run one
+product per sample over the sample's n asset rows, so the sample, not
+the batch, fixes the summation order. conv1 writes its output
+time-major and conv2 reads it in place, in its forward and in both its
+gradients; conv2's input gradient comes back time-major, as the ReLU
+mask and conv1's kernel gradient read it. The buffer rewrite therefore
+runs ``features`` once per batch and chains only the head step
+(``head_chain``), which gives each row the bits ``head`` gives it
+(``test_head_and_head_chain_agree_bit_for_bit_per_row`` in
+tests/test_policy.py). ``policy_forward`` is the one-sample
 ``forward_batch``, so the filled and rewritten actions match it bit for
-bit. conv1 writes its output channel-major and conv2 reads it so, in its
-forward and in both its gradients, with no transposed copy.
+bit.
 
 The learnable values live in one flat array, ``PolicyParams.theta``,
 whose named blocks every function here reads as views;
@@ -110,8 +115,8 @@ def forward_batch(params: PolicyParams, states: np.ndarray,
 
     The batch folds into the asset axis, which the convolutions treat
     independently anyway; only the final softmax is per-sample. The
-    activations start with conv1's unfold, which the buffer rewrite
-    reads again for its own pass over the same states.
+    activations start with the stacked rows, which conv1's kernel
+    gradient reads again.
     """
     batch, channels, n, t = states.shape
     if channels != 3 or n != params.n_assets or t != params.window:
@@ -121,34 +126,28 @@ def forward_batch(params: PolicyParams, states: np.ndarray,
     if last_actions.shape != (batch, n + 1):
         raise ad.ShapeMismatch(f"last_actions {last_actions.shape}, expected {(batch, n + 1)}")
     x = stacked_rows(states)
-    unfolded = conv1_unfold(params, x)
-    scores, (h1, h2) = features(params, x, unfolded)
+    scores, (h1, h2) = features(params, x)
     actions = head(params, scores, last_actions)
-    return actions, (unfolded, h1, h2, last_actions, actions)
+    return actions, (x, h1, h2, last_actions, actions)
 
 
 def stacked_rows(states: np.ndarray) -> np.ndarray:
-    """States (B, 3, n, t) as the convolutions' input (3, B*n, t), without a
-    copy when the batch is laid out channel-major, as the buffer gathers it."""
+    """States (B, 3, n, t) as the convolutions' input (3, B*n, t), a view
+    when the batch is laid out time-major, (t, 3, B, n) in C order, as the
+    buffer gathers it, and when it is one C-order sample."""
     batch, _, n, t = states.shape
-    return np.ascontiguousarray(states.transpose(1, 0, 2, 3)).reshape(3, batch * n, t)
+    return states.transpose(1, 0, 2, 3).reshape(3, batch * n, t)
 
 
-def conv1_unfold(params: PolicyParams, x: np.ndarray) -> np.ndarray:
-    """conv1's unfold of the stacked rows ``x``: the one copy of its input a forward makes."""
-    return ad.unfold(x, params.conv1_kernels.shape[2])
-
-
-def features(params: PolicyParams, x: np.ndarray, unfolded: np.ndarray) -> tuple[np.ndarray, tuple]:
+def features(params: PolicyParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     """The part of the graph the last action does not enter: conv1 -> relu
     -> conv2 -> relu -> the 1x1 head's feature channels and bias.
 
-    Stacked rows ``x`` (3, B*n, t) with their ``conv1_unfold`` -> per-asset
-    partial scores (B, n), plus the activations (h1, h2). A sample's scores
-    have the same bits at any B, so a batch's features can stand in for
-    one call per sample.
+    Stacked rows ``x`` (3, B*n, t) -> per-asset partial scores (B, n),
+    plus the activations (h1, h2). A sample's scores have the same bits
+    at any B, so a batch's features can stand in for one call per sample.
     """
-    h1 = ad.conv1d_over_time(x, params.conv1_kernels, params.conv1_bias, unfolded)
+    h1 = ad.conv1d_over_time(x, params.conv1_kernels, params.conv1_bias)
     np.maximum(h1, 0.0, out=h1)
     n = params.n_assets
     h2 = ad.conv1d_over_time(h1, params.conv2_kernels, params.conv2_bias, group=n)
@@ -198,9 +197,9 @@ def backward_batch(params: PolicyParams, activations: tuple, grad_actions: np.nd
     A ReLU passes gradient only where its output is positive (the
     subgradient at 0 is 0). Both masks apply in place to the input
     gradients the conv kernels return fresh; ``activations`` is left as
-    it was, and the buffer rewrite reads its unfold again.
+    it was.
     """
-    unfolded, h1, h2, last_actions, actions = activations
+    x, h1, h2, last_actions, actions = activations
     grad = params.views(params.grad)
     inner = (grad_actions * actions).sum(axis=1, keepdims=True)
     grad_logits = actions * (grad_actions - inner)
@@ -216,7 +215,7 @@ def backward_batch(params: PolicyParams, activations: tuple, grad_actions: np.nd
     grad["conv2_bias"][...] = g.sum(axis=(1, 2))
     g = ad.conv1d_input_grad(g, params.conv2_kernels)
     g *= h1 > 0.0
-    grad["conv1_kernels"][...] = ad.conv1d_kernel_grad(g, unfolded)
+    grad["conv1_kernels"][...] = ad.conv1d_kernel_grad(g, x)
     grad["conv1_bias"][...] = g.sum(axis=(1, 2))
 
 

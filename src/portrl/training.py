@@ -4,10 +4,13 @@ The trainer fills a replay buffer with one experience per training
 step, samples recency-biased sequential batches via a geometric
 distribution, ascends the mean log-profit objective with AdamW, and
 rewrites the sampled experiences' stored last-actions with the updated
-policy's outputs. ``chain_actions`` writes stored last-actions for both
-the fill (from all cash, with no simulator) and the rewrite. During
-backtests it keeps learning online: each new test experience is
-appended to the buffer before a burst of update steps.
+policy's outputs. The buffer gathers each batch time-major, the layout
+every convolution of the policy reads in place, so one gather serves a
+step's objective, its backward pass and its rewrite. ``chain_actions``
+writes stored last-actions for both the fill (from all cash, with no
+simulator) and the rewrite. During backtests it keeps learning online:
+each new test experience is appended to the buffer before a burst of
+update steps.
 """
 
 from __future__ import annotations
@@ -22,14 +25,14 @@ from .autodiff import Tensor
 from .environment import FrameTooShort, env_reset, env_step, transaction_factor_batch
 from .market_data import MarketFrame
 from .normalization import NormalizationScheme, normalize_window
-from .policy import (PolicyParams, backward_batch, conv1_unfold, features, forward_batch, head_chain,
-                     policy_forward, stacked_rows)
+from .policy import PolicyParams, backward_batch, features, forward_batch, head_chain, policy_forward, stacked_rows
 
 
 # glibc maps each allocation at or above its mmap threshold afresh, so every
 # page of it faults on first touch, and raises the threshold only after such
 # a block is freed. Set up front, a paper-shape train_step reuses its multi-MB
-# temporaries (conv1's 6.2 MB unfold among them) from the heap every step.
+# temporaries (the 2.2 MB time-major batch of states, conv1's 1.4 MB output
+# and its gradient) from the heap every step.
 MMAP_THRESHOLD = 64 << 20  # bytes; above any one temporary of a train_step
 TRIM_THRESHOLD = 128 << 20  # bytes of freed heap top kept for the next step
 try:
@@ -78,7 +81,7 @@ class ReplayBuffer:
         self.window = window
         self.scheme = scheme
         self._size = 0
-        self._prices = np.empty((3, n_assets, 0))
+        self._prices = np.empty((3, 0, n_assets))
         self._starts = np.empty(0, dtype=np.int64)
         self._last_actions = np.empty((0, n_assets + 1))
         self._relatives = np.empty((0, n_assets + 1))
@@ -95,8 +98,8 @@ class ReplayBuffer:
         # row j holds price_relatives(frame, window + j): cash, then each close over the one before
         relatives = np.ones((rows, frame.n_assets + 1))
         relatives[:, 1:] = (frame.closes[:, self.window:] / frame.closes[:, self.window - 1:-1]).T
-        self._starts = np.concatenate([self._starts, self._prices.shape[2] + np.arange(rows)])
-        self._prices = np.concatenate([self._prices, frame.prices], axis=2)
+        self._starts = np.concatenate([self._starts, self._prices.shape[1] + np.arange(rows)])
+        self._prices = np.concatenate([self._prices, frame.prices.transpose(0, 2, 1)], axis=1)
         self._last_actions = np.concatenate([self._last_actions, np.empty((rows,) + self._last_actions.shape[1:])])
         self._relatives = np.concatenate([self._relatives, relatives])
 
@@ -107,13 +110,19 @@ class ReplayBuffer:
     def states(self, start: int, stop: int) -> np.ndarray:
         """Normalized states of rows [start, stop), shape (B, 3, n, window).
 
-        The gather lays the batch out channel-major, (3, B, n, window) in C
+        The gather lays the batch out time-major, (window, 3, B, n) in C
         order, and the result is a transposed view of it, which is the
-        layout ``policy.features`` reads without a copy.
+        layout ``policy.features`` reads without a copy. The rows of one
+        frame have consecutive starts, so each frame the batch spans is
+        one strided copy of the tape.
         """
-        windows = sliding_window_view(self._prices, self.window, axis=2).transpose(0, 2, 1, 3)
-        batch = windows[np.arange(3)[:, None], self._starts[: self._size][start:stop]]
-        return normalize_window(self.scheme, batch).transpose(1, 0, 2, 3)
+        starts = self._starts[: self._size][start:stop]
+        batch = np.empty((self.window, 3, len(starts), self._prices.shape[2]))
+        windows = sliding_window_view(self._prices, self.window, axis=1).transpose(3, 0, 1, 2)
+        firsts = np.flatnonzero(np.diff(starts, prepend=-2) != 1)  # where each run begins; no start is -1
+        for lo, hi in zip(firsts, [*firsts[1:], len(starts)]):
+            batch[:, :, lo:hi] = windows[:, :, starts[lo] : starts[lo] + hi - lo]
+        return normalize_window(self.scheme, batch.transpose(1, 2, 3, 0)).transpose(1, 0, 2, 3)
 
     @property
     def last_actions(self) -> np.ndarray:
@@ -168,13 +177,13 @@ class AdamW:
 
 
 def chain_actions(params: PolicyParams, buffer: ReplayBuffer, start: int, stop: int,
-                  states: np.ndarray, unfolded: np.ndarray) -> None:
+                  states: np.ndarray) -> None:
     """Chain the policy through rows [start, stop): row j + 1's stored last
     action becomes the output for row j's state and last action. ``states``
-    are ``buffer.states(start, stop)`` and ``unfolded`` their conv1 unfold;
-    a row's features have the same bits at any batch size, so one features
-    pass plus the head chain writes what ``policy_forward`` gives per row."""
-    scores, _ = features(params, stacked_rows(states), unfolded)
+    are ``buffer.states(start, stop)``; a row's features have the same bits
+    at any batch size, so one features pass plus the head chain writes
+    what ``policy_forward`` gives per row."""
+    scores, _ = features(params, stacked_rows(states))
     rows = min(stop, len(buffer) - 1) - start
     head_chain(params, scores[:rows], buffer.last_actions[start : start + rows + 1])
 
@@ -189,8 +198,7 @@ def fill_buffer(frame: MarketFrame, window: int, scheme: NormalizationScheme,
     buffer.last_actions[0] = np.eye(frame.n_assets + 1)[0]  # all cash
     for start in range(0, len(buffer), batch_size):
         stop = min(start + batch_size, len(buffer))
-        states = buffer.states(start, stop)
-        chain_actions(params, buffer, start, stop, states, conv1_unfold(params, stacked_rows(states)))
+        chain_actions(params, buffer, start, stop, buffer.states(start, stop))
     return buffer
 
 
@@ -213,7 +221,7 @@ def sample_batch(buffer: ReplayBuffer, batch_size: int, sample_bias: float,
 
 
 def batch_objective(params: PolicyParams, states: np.ndarray, buffer: ReplayBuffer, start: int, stop: int,
-                    commission: float) -> tuple[Tensor, np.ndarray]:
+                    commission: float) -> Tensor:
     """Mean log-profit of the policy over one sequential batch.
 
     Each step contributes ln(mu_t * (a_t . y_t)) where a_t is the policy
@@ -221,8 +229,7 @@ def batch_objective(params: PolicyParams, states: np.ndarray, buffer: ReplayBuff
     relatives, and mu_t the rebalancing cost factor from the previous
     action's drifted weights. mu_t is held constant under
     differentiation. ``states`` are ``buffer.states(start, stop)``.
-    Returns the objective, whose ``backward`` sets ``params.grad``, and
-    conv1's unfold of the states, which the buffer rewrite reads again.
+    Returns the objective, whose ``backward`` sets ``params.grad``.
     """
     last_actions = buffer.last_actions[start:stop]
     relatives = buffer.relatives[start:stop]
@@ -239,7 +246,7 @@ def batch_objective(params: PolicyParams, states: np.ndarray, buffer: ReplayBuff
         grad_gains = (grad / growth.size) / growth * mu
         backward_batch(params, activations, grad_gains[:, None] * relatives)
 
-    return Tensor(np.log(growth).mean(), backward), activations[0]
+    return Tensor(np.log(growth).mean(), backward)
 
 
 class Trainer:
@@ -269,17 +276,16 @@ class Trainer:
             raise RuntimeError("fill_buffer must run before train_step")
         start, stop = sample_batch(self.buffer, self.config.batch_size,
                                    self.config.sample_bias, self.rng)
-        # One gather and one conv1 unfold serve the objective and the
-        # rewrite; nothing writes the tape in between.
+        # One gather serves the objective and the rewrite; nothing writes
+        # the tape in between.
         states = self.buffer.states(start, stop)
-        objective, unfolded = batch_objective(self.params, states, self.buffer, start, stop, self.commission)
-        loss = -objective
+        loss = -batch_objective(self.params, states, self.buffer, start, stop, self.commission)
         value = float(loss.data)
         if not np.isfinite(value):
             raise NonFiniteLoss(f"loss {value} at step {self.optimizer.step_count}, batch [{start}, {stop})")
         loss.backward()
         self.optimizer.step()
-        chain_actions(self.params, self.buffer, start, stop, states, unfolded)
+        chain_actions(self.params, self.buffer, start, stop, states)
         return value
 
     def train(self, steps: int) -> None:

@@ -1,7 +1,8 @@
 """Shared test helpers: synthetic market data, the row-by-row CSV
 loader and per-day alignment oracles, the running-peak loop oracle for
-the maximum drawdown, the finite-difference oracle with mu held
-constant, and the bisection oracle for mu."""
+the maximum drawdown, the unfold-and-GEMM oracle for a narrow
+convolution, the finite-difference oracle with mu held constant, and
+the bisection oracle for mu."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from portrl import training
 from portrl.environment import transaction_factor_batch
@@ -173,6 +175,21 @@ def mdd_reference(values: np.ndarray) -> float:
             if drop > worst:
                 worst = drop
     return worst
+
+
+def narrow_conv_reference(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
+                          g: np.ndarray | None = None) -> np.ndarray:
+    """Oracle for a narrow conv1d_over_time (or, given its output gradient
+    ``g``, for its kernel gradient): one GEMM over the unfold, a contiguous
+    (C_in, k, rows, t_out) copy of every window of ``x`` (C_in, rows, t),
+    so each output sums its C_in * k terms in (c, k) order."""
+    c_out, c_in, k = kernels.shape
+    rows, t_out = x.shape[1], x.shape[2] - k + 1
+    unfolded = np.ascontiguousarray(sliding_window_view(x, k, axis=2).transpose(0, 3, 1, 2))
+    columns = unfolded.reshape(c_in * k, rows * t_out)
+    if g is not None:
+        return np.dot(g.reshape(c_out, rows * t_out), columns.T).reshape(c_out, c_in, k)
+    return np.dot(kernels.reshape(c_out, c_in * k), columns).reshape(c_out, rows, t_out) + bias[:, None, None]
 
 
 def random_simplex(rng: np.random.Generator, size: int) -> np.ndarray:

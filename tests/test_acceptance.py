@@ -76,10 +76,9 @@ def _min_relu_preactivation(params, states):
     redrawn.
     """
     from portrl.autodiff import conv1d_over_time
-    from portrl.policy import conv1_unfold, stacked_rows
+    from portrl.policy import stacked_rows
 
-    x = stacked_rows(states)
-    pre1 = conv1d_over_time(x, params.conv1_kernels, params.conv1_bias, conv1_unfold(params, x))
+    pre1 = conv1d_over_time(stacked_rows(states), params.conv1_kernels, params.conv1_bias)
     pre2 = conv1d_over_time(np.maximum(pre1, 0.0), params.conv2_kernels, params.conv2_bias)
     return min(float(np.abs(pre1).min()), float(np.abs(pre2).min()))
 
@@ -107,11 +106,11 @@ def test_gradient_correctness_full_policy_objective(monkeypatch):
 
         states = buffer.states(start, stop)
         hold_mu(monkeypatch)
-        objective, _ = batch_objective(params, states, buffer, start, stop, commission)
+        objective = batch_objective(params, states, buffer, start, stop, commission)
         objective.backward()
 
         def evaluate():
-            return float(batch_objective(params, states, buffer, start, stop, commission)[0].data)
+            return float(batch_objective(params, states, buffer, start, stop, commission).data)
 
         worst_overall = max(worst_overall, max_fd_error(evaluate, params.theta, params.grad, eps))
         assert worst_overall < 1e-4, f"instance {candidate}: max rel error {worst_overall:.2e}"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import max_fd_error
+from helpers import max_fd_error, narrow_conv_reference
 from portrl import autodiff as ad
 from portrl.autodiff import ShapeMismatch
 from portrl.policy import backward_batch, forward_batch, init_policy
@@ -33,13 +33,64 @@ def test_conv_never_mixes_rows():
     x = rng.normal(size=(2, 5, 9))
     kernels = rng.normal(size=(3, 2, 4))
     bias = np.zeros(3)
-    base = ad.conv1d_over_time(x, kernels, bias, ad.unfold(x, 4))
+    base = ad.conv1d_over_time(x, kernels, bias)
     perturbed = x.copy()
     perturbed[:, 2, :] += rng.normal(size=9)
-    out = ad.conv1d_over_time(perturbed, kernels, bias, ad.unfold(perturbed, 4))
+    out = ad.conv1d_over_time(perturbed, kernels, bias)
     others = [0, 1, 3, 4]
     assert np.array_equal(out[:, others, :], base[:, others, :])
     assert not np.array_equal(out[:, 2, :], base[:, 2, :])
+
+
+def time_major_copy(x):
+    """The values of a (C, rows, t) array, laid out time-major: (t, C, rows) in C order."""
+    return np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("c_in, rows, t, k", [(3, 18, 50, 3), (2, 5, 9, 4), (3, 1, 8, 3)])
+def test_narrow_kernel_and_its_gradient_match_the_unfold_oracle(c_in, rows, t, k):
+    # the oracle sums each output's terms in (c, k) order and the kernel in
+    # (k, c) order, so they agree up to rounding, not bit for bit
+    rng = np.random.default_rng(rows * t)
+    x = np.abs(rng.normal(1.0, 0.2, (c_in, rows, t))) + 0.1
+    kernels = rng.uniform(-0.5, 0.5, (2, c_in, k))
+    bias = rng.normal(size=2)
+    g = rng.normal(size=(2, rows, t - k + 1))
+    out = ad.conv1d_over_time(x, kernels, bias)
+    assert out.shape == (2, rows, t - k + 1)
+    np.testing.assert_allclose(out, narrow_conv_reference(x, kernels, bias), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(ad.conv1d_kernel_grad(g, x), narrow_conv_reference(x, kernels, bias, g),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_a_channel_major_input_and_a_time_major_view_give_the_same_bits():
+    # a narrow kernel and its gradient copy a channel-major input to
+    # time-major and read a time-major one in place: the same products
+    rng = np.random.default_rng(9)
+    x, g = rng.normal(size=(3, 12, 10)), rng.normal(size=(2, 12, 8))
+    kernels, bias = rng.normal(size=(2, 3, 3)), rng.normal(size=2)
+    for array in (x, g):
+        assert not np.shares_memory(time_major_copy(array), array)
+    in_place = time_major_copy(x)
+    assert np.shares_memory(ad.time_major(in_place), in_place)
+    copied = ad.conv1d_over_time(x, kernels, bias)
+    assert copied.tobytes() == ad.conv1d_over_time(time_major_copy(x), kernels, bias).tobytes()
+    copied = ad.conv1d_kernel_grad(g, x)
+    assert copied.tobytes() == ad.conv1d_kernel_grad(time_major_copy(g), time_major_copy(x)).tobytes()
+
+
+@pytest.mark.blas_invariance
+@pytest.mark.parametrize("layout", [np.array, time_major_copy])
+def test_a_lone_row_has_the_bits_of_its_row_in_batches_of_2_7_and_200(layout):
+    # a one-column product would take BLAS's matrix-vector kernel
+    rng = np.random.default_rng(31)
+    x = layout(np.abs(rng.normal(1.0, 0.2, (3, 200, 8))))
+    kernels, bias = rng.uniform(-0.5, 0.5, (2, 3, 3)), rng.normal(size=2)
+    alone = [ad.conv1d_over_time(x[:, r : r + 1], kernels, bias) for r in range(200)]
+    for rows in (2, 7, 200):
+        batched = ad.conv1d_over_time(x[:, :rows], kernels, bias)
+        for r in range(rows):
+            assert batched[:, r : r + 1].tobytes() == alone[r].tobytes(), (rows, r)
 
 
 def test_relu_backward_is_zero_at_and_below_zero():
@@ -64,11 +115,10 @@ def test_grad_check_linear_function_is_near_exact():
     kernels = rng.normal(size=(2, 2, 3))
     bias = rng.normal(size=(2,))
     weights = np.full((2, 3, 4), 3.0)
-    unfolded = ad.unfold(x, 3)
-    grad_k = ad.conv1d_kernel_grad(weights, unfolded)
+    grad_k = ad.conv1d_kernel_grad(weights, x)
 
     def evaluate():
-        return float((weights * ad.conv1d_over_time(x, kernels, bias, unfolded)).sum())
+        return float((weights * ad.conv1d_over_time(x, kernels, bias)).sum())
 
     assert max_fd_error(evaluate, kernels.reshape(-1), grad_k, eps=1e-5) < 1e-10
 
@@ -79,16 +129,13 @@ def test_conv_gradients_match_finite_differences_both_paths():
     bias = rng.normal(size=(4,))
 
     def check(kernels):
-        unfolded = ad.unfold(x, kernels.shape[2])  # read by a narrow kernel only
-
         def evaluate():
-            out = ad.conv1d_over_time(x, kernels, bias, unfolded)
+            out = ad.conv1d_over_time(x, kernels, bias)
             return float((out * out).mean())
 
-        out = ad.conv1d_over_time(x, kernels, bias, unfolded)
+        out = ad.conv1d_over_time(x, kernels, bias)
         g = 2.0 * out / out.size
-        read = x if out.shape[2] == 1 else unfolded  # what the forward's product read
-        errors = [max_fd_error(evaluate, kernels.reshape(-1), ad.conv1d_kernel_grad(g, read), 1e-5)]
+        errors = [max_fd_error(evaluate, kernels.reshape(-1), ad.conv1d_kernel_grad(g, x), 1e-5)]
         if out.shape[2] == 1:  # the graph takes input gradients of full-width kernels only
             errors.append(max_fd_error(evaluate, x.reshape(-1), ad.conv1d_input_grad(g, kernels), 1e-5))
         return errors
@@ -145,12 +192,9 @@ def test_shape_mismatch_reports_both_shapes():
     with pytest.raises(ShapeMismatch) as err:
         ad.conv1d_over_time(np.zeros((2, 3, 4)), np.zeros((1, 2, 2)), np.zeros(2))
     assert "(2,)" in str(err.value) and "(1, 2, 2)" in str(err.value)
-    x, narrow = np.zeros((2, 3, 4)), np.zeros((1, 2, 2))
-    with pytest.raises(ShapeMismatch):  # a narrow kernel reads the unfold of its input
-        ad.conv1d_over_time(x, narrow, np.zeros(1))
-    with pytest.raises(ShapeMismatch) as err:
-        ad.conv1d_over_time(x, narrow, np.zeros(1), ad.unfold(x, 3))
-    assert "(2, 3, 3, 2)" in str(err.value) and "(1, 2, 2)" in str(err.value)
+    with pytest.raises(ShapeMismatch) as err:  # a narrow kernel checks the same shapes
+        ad.conv1d_over_time(np.zeros((3, 3, 4)), np.zeros((1, 2, 2)), np.zeros(1))
+    assert "(3, 3, 4)" in str(err.value) and "(1, 2, 2)" in str(err.value)
 
 
 def test_forward_and_backward_are_deterministic():
@@ -161,10 +205,9 @@ def test_forward_and_backward_are_deterministic():
     bias = rng.normal(size=(2,))
 
     def run():
-        unfolded = ad.unfold(x_data.copy(), 4)
-        out = ad.conv1d_over_time(x_data.copy(), k_data.copy(), bias, unfolded)
+        out = ad.conv1d_over_time(x_data.copy(), k_data.copy(), bias)
         full = ad.conv1d_over_time(x_data.copy(), full_data.copy(), bias)
-        return (out, ad.conv1d_kernel_grad(np.maximum(out, 0.0), unfolded),
+        return (out, ad.conv1d_kernel_grad(np.maximum(out, 0.0), x_data.copy()),
                 full, ad.conv1d_input_grad(np.maximum(full, 0.0), full_data.copy()))
 
     for first, second in zip(run(), run()):

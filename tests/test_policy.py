@@ -8,7 +8,6 @@ from portrl.autodiff import ShapeMismatch
 from portrl.policy import (
     WindowTooSmall,
     backward_batch,
-    conv1_unfold,
     features,
     forward_batch,
     head,
@@ -144,7 +143,7 @@ class TestForward:
             assert np.abs(grad).max() > 0.0, name
 
     def test_backward_leaves_its_activations_alone(self):
-        # the ReLU masks apply in place to fresh input gradients; the buffer rewrite reads the unfold again
+        # the ReLU masks apply in place to fresh input gradients, never on the activations
         rng = np.random.default_rng(15)
         params = init_policy(9, 50, seed=15)
         states, lasts = random_inputs(rng, 9, 50, batch=7)
@@ -155,7 +154,7 @@ class TestForward:
         grad_actions = rng.normal(size=actions.shape)
         backward_batch(params, activations, grad_actions)
         first = params.grad.copy()
-        names = ("unfold", "h1", "h2", "last actions", "actions")
+        names = ("stacked rows", "h1", "h2", "last actions", "actions")
         for name, array, kept in zip(names, activations, before):
             assert array.tobytes() == kept.tobytes(), name
         backward_batch(params, activations, grad_actions)
@@ -188,8 +187,7 @@ class TestBatchInvariance:
         states, _ = random_inputs(np.random.default_rng(21), 9, 50, batch=230)
 
         def scores(batch):
-            x = stacked_rows(batch)
-            return features(params, x, conv1_unfold(params, x))[0]
+            return features(params, stacked_rows(batch))[0]
 
         singles = np.concatenate([scores(states[i : i + 1]) for i in range(len(states))])
         for offset in (0, 3, 17, 30):
@@ -208,8 +206,7 @@ class TestBatchInvariance:
         states, _ = random_inputs(np.random.default_rng(22), n_assets, 50, batch=207)
 
         def scores(batch):
-            x = stacked_rows(batch)
-            return features(params, x, conv1_unfold(params, x))[0]
+            return features(params, stacked_rows(batch))[0]
 
         singles = np.concatenate([scores(states[i : i + 1]) for i in range(len(states))])
         for offset in range(8):

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def reference_step(trainer):
     twin = copy.deepcopy(trainer)
     start, stop = sample_batch(twin.buffer, twin.config.batch_size, twin.config.sample_bias, twin.rng)
     states = twin.buffer.states(start, stop)
-    objective, _ = batch_objective(twin.params, states, twin.buffer, start, stop, twin.commission)
+    objective = batch_objective(twin.params, states, twin.buffer, start, stop, twin.commission)
     loss = -objective
     loss.backward()
     twin.optimizer.step()
@@ -165,7 +166,7 @@ class TestPriceTape:
         batch = buffer.states(boundary - 3, boundary + 4)
         singles = np.stack([buffer.states(j, j + 1)[0] for j in range(boundary - 3, boundary + 4)])
         assert batch.tobytes() == singles.tobytes()
-        assert batch.transpose(1, 0, 2, 3).flags.c_contiguous
+        assert batch.transpose(3, 1, 0, 2).flags.c_contiguous  # time-major: (window, 3, B, n)
         assert np.shares_memory(stacked_rows(batch), batch)  # the convolutions read the batch without a copy
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -258,7 +259,7 @@ class TestBatchObjective:
         flat = np.full((3, 20), 8.0)
         frame = make_frame(flat, spread=0.0)
         trainer = make_trainer(frame, window=4, commission=0.0)
-        objective, _ = objective_over(trainer, 0, len(trainer.buffer), 0.0)
+        objective = objective_over(trainer, 0, len(trainer.buffer), 0.0)
         assert abs(float(objective.data)) < 1e-12
 
     def test_all_cash_policy_objective_is_zero_at_zero_commission(self):
@@ -267,13 +268,13 @@ class TestBatchObjective:
         trainer.params.theta[...] = 0.0
         trainer.params.cash_bias[...] = 50.0
         trainer.fill_buffer()
-        objective, _ = objective_over(trainer, 0, len(trainer.buffer), 0.0)
+        objective = objective_over(trainer, 0, len(trainer.buffer), 0.0)
         assert abs(float(objective.data)) < 1e-12
 
     def test_full_episode_objective_equals_log_fapv_over_steps(self):
         frame = random_walk_frame(np.random.default_rng(9), 3, 30)
         trainer = make_trainer(frame, window=4, commission=0.0)
-        objective, _ = objective_over(trainer, 0, len(trainer.buffer), 0.0)
+        objective = objective_over(trainer, 0, len(trainer.buffer), 0.0)
 
         state, obs = env_reset(frame, 4, LAST_CLOSE, 100_000.0, 0.0)
         last_action = state.weights
@@ -309,17 +310,17 @@ class TestBatchObjective:
         frame = random_walk_frame(np.random.default_rng(10), 3, 16)
         trainer = make_trainer(frame, window=4, commission=0.0)
         hold_mu(monkeypatch)
-        objective, _ = objective_over(trainer, 2, 3, 0.0)
+        objective = objective_over(trainer, 2, 3, 0.0)
         objective.backward()
 
         def evaluate():
-            return float(objective_over(trainer, 2, 3, 0.0)[0].data)
+            return float(objective_over(trainer, 2, 3, 0.0).data)
 
         assert max_fd_error(evaluate, trainer.params.theta, trainer.params.grad, eps=1e-5) < 1e-4
 
     def test_backward_sets_every_gradient_entry(self):
         trainer = make_trainer(random_walk_frame(np.random.default_rng(36), 3, 30), window=4)
-        objective, _ = objective_over(trainer, 2, 10, 0.0025)
+        objective = objective_over(trainer, 2, 10, 0.0025)
         loss = -objective
         trainer.params.grad[...] = np.nan
         loss.backward()
@@ -327,7 +328,7 @@ class TestBatchObjective:
 
     def test_backward_sets_gradients_rather_than_accumulating(self):
         trainer = make_trainer(random_walk_frame(np.random.default_rng(28), 3, 30), window=4)
-        objective, _ = objective_over(trainer, 2, 10, 0.0025)
+        objective = objective_over(trainer, 2, 10, 0.0025)
         objective.backward()
         first = trainer.params.grad.copy()
         objective.backward()
@@ -335,7 +336,7 @@ class TestBatchObjective:
 
     def test_negated_objective_gives_exactly_negated_gradients(self):
         trainer = make_trainer(random_walk_frame(np.random.default_rng(29), 3, 30), window=4)
-        objective, _ = objective_over(trainer, 2, 10, 0.0025)
+        objective = objective_over(trainer, 2, 10, 0.0025)
         objective.backward()
         ascent = trainer.params.grad.copy()
         loss = -objective
@@ -450,6 +451,26 @@ class TestTrainStep:
                                batch_size=20)
         losses = [trainer.train_step() for _ in range(1000)]
         assert np.isfinite(losses).all()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_paper_shape_step_allocates_less_than_8_mib_at_its_peak(self, kind):
+        # the batch's states (2 MiB), conv1's output and its gradient are the
+        # step's largest arrays; a full-batch copy of conv1's windows (6 MiB)
+        # or of the states would break the bound
+        scheme, train, _ = normalized_frames(kind, random_walk_frame(np.random.default_rng(38), 9, 400),
+                                             random_walk_frame(np.random.default_rng(39), 9, 60))
+        trainer = Trainer(init_policy(9, 50, seed=6, c1=2, c2=20), train, 50, scheme, 100_000.0, 0.0025,
+                          TrainerConfig(batch_size=200), np.random.default_rng(6))
+        trainer.fill_buffer()
+        trainer.train_step()  # warm-up
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                trainer.train_step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, f"{peak / 2**20:.2f} MiB"
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         frame = random_walk_frame(np.random.default_rng(14), 2, 30)
