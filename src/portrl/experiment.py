@@ -105,10 +105,13 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
+    """One run's record: what summary.json, runs.tsv and timings.tsv list
+    for it, and its trajectory (None when loaded without its file)."""
     seed: int
     metrics: metrics_mod.MetricReport
     trajectory_path: str
     wall_time: float
+    trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -116,7 +119,6 @@ class MethodResults:
     results: list[RunResult] = field(default_factory=list)
     failures: list[tuple[int, str]] = field(default_factory=list)
     scales: tuple[float, ...] | None = None
-    trajectories: dict[int, Trajectory] = field(default_factory=dict)
 
 
 @dataclass
@@ -218,10 +220,16 @@ def prepare(config: ExperimentConfig) -> dict[str, Prepared]:
     return prepared
 
 
-def run_single(config: ExperimentConfig, seed: int, prepared: Prepared) -> tuple[RunResult, Trajectory]:
+def trajectory_name(kind: str, seed: int) -> str:
+    """The file, inside the campaign directory, that holds the trajectory
+    of ``kind``'s run ``seed``."""
+    return f"traj_{kind}_{seed:05d}.tsv"
+
+
+def run_single(config: ExperimentConfig, seed: int, prepared: Prepared) -> RunResult:
     """One fully seeded train + backtest on ``prepared``, one method's
-    entry of ``prepare(config)``; returns metrics and trajectory. The
-    wall time covers the training and the backtest, not the load."""
+    entry of ``prepare(config)``; returns its record, trajectory included.
+    The wall time covers the training and the backtest, not the load."""
     started = time.perf_counter()
     train_frame, test_frame, scheme = prepared
     params = init_policy(
@@ -251,13 +259,7 @@ def run_single(config: ExperimentConfig, seed: int, prepared: Prepared) -> tuple
     trainer.train(config.steps)
     trajectory = trainer.backtest(test_frame, config.online_steps)
     report = metrics_mod.report(trajectory, config.initial_value)
-    result = RunResult(
-        seed=seed,
-        metrics=report,
-        trajectory_path=f"traj_{scheme.kind}_{seed:05d}.tsv",
-        wall_time=time.perf_counter() - started,
-    )
-    return result, trajectory
+    return RunResult(seed, report, trajectory_name(scheme.kind, seed), time.perf_counter() - started, trajectory)
 
 
 def _finished_jobs(config: ExperimentConfig, prepared: dict[str, Prepared], jobs: list[tuple[str, int]]):
@@ -300,13 +302,11 @@ def run_campaign(config: ExperimentConfig) -> CampaignReport:
 
     methods = {kind: MethodResults(scales=scheme.scales) for kind, (_, _, scheme) in prepared.items()}
     for kind, seed in jobs:
-        method, outcome = methods[kind], outcomes[kind, seed]
+        outcome = outcomes[kind, seed]
         if isinstance(outcome, str):
-            method.failures.append((seed, outcome))
-            continue
-        result, trajectory = outcome
-        method.results.append(result)
-        method.trajectories[seed] = trajectory
+            methods[kind].failures.append((seed, outcome))
+        else:
+            methods[kind].results.append(outcome)
     return CampaignReport(config=config, methods=methods)
 
 
@@ -345,7 +345,7 @@ def _write_trajectory(traj: Trajectory, path: Path) -> None:
 
 
 def _read_trajectory(path: Path) -> Trajectory:
-    rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+    rows = [line.split("\t") for line in read_text(path).splitlines()[1:]]
     try:
         return Trajectory(
             steps=np.array([int(r[0]) for r in rows], dtype=np.int64),
@@ -397,30 +397,23 @@ def emit_report(report: CampaignReport, out_dir: str | Path) -> None:
     (out / "summary.json").write_text(json.dumps(summary_dict(report), indent=2, sort_keys=True) + "\n")
 
     rows = ["\t".join(["method", "seed", *_RUN_METRICS, "trajectory"])]
+    timing_rows = ["method\tseed\twall_time"]
+    seeds = []
     for kind in sorted(report.methods):
+        samples = []
         for r in report.methods[kind].results:
             cells = [_float_text(v) if isinstance(v, float) else str(v) for v in asdict(r.metrics).values()]
             rows.append("\t".join([kind, str(r.seed), *cells, r.trajectory_path]))
-    (out / "runs.tsv").write_text("\n".join(rows) + "\n")
-
-    for kind in sorted(report.methods):
-        samples = [_float_text(r.metrics.fapv) + "\n" for r in report.methods[kind].results]
+            timing_rows.append(f"{kind}\t{r.seed}\t{_float_text(r.wall_time)}")
+            samples.append(_float_text(r.metrics.fapv) + "\n")
+            seeds.append(str(r.seed))
+            if r.trajectory is not None:
+                _write_trajectory(r.trajectory, out / r.trajectory_path)
         (out / f"fapv_{kind}.txt").write_text("".join(samples))
 
-    seeds = [str(r.seed) for kind in sorted(report.methods) for r in report.methods[kind].results]
-    seed_lines = [f"# seeds used: {', '.join(seeds)}"]
-    (out / "config_resolved.txt").write_text("\n".join(seed_lines) + "\n" + config_to_text(report.config))
-
-    timing_rows = ["method\tseed\twall_time"]
-    for kind in sorted(report.methods):
-        for r in report.methods[kind].results:
-            timing_rows.append(f"{kind}\t{r.seed}\t{_float_text(r.wall_time)}")
+    (out / "runs.tsv").write_text("\n".join(rows) + "\n")
+    (out / "config_resolved.txt").write_text(f"# seeds used: {', '.join(seeds)}\n" + config_to_text(report.config))
     (out / "timings.tsv").write_text("\n".join(timing_rows) + "\n")
-
-    for kind, method in report.methods.items():
-        for r in method.results:
-            if r.seed in method.trajectories:
-                _write_trajectory(method.trajectories[r.seed], out / r.trajectory_path)
 
 
 def load_campaign(out_dir: str | Path) -> CampaignReport:
@@ -428,13 +421,16 @@ def load_campaign(out_dir: str | Path) -> CampaignReport:
 
     A file that does not parse raises ValueError naming it: a
     ``timings.tsv`` line with its line number, a missing ``summary.json``
-    key by name.
+    key by name, a byte that is not UTF-8 with its file and line. Each
+    trajectory is read from the name ``trajectory_name`` gives its run,
+    and a ``summary.json`` that lists another name for it is rejected, so
+    no path in the directory's files leads outside it.
     """
     out = Path(out_dir)
     config = load_config(out / "config_resolved.txt")
     timings_path = out / "timings.tsv"
     timings: dict[tuple[str, int], float] = {}
-    for number, line in enumerate(timings_path.read_text().splitlines()[1:], start=2):
+    for number, line in enumerate(read_text(timings_path).splitlines()[1:], start=2):
         try:
             kind, seed, wall = line.split("\t")
             timings[(kind, int(seed))] = float(wall)
@@ -443,8 +439,9 @@ def load_campaign(out_dir: str | Path) -> CampaignReport:
 
     summary_path = out / "summary.json"
     try:
-        summary = json.loads(summary_path.read_text())
-        methods = {kind: _load_method(out, kind, entry, timings) for kind, entry in summary["methods"].items()}
+        summary = json.loads(read_text(summary_path))  # read_text's ValueError names the file itself
+        methods = {kind: _load_method(summary_path, kind, entry, timings)
+                   for kind, entry in summary["methods"].items()}
     except json.JSONDecodeError as error:
         raise ValueError(f"{summary_path}: not valid JSON: {error}") from None
     except KeyError as error:
@@ -454,20 +451,22 @@ def load_campaign(out_dir: str | Path) -> CampaignReport:
     return CampaignReport(config=config, methods=methods)
 
 
-def _load_method(out: Path, kind: str, entry: dict, timings: dict[tuple[str, int], float]) -> MethodResults:
-    """One method's entry of summary.json, with its trajectories and wall times."""
+def _load_method(summary_path: Path, kind: str, entry: dict, timings: dict[tuple[str, int], float]) -> MethodResults:
+    """One method's entry of summary.json, each run with its trajectory
+    (when its file exists) and wall time."""
     method = MethodResults()
     for run in entry["runs"]:
-        result = RunResult(
-            seed=run["seed"],
-            metrics=metrics_mod.MetricReport(**{name: run[name] for name in _RUN_METRICS}),
-            trajectory_path=run["trajectory"],
-            wall_time=timings.get((kind, run["seed"]), 0.0),
-        )
-        method.results.append(result)
-        traj_file = out / run["trajectory"]
-        if traj_file.exists():
-            method.trajectories[result.seed] = _read_trajectory(traj_file)
+        seed = run["seed"]
+        if not isinstance(seed, int):
+            raise TypeError(f"method '{kind}' lists seed {seed!r}, which is not an integer")
+        name = trajectory_name(kind, seed)
+        if run["trajectory"] != name:
+            raise ValueError(f"{summary_path}: method '{kind}' seed {seed} lists trajectory "
+                             f"{run['trajectory']!r}, expected {name!r}")
+        path = summary_path.parent / name
+        metrics = metrics_mod.MetricReport(**{key: run[key] for key in _RUN_METRICS})
+        trajectory = _read_trajectory(path) if path.exists() else None
+        method.results.append(RunResult(seed, metrics, name, timings.get((kind, seed), 0.0), trajectory))
     method.failures = [(f["seed"], f["error"]) for f in entry["failures"]]
     scales = entry["data_max_scales"]
     method.scales = tuple(scales) if scales is not None else None

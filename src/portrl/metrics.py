@@ -5,6 +5,11 @@ defining formula leaves the risk-free term at zero: ``sharpe`` uses the
 raw value ratios rho_t = V_t / V_{t-1} (literal reading), and
 ``sharpe_excess`` the per-step excess returns rho_t - 1. Both use the
 population (1/N) standard deviation.
+
+A trajectory's values start after the first decision, so V_0 is its
+first value, not the initial value: the initial value enters FAPV only.
+A first-day move is neither a drawdown nor a return of either Sharpe
+ratio (values 90, 95, 99 from 100 give FAPV 0.99 and MDD 0).
 """
 
 from __future__ import annotations

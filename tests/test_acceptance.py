@@ -337,7 +337,7 @@ def test_reduced_directional_replication_micro(tmp_path):
         config.normalization = kind
         fapvs = []
         for seed in range(config.runs):
-            result, _ = run_single(config, seed, prepare(config)[kind])
+            result = run_single(config, seed, prepare(config)[kind])
             assert math.isfinite(result.metrics.fapv)
             fapvs.append(result.metrics.fapv)
         means[kind] = float(np.mean(fapvs))
@@ -370,8 +370,9 @@ def test_determinism_of_runs_and_campaigns(tmp_path):
     ]) + "\n")
     config = load_config(config_path)
 
-    first, traj_a = run_single(config, 1, prepare(config)["last_price"])
-    second, traj_b = run_single(config, 1, prepare(config)["last_price"])
+    first = run_single(config, 1, prepare(config)["last_price"])
+    second = run_single(config, 1, prepare(config)["last_price"])
+    traj_a, traj_b = first.trajectory, second.trajectory
     assert first.metrics == second.metrics
     assert np.array_equal(traj_a.values, traj_b.values)
     assert np.array_equal(traj_a.actions, traj_b.actions)

@@ -148,6 +148,20 @@ class TestConfig:
         message = str(err.value)
         assert str(path) in message and "'steps'" in message and f"lines 10 and {len(lines)}" in message
 
+    def test_line_without_equals_names_file_and_line(self, tmp_path):
+        path = write_config(tmp_path, tmp_path / "portfolio.txt")
+        lines = path.read_text().splitlines() + ["# a comment", "steps 7"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}:{len(lines)}: expected 'key = value'"
+
+    def test_value_that_does_not_parse_names_file_line_and_key(self, tmp_path):
+        path = write_config(tmp_path, tmp_path / "portfolio.txt", steps="many")  # steps is line 10
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}:10: cannot parse 'many' for key 'steps'"
+
     def test_normalization_lists_methods_in_order(self, tmp_path):
         config = load_config(write_config(tmp_path, tmp_path / "portfolio.txt", normalization="data_max,last_close"))
         assert config.methods == ("data_max", "last_close")
@@ -246,15 +260,17 @@ class TestRunSingle:
         tiny_config.steps = 0
         tiny_config.online_steps = 0
         prepared = prepare(tiny_config)["last_close"]
-        result, trajectory = run_single(tiny_config, 0, prepared)
+        result = run_single(tiny_config, 0, prepared)
+        trajectory = result.trajectory
         assert prepared[2].scales is None
         assert np.isfinite([result.metrics.fapv, result.metrics.mdd, result.metrics.sharpe]).all()
         uniform = 1.0 / 4.0
         assert np.abs(trajectory.actions - uniform).max() < 0.1
 
     def test_rerun_reproduces_result_bitwise(self, tiny_config):
-        first, traj_a = run_single(tiny_config, 3, prepare(tiny_config)["last_close"])
-        second, traj_b = run_single(tiny_config, 3, prepare(tiny_config)["last_close"])
+        first = run_single(tiny_config, 3, prepare(tiny_config)["last_close"])
+        second = run_single(tiny_config, 3, prepare(tiny_config)["last_close"])
+        traj_a, traj_b = first.trajectory, second.trajectory
         assert first.metrics == second.metrics
         assert np.array_equal(traj_a.values, traj_b.values)
         assert np.array_equal(traj_a.actions, traj_b.actions)
@@ -264,7 +280,7 @@ class TestRunSingle:
         tiny_config.steps = 0
         tiny_config.online_steps = 0
         prepared = prepare(tiny_config)["data_max"]
-        result, _ = run_single(tiny_config, 0, prepared)
+        result = run_single(tiny_config, 0, prepared)
         scales = prepared[2].scales
         assert scales is not None and len(scales) == 3
         assert all(s > 0 for s in scales)
@@ -481,8 +497,8 @@ def test_no_look_ahead_and_train_only_fitting(kind, day, factors):
         manifest = perturb_after(tmp / "data", tmp / "perturbed", test_frame.dates[last_kept], factors)
         changed = replace(config, manifest=str(manifest))
         assert prepare(changed)[kind][2] == scheme
-        _, base = run_single(config, 1, prepare(config)[kind])
-        _, moved = run_single(changed, 1, prepare(changed)[kind])
+        base = run_single(config, 1, prepare(config)[kind]).trajectory
+        moved = run_single(changed, 1, prepare(changed)[kind]).trajectory
         kept = base.steps <= last_kept  # values and rewards up to day ``day``
         decided = base.steps <= last_kept + 1  # actions decided up to day ``day``
         assert kept.any() and np.array_equal(base.steps, moved.steps)
@@ -501,8 +517,8 @@ class TestEmitLoad:
         assert loaded.config == report.config
         assert loaded.methods["last_close"].results == report.methods["last_close"].results
         assert loaded.methods["last_close"].failures == report.methods["last_close"].failures
-        for seed, traj in report.methods["last_close"].trajectories.items():
-            restored = loaded.methods["last_close"].trajectories[seed]
+        for run, restored_run in zip(report.methods["last_close"].results, loaded.methods["last_close"].results):
+            traj, restored = run.trajectory, restored_run.trajectory
             assert np.array_equal(traj.values, restored.values)
             assert np.array_equal(traj.actions, restored.actions)
             assert np.array_equal(traj.rewards, restored.rewards)
@@ -569,6 +585,18 @@ class TestCli:
         assert cli.main(["validate", str(config_path)]) == 0
         assert loads == ["T0", "T1", "T2"]
         assert "normalization 'last_close, last_price, data_max'" in capsys.readouterr().out
+
+    def test_validate_resolves_a_relative_manifest_against_the_config_directory(self, tmp_path, capsys,
+                                                                                 monkeypatch):
+        write_market(tmp_path)
+        config_path = write_config(tmp_path, "data/portfolio.txt")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        loads = record_csv_loads(monkeypatch)
+        assert cli.main(["validate", str(config_path)]) == 0
+        assert loads == ["T0", "T1", "T2"]
+        assert "ok: 3 assets aligned: T0, T1, T2" in capsys.readouterr().out
 
     def test_validate_names_a_test_range_outside_the_data(self, tmp_path, capsys):
         config_path = write_config(tmp_path, write_market(tmp_path), test_start="2030-01-01", test_end="2030-12-31")
@@ -642,6 +670,15 @@ class TestCli:
         summary.write_text(json.dumps(content))
         assert self.report_error(out_dir, capsys) == f"{summary}: 'int' object is not iterable\n"
 
+    def test_report_on_a_seed_that_is_not_an_integer_names_the_file_method_and_seed(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        summary = out_dir / "summary.json"
+        content = json.loads(summary.read_text())
+        content["methods"]["last_close"]["runs"][0]["seed"] = "0"
+        summary.write_text(json.dumps(content))
+        assert self.report_error(out_dir, capsys) == (
+            f"{summary}: method 'last_close' lists seed '0', which is not an integer\n")
+
     def test_report_on_a_malformed_timings_line_names_the_file_and_line(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)
         timings = out_dir / "timings.tsv"
@@ -655,6 +692,40 @@ class TestCli:
         header = trajectory.read_text().splitlines()[0]
         trajectory.write_text(f"{header}\n1\tx\t0.0\n")
         assert self.report_error(out_dir, capsys).startswith(f"{trajectory}: could not convert string to float")
+
+    @pytest.mark.parametrize("name, line", [("summary.json", 3), ("timings.tsv", 2), ("traj_last_close_00000.tsv", 2)],
+                             ids=["summary", "timings", "trajectory"])
+    def test_report_names_the_file_and_line_of_a_byte_that_is_not_utf8(self, tmp_path, capsys, name, line):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        path = out_dir / name
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = b"\xe9" + lines[line - 1]
+        path.write_bytes(b"\n".join(lines))
+        timings = (out_dir / "timings.tsv").read_bytes()
+        assert self.report_error(out_dir, capsys).startswith(f"{path}:{line}: byte 0xe9 is not UTF-8 (")
+        assert (out_dir / "timings.tsv").read_bytes() == timings
+
+    @pytest.mark.parametrize("outside", ["absolute", "parent"])
+    def test_report_rejects_a_trajectory_entry_outside_the_campaign_directory(self, tmp_path, capsys, outside):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        trajectory = out_dir / "traj_last_close_00000.tsv"
+        target = tmp_path / "elsewhere" / "traj.tsv" if outside == "absolute" else tmp_path / "x.tsv"
+        target.parent.mkdir(exist_ok=True)
+        original = trajectory.read_bytes()
+        target.write_bytes(original)
+        os.utime(target, ns=(1_000_000_000, 1_000_000_000))
+        entry = str(target) if outside == "absolute" else "../x.tsv"
+        summary = out_dir / "summary.json"
+        content = json.loads(summary.read_text())
+        content["methods"]["last_close"]["runs"][0]["trajectory"] = entry
+        summary.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert self.report_error(out_dir, capsys) == (
+            f"{summary}: method 'last_close' seed 0 lists trajectory {entry!r}, "
+            f"expected 'traj_last_close_00000.tsv'\n")
+        assert target.read_bytes() == original
+        assert target.stat().st_mtime_ns == 1_000_000_000
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
     def test_report_into_a_runs_tsv_that_is_a_directory_is_its_message_alone_and_exit_2(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)
@@ -725,6 +796,21 @@ class TestCli:
         assert cli.main(["report", str(out_dir)]) == 1
         assert capsys.readouterr().out == out.split("\n", 1)[1]  # the table, without the 'written to' line
         assert non_timing_files(out_dir) == before
+
+    def test_a_failed_seed_is_named_under_its_method_row(self, tmp_path, capsys, monkeypatch):
+        original = portrl.experiment.run_single
+
+        def fails_for_seed_1(config, seed, prepared):
+            if seed == 1:
+                raise RuntimeError("seed 1 diverged")
+            return original(config, seed, prepared)
+
+        monkeypatch.setattr(portrl.experiment, "run_single", fails_for_seed_1)
+        config_path = write_config(tmp_path, write_market(tmp_path))
+        assert cli.main(["run", str(config_path), "--out", str(tmp_path / "campaign"), "--steps", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("last_close "))
+        assert lines[row + 1] == "  warning: 1 failed run(s): seed 1"
 
     def test_run_overrides_are_validated(self, tmp_path, capsys):
         config_path = write_config(tmp_path, write_market(tmp_path))

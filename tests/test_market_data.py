@@ -685,3 +685,19 @@ def test_manifest_unknown_alignment_names_file_and_line(tmp_path):
         load_manifest(manifest)
     message = str(err.value)
     assert f"{manifest}:2:" in message and "'forwardfill'" in message
+
+
+def test_manifest_ticker_without_a_path_names_file_and_line(tmp_path):
+    manifest = tmp_path / "portfolio.txt"
+    manifest.write_text("AAA a.csv\n# comment\nBBB\n")
+    with pytest.raises(ValueError) as err:
+        load_manifest(manifest)
+    assert str(err.value) == f"{manifest}:3: expected 'TICKER PATH'"
+
+
+def test_manifest_without_assets_names_the_file(tmp_path):
+    manifest = tmp_path / "portfolio.txt"
+    manifest.write_text("# no assets yet\nalignment = intersect\n\n")
+    with pytest.raises(ValueError) as err:
+        load_manifest(manifest)
+    assert str(err.value) == f"{manifest}: manifest lists no assets"

@@ -151,3 +151,16 @@ class TestReport:
         assert abs(result.fapv - values[-1] / 100_000.0) < 1e-15
         assert abs(result.sharpe - ratios.mean() / ratios.std()) < 1e-12
         assert abs(result.sharpe_excess - (ratios - 1.0).mean() / (ratios - 1.0).std()) < 1e-12
+
+
+def test_first_day_move_enters_fapv_but_not_mdd_or_sharpe():
+    """A trajectory's values start after the first decision, so the initial
+    value enters FAPV only: a 10 % loss on day one (100 -> 90) is no
+    drawdown, and no return of either Sharpe ratio."""
+    result = report(traj_from_values([90.0, 95.0, 99.0]), 100.0)
+    ratios = np.array([95.0 / 90.0, 99.0 / 95.0])
+    assert result.fapv == 0.99
+    assert result.mdd == 0.0
+    assert result.sharpe == sharpe_from_returns(ratios)
+    assert result.sharpe_excess == sharpe_from_returns(ratios - 1.0)
+    assert result.n_steps == 3

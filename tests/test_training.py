@@ -239,6 +239,17 @@ class TestSampleBatch:
         rng = np.random.default_rng(0)
         assert sample_batch(trainer.buffer, size, 0.002, rng) == (0, size)
 
+    def test_all_redraws_out_of_range_clamp_to_the_earliest_start(self):
+        frame = random_walk_frame(np.random.default_rng(5), 2, 20)
+        trainer = make_trainer(frame, window=5)
+        size, bias = len(trainer.buffer) - 1, 1e-6  # latest start 1: a draw must be 1 or 2 to land in range
+        reference = np.random.default_rng(3)
+        draws = [int(reference.geometric(bias)) for _ in range(training.MAX_REDRAWS)]
+        assert min(draws) > 2  # every redraw of this seed is out of range
+        rng = np.random.default_rng(3)
+        assert sample_batch(trainer.buffer, size, bias, rng) == (0, size)
+        assert rng.bit_generator.state == reference.bit_generator.state  # exactly MAX_REDRAWS draws
+
     def test_batch_larger_than_buffer_rejected(self):
         frame = random_walk_frame(np.random.default_rng(6), 2, 20)
         trainer = make_trainer(frame, window=5)
