@@ -30,7 +30,7 @@ from .market_data import (ALIGNMENT_POLICIES, MarketFrame, align_assets, load_ma
                           split_periods)
 from .normalization import DATA_MAX, KINDS, NormalizationScheme, apply_data_max, fit_data_max, scheme_from_kind
 from .policy import init_policy
-from .training import Trainer, TrainerConfig, Trajectory
+from .training import Trainer, TrainerConfig, Trajectory, release_free_heap
 
 REPORT_FORMAT_VERSION = 1
 # A run's metrics, in the order runs.tsv lists them; the float ones are aggregated.
@@ -106,7 +106,8 @@ class ExperimentConfig:
 @dataclass
 class RunResult:
     """One run's record: what summary.json, runs.tsv and timings.tsv list
-    for it, and its trajectory (None when loaded without its file)."""
+    for it, and its trajectory, which run_single and load_campaign always
+    fill in."""
     seed: int
     metrics: metrics_mod.MetricReport
     trajectory_path: str
@@ -262,14 +263,32 @@ def run_single(config: ExperimentConfig, seed: int, prepared: Prepared) -> RunRe
     return RunResult(seed, report, trajectory_name(scheme.kind, seed), time.perf_counter() - started, trajectory)
 
 
+# A pool worker's (config, prepared data), set once when it starts
+_worker_campaign: tuple[ExperimentConfig, dict[str, Prepared]] | None = None
+
+
+def _start_worker(config: ExperimentConfig, prepared: dict[str, Prepared]) -> None:
+    global _worker_campaign
+    _worker_campaign = config, prepared
+
+
+def _run_job(kind: str, seed: int) -> RunResult:
+    config, prepared = _worker_campaign
+    return run_single(config, seed, prepared[kind])
+
+
 def _finished_jobs(config: ExperimentConfig, prepared: dict[str, Prepared], jobs: list[tuple[str, int]]):
     """Yield ((method, seed), outcome) as jobs finish; the outcome is what
     run_single returned or the exception it raised."""
     if config.workers > 1:
-        # the fork start method starts every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(jobs))) as pool:
-            futures = {pool.submit(run_single, config, seed, prepared[kind]): (kind, seed)
-                       for kind, seed in jobs}
+        # A job is just (method, seed): each worker gets the config and every
+        # method's frames once, when it starts, inherited under fork and
+        # pickled once per worker otherwise. The heap prepare() freed goes
+        # back to the OS first, so no forked worker inherits it.
+        release_free_heap()
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(jobs)), initializer=_start_worker,
+                                 initargs=(config, prepared)) as pool:
+            futures = {pool.submit(_run_job, kind, seed): (kind, seed) for kind, seed in jobs}
             for future in as_completed(futures):
                 error = future.exception()
                 yield futures[future], future.result() if error is None else error
@@ -421,10 +440,12 @@ def load_campaign(out_dir: str | Path) -> CampaignReport:
 
     A file that does not parse raises ValueError naming it: a
     ``timings.tsv`` line with its line number, a missing ``summary.json``
-    key by name, a byte that is not UTF-8 with its file and line. Each
-    trajectory is read from the name ``trajectory_name`` gives its run,
-    and a ``summary.json`` that lists another name for it is rejected, so
-    no path in the directory's files leads outside it.
+    key by name, a byte that is not UTF-8 with its file and line. So does
+    a run without its ``timings.tsv`` row, and a missing trajectory file
+    raises FileNotFoundError naming it. Each trajectory is read from the
+    name ``trajectory_name`` gives its run, and a ``summary.json`` that
+    lists another name for it is rejected, so no path in the directory's
+    files leads outside it.
     """
     out = Path(out_dir)
     config = load_config(out / "config_resolved.txt")
@@ -452,9 +473,10 @@ def load_campaign(out_dir: str | Path) -> CampaignReport:
 
 
 def _load_method(summary_path: Path, kind: str, entry: dict, timings: dict[tuple[str, int], float]) -> MethodResults:
-    """One method's entry of summary.json, each run with its trajectory
-    (when its file exists) and wall time."""
+    """One method's entry of summary.json, each run with its trajectory and
+    wall time; a missing trajectory file or timings.tsv row raises."""
     method = MethodResults()
+    timings_path = summary_path.parent / "timings.tsv"
     for run in entry["runs"]:
         seed = run["seed"]
         if not isinstance(seed, int):
@@ -463,10 +485,11 @@ def _load_method(summary_path: Path, kind: str, entry: dict, timings: dict[tuple
         if run["trajectory"] != name:
             raise ValueError(f"{summary_path}: method '{kind}' seed {seed} lists trajectory "
                              f"{run['trajectory']!r}, expected {name!r}")
-        path = summary_path.parent / name
+        if (kind, seed) not in timings:
+            raise ValueError(f"{timings_path}: no wall time for method '{kind}' seed {seed}")
         metrics = metrics_mod.MetricReport(**{key: run[key] for key in _RUN_METRICS})
-        trajectory = _read_trajectory(path) if path.exists() else None
-        method.results.append(RunResult(seed, metrics, name, timings.get((kind, seed), 0.0), trajectory))
+        trajectory = _read_trajectory(summary_path.parent / name)
+        method.results.append(RunResult(seed, metrics, name, timings[kind, seed], trajectory))
     method.failures = [(f["seed"], f["error"]) for f in entry["failures"]]
     scales = entry["data_max_scales"]
     method.scales = tuple(scales) if scales is not None else None

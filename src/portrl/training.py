@@ -36,13 +36,25 @@ from .policy import PolicyParams, backward_batch, features, forward_batch, head_
 MMAP_THRESHOLD = 64 << 20  # bytes; above any one temporary of a train_step
 TRIM_THRESHOLD = 128 << 20  # bytes of freed heap top kept for the next step
 try:
-    _mallopt = ctypes.CDLL(None).mallopt
-except (OSError, TypeError, AttributeError):  # no C library handle, or one without mallopt
-    pass
-else:
+    _libc = ctypes.CDLL(None)
+except (OSError, TypeError):  # no C library handle
+    _libc = None
+_mallopt = getattr(_libc, "mallopt", None)
+if _mallopt is not None:
     _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     _mallopt(-3, MMAP_THRESHOLD)  # M_MMAP_THRESHOLD in glibc's malloc.h
     _mallopt(-1, TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+_malloc_trim = getattr(_libc, "malloc_trim", None)
+if _malloc_trim is not None:
+    _malloc_trim.argtypes, _malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+
+
+def release_free_heap() -> None:
+    """Return the free heap that TRIM_THRESHOLD keeps to the OS (glibc's
+    malloc_trim(0)), so processes forked next do not inherit it; a no-op
+    where the C library lacks malloc_trim."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 class BatchTooLarge(ValueError):

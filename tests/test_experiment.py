@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import portrl
 from portrl import cli
+from portrl.market_data import MarketFrame
 from portrl.metrics import MetricReport
 from portrl.normalization import KINDS
 from portrl.policy import init_policy
@@ -337,9 +339,9 @@ class TestCampaign:
         sizes = []
         pool = experiment.ProcessPoolExecutor
 
-        def recording_pool(max_workers):
+        def recording_pool(max_workers, **kwargs):
             sizes.append(max_workers)
-            return pool(max_workers=max_workers)
+            return pool(max_workers=max_workers, **kwargs)
 
         tiny_config.runs = 1
         serial = run_campaign(tiny_config)
@@ -349,12 +351,7 @@ class TestCampaign:
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
         emit_report(serial, serial_dir)
         emit_report(parallel, parallel_dir)
-        left, right = non_timing_files(serial_dir), non_timing_files(parallel_dir)
-        for name in ("summary.json", "config_resolved.txt"):
-            # the configs differ only in the workers knob
-            left[name] = left[name].replace(b'"workers": "1"', b"").replace(b"workers = 1", b"")
-            right[name] = right[name].replace(b'"workers": "4"', b"").replace(b"workers = 4", b"")
-        assert left == right
+        assert without_workers(non_timing_files(parallel_dir), 4) == without_workers(non_timing_files(serial_dir), 1)
 
     def test_multi_method_campaign_is_one_report_serial_or_parallel(self, tmp_path, capsys):
         config = replace(load_config(write_config(tmp_path, write_market(tmp_path))), normalization=ALL_METHODS)
@@ -368,15 +365,47 @@ class TestCampaign:
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
         emit_report(serial, serial_dir)
         emit_report(parallel, parallel_dir)
-        left, right = non_timing_files(serial_dir), non_timing_files(parallel_dir)
+        left = without_workers(non_timing_files(serial_dir), 1)
+        right = without_workers(non_timing_files(parallel_dir), 2)
         assert sorted(left) == sorted(right)
         assert len([name for name in left if name.startswith("traj_")]) == 6
         for name in left:
-            if name in ("summary.json", "config_resolved.txt"):
-                # the configs differ only in the workers knob
-                left[name] = left[name].replace(b'"workers": "1"', b"").replace(b"workers = 1", b"")
-                right[name] = right[name].replace(b'"workers": "2"', b"").replace(b"workers = 2", b"")
             assert left[name] == right[name], name
+
+    def test_jobs_carry_no_market_frames(self, tmp_path, monkeypatch):
+        pickled = []
+        reduce = MarketFrame.__reduce__
+
+        def recording_reduce(frame):
+            pickled.append(frame.tickers)
+            return reduce(frame)
+
+        monkeypatch.setattr(MarketFrame, "__reduce__", recording_reduce)
+        config = load_config(write_config(tmp_path, write_market(tmp_path), normalization="last_close, data_max",
+                                          workers=2))
+        report = run_campaign(config)
+        assert all(len(method.results) == 2 for method in report.methods.values())
+        assert pickled == []
+
+    @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+    def test_a_pool_under_a_non_fork_start_method_emits_the_serial_bytes(self, tmp_path, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start_method} start method on this platform")
+        config_path = write_config(tmp_path, write_market(tmp_path), normalization="last_close, data_max")
+        emit_report(run_campaign(load_config(config_path)), tmp_path / "serial")
+        code = ("import multiprocessing, sys\n"
+                "from dataclasses import replace\n"
+                "from portrl.experiment import emit_report, load_config, run_campaign\n"
+                "multiprocessing.set_start_method(sys.argv[1])\n"
+                "emit_report(run_campaign(replace(load_config(sys.argv[2]), workers=2)), sys.argv[3])\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(portrl.__file__).parents[1]),
+                                                              os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code, start_method, str(config_path), str(tmp_path / "pool")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count(" done\n") == 4
+        serial, pool = non_timing_files(tmp_path / "serial"), non_timing_files(tmp_path / "pool")
+        assert without_workers(pool, 2) == without_workers(serial, 1)
 
     def test_a_multi_method_campaign_parses_each_csv_once(self, tmp_path, monkeypatch):
         config = load_config(write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS))
@@ -458,6 +487,16 @@ def fail_data_max(monkeypatch):
 
 def non_timing_files(out_dir):
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.name != "timings.tsv"}
+
+
+def without_workers(files, workers):
+    """Emitted files with the workers setting blanked out of the two that
+    record the config, the only bytes a worker count changes."""
+    files = dict(files)
+    for name in ("summary.json", "config_resolved.txt"):
+        files[name] = files[name].replace(f'"workers": "{workers}"'.encode(), b"") \
+            .replace(f"workers = {workers}".encode(), b"")
+    return files
 
 
 def perturb_after(data_dir, out_dir, cutoff, factors):
@@ -685,6 +724,21 @@ class TestCli:
         timings.write_text(timings.read_text() + "last_close\t1\n")
         assert self.report_error(out_dir, capsys) == (
             f"{timings}:3: expected method, seed and wall time, got 'last_close\\t1'\n")
+
+    def test_report_on_a_missing_trajectory_names_the_file(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        trajectory = out_dir / "traj_last_close_00000.tsv"
+        trajectory.unlink()
+        err = self.report_error(out_dir, capsys)
+        assert str(trajectory) in err and "No such file" in err
+        assert not trajectory.exists()
+
+    def test_report_on_a_missing_timings_row_names_the_file_method_and_seed(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        timings = out_dir / "timings.tsv"
+        timings.write_text(timings.read_text().splitlines()[0] + "\n")
+        assert self.report_error(out_dir, capsys) == f"{timings}: no wall time for method 'last_close' seed 0\n"
+        assert timings.read_text() == "method\tseed\twall_time\n"
 
     def test_report_on_a_malformed_trajectory_names_the_file(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)
