@@ -441,8 +441,9 @@ def load_campaign(out_dir: str | Path) -> CampaignReport:
     A file that does not parse raises ValueError naming it: a
     ``timings.tsv`` line with its line number, a missing ``summary.json``
     key by name, a byte that is not UTF-8 with its file and line. So does
-    a run without its ``timings.tsv`` row, and a missing trajectory file
-    raises FileNotFoundError naming it. Each trajectory is read from the
+    a run without its ``timings.tsv`` row or whose trajectory has another
+    row count than its ``n_steps``, and a missing trajectory file raises
+    FileNotFoundError naming it. Each trajectory is read from the
     name ``trajectory_name`` gives its run, and a ``summary.json`` that
     lists another name for it is rejected, so no path in the directory's
     files leads outside it.
@@ -474,7 +475,7 @@ def load_campaign(out_dir: str | Path) -> CampaignReport:
 
 def _load_method(summary_path: Path, kind: str, entry: dict, timings: dict[tuple[str, int], float]) -> MethodResults:
     """One method's entry of summary.json, each run with its trajectory and
-    wall time; a missing trajectory file or timings.tsv row raises."""
+    wall time; a missing or short trajectory file or timings.tsv row raises."""
     method = MethodResults()
     timings_path = summary_path.parent / "timings.tsv"
     for run in entry["runs"]:
@@ -488,7 +489,10 @@ def _load_method(summary_path: Path, kind: str, entry: dict, timings: dict[tuple
         if (kind, seed) not in timings:
             raise ValueError(f"{timings_path}: no wall time for method '{kind}' seed {seed}")
         metrics = metrics_mod.MetricReport(**{key: run[key] for key in _RUN_METRICS})
-        trajectory = _read_trajectory(summary_path.parent / name)
+        path = summary_path.parent / name
+        trajectory = _read_trajectory(path)
+        if len(trajectory) != metrics.n_steps:
+            raise ValueError(f"{path}: {len(trajectory)} rows, but summary.json lists n_steps = {metrics.n_steps}")
         method.results.append(RunResult(seed, metrics, name, timings[kind, seed], trajectory))
     method.failures = [(f["seed"], f["error"]) for f in entry["failures"]]
     scales = entry["data_max_scales"]

@@ -398,8 +398,7 @@ class TestCampaign:
                 "from portrl.experiment import emit_report, load_config, run_campaign\n"
                 "multiprocessing.set_start_method(sys.argv[1])\n"
                 "emit_report(run_campaign(replace(load_config(sys.argv[2]), workers=2)), sys.argv[3])\n")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(portrl.__file__).parents[1]),
-                                                              os.environ.get("PYTHONPATH", "")])}
+        env = {**os.environ, "PYTHONPATH": str(Path(portrl.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code, start_method, str(config_path), str(tmp_path / "pool")],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
@@ -732,6 +731,14 @@ class TestCli:
         err = self.report_error(out_dir, capsys)
         assert str(trajectory) in err and "No such file" in err
         assert not trajectory.exists()
+
+    def test_report_on_a_trajectory_with_rows_missing_names_the_file(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        trajectory = out_dir / "traj_last_close_00000.tsv"
+        rows = trajectory.read_text().splitlines()
+        trajectory.write_text(rows[0] + "\n")
+        assert self.report_error(out_dir, capsys) == (
+            f"{trajectory}: 0 rows, but summary.json lists n_steps = {len(rows) - 1}\n")
 
     def test_report_on_a_missing_timings_row_names_the_file_method_and_seed(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)
