@@ -79,9 +79,9 @@ def coerce_action(action: np.ndarray) -> np.ndarray:
 
 
 def drift_weights(weights: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    """Weights after a price move: (y * w) / (y . w)."""
+    """Weights after a price move, row by row: (y * w) / (y . w)."""
     moved = rel * weights
-    return moved / moved.sum()
+    return moved / moved.sum(axis=-1, keepdims=True)
 
 
 def drift_value(value: float, weights: np.ndarray, rel: np.ndarray) -> float:

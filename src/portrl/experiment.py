@@ -442,11 +442,13 @@ def load_campaign(out_dir: str | Path) -> CampaignReport:
     ``timings.tsv`` line with its line number, a missing ``summary.json``
     key by name, a byte that is not UTF-8 with its file and line. So does
     a run without its ``timings.tsv`` row or whose trajectory has another
-    row count than its ``n_steps``, and a missing trajectory file raises
-    FileNotFoundError naming it. Each trajectory is read from the
-    name ``trajectory_name`` gives its run, and a ``summary.json`` that
-    lists another name for it is rejected, so no path in the directory's
-    files leads outside it.
+    row count than its ``n_steps``, and a ``summary.json`` that does not
+    list exactly the config's methods, each with every config seed once
+    across its runs and failures (named with the method and seed). A
+    missing trajectory file raises FileNotFoundError naming it. Each
+    trajectory is read from the name ``trajectory_name`` gives its run,
+    and a ``summary.json`` that lists another name for it is rejected, so
+    no path in the directory's files leads outside it.
     """
     out = Path(out_dir)
     config = load_config(out / "config_resolved.txt")
@@ -460,10 +462,15 @@ def load_campaign(out_dir: str | Path) -> CampaignReport:
             raise ValueError(f"{timings_path}:{number}: expected method, seed and wall time, got {line!r}") from None
 
     summary_path = out / "summary.json"
+    seeds = range(config.base_seed, config.base_seed + config.runs)
     try:
         summary = json.loads(read_text(summary_path))  # read_text's ValueError names the file itself
-        methods = {kind: _load_method(summary_path, kind, entry, timings)
-                   for kind, entry in summary["methods"].items()}
+        entries = summary["methods"]
+        kind = min(set(entries) ^ set(config.methods), default=None)  # listed on one side only
+        if kind is not None:
+            raise ValueError(f"{summary_path}: {'lists' if kind in entries else 'has no entry for'} method "
+                             f"'{kind}', but the config's normalization is '{config.normalization}'")
+        methods = {kind: _load_method(summary_path, kind, entry, timings, seeds) for kind, entry in entries.items()}
     except json.JSONDecodeError as error:
         raise ValueError(f"{summary_path}: not valid JSON: {error}") from None
     except KeyError as error:
@@ -473,9 +480,11 @@ def load_campaign(out_dir: str | Path) -> CampaignReport:
     return CampaignReport(config=config, methods=methods)
 
 
-def _load_method(summary_path: Path, kind: str, entry: dict, timings: dict[tuple[str, int], float]) -> MethodResults:
+def _load_method(summary_path: Path, kind: str, entry: dict, timings: dict[tuple[str, int], float],
+                 seeds: range) -> MethodResults:
     """One method's entry of summary.json, each run with its trajectory and
-    wall time; a missing or short trajectory file or timings.tsv row raises."""
+    wall time; a missing or short trajectory file or timings.tsv row
+    raises, and so do runs and failures that list other than ``seeds``."""
     method = MethodResults()
     timings_path = summary_path.parent / "timings.tsv"
     for run in entry["runs"]:
@@ -495,6 +504,11 @@ def _load_method(summary_path: Path, kind: str, entry: dict, timings: dict[tuple
             raise ValueError(f"{path}: {len(trajectory)} rows, but summary.json lists n_steps = {metrics.n_steps}")
         method.results.append(RunResult(seed, metrics, name, timings[kind, seed], trajectory))
     method.failures = [(f["seed"], f["error"]) for f in entry["failures"]]
+    listed = [r.seed for r in method.results] + [seed for seed, _ in method.failures]
+    for seed in [*listed, *seeds]:
+        if listed.count(seed) != 1 or seed not in seeds:
+            raise ValueError(f"{summary_path}: method '{kind}' lists seed {seed!r} {listed.count(seed)} time(s) across "
+                             f"its runs and failures; the config's seeds {seeds.start}..{seeds.stop - 1} need one each")
     scales = entry["data_max_scales"]
     method.scales = tuple(scales) if scales is not None else None
     return method

@@ -333,14 +333,19 @@ def split_periods(
     )
 
 
+def step_relatives(frame: MarketFrame, first: int, stop: int) -> np.ndarray:
+    """Price relatives of the moves into steps [first, stop), 1 <= first <= stop <= n_steps:
+    per step, cash at exactly 1, then each close over the close before."""
+    y = np.ones((stop - first, frame.n_assets + 1))
+    y[:, 1:] = (frame.closes[:, first:stop] / frame.closes[:, first - 1 : stop - 1]).T
+    return y
+
+
 def price_relatives(frame: MarketFrame, t: int) -> np.ndarray:
-    """Close-to-close ratio vector of length n+1; index 0 is cash (= 1)."""
+    """The price relatives of the move into step t: step_relatives' one row."""
     if not 1 <= t < frame.n_steps:
         raise IndexOutOfRange(f"step {t} outside [1, {frame.n_steps})")
-    y = np.empty(frame.n_assets + 1)
-    y[0] = 1.0
-    y[1:] = frame.closes[:, t] / frame.closes[:, t - 1]
-    return y
+    return step_relatives(frame, t, t + 1)[0]
 
 
 def load_manifest(path: str | Path) -> tuple[list[tuple[str, Path]], str | None]:

@@ -22,8 +22,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor
-from .environment import FrameTooShort, env_reset, env_step, transaction_factor_batch
-from .market_data import MarketFrame
+from .environment import FrameTooShort, drift_weights, env_reset, env_step, transaction_factor_batch
+from .market_data import MarketFrame, step_relatives
 from .normalization import NormalizationScheme, normalize_window
 from .policy import PolicyParams, backward_batch, features, forward_batch, head_chain, policy_forward, stacked_rows
 
@@ -103,17 +103,16 @@ class ReplayBuffer:
 
     def add_frame(self, frame: MarketFrame) -> None:
         """Append the frame's prices to the tape and make room for one
-        experience per decidable step of it, with its price relatives."""
+        experience per decidable step of it, with the price relatives
+        ``step_relatives`` gives for the move out of that step."""
         rows = frame.n_steps - self.window
         if rows < 1:
             raise FrameTooShort(f"frame of length {frame.n_steps} allows no step with window {self.window}")
-        # row j holds price_relatives(frame, window + j): cash, then each close over the one before
-        relatives = np.ones((rows, frame.n_assets + 1))
-        relatives[:, 1:] = (frame.closes[:, self.window:] / frame.closes[:, self.window - 1:-1]).T
         self._starts = np.concatenate([self._starts, self._prices.shape[1] + np.arange(rows)])
         self._prices = np.concatenate([self._prices, frame.prices.transpose(0, 2, 1)], axis=1)
         self._last_actions = np.concatenate([self._last_actions, np.empty((rows,) + self._last_actions.shape[1:])])
-        self._relatives = np.concatenate([self._relatives, relatives])
+        # row j holds price_relatives(frame, window + j)
+        self._relatives = np.concatenate([self._relatives, step_relatives(frame, self.window, frame.n_steps)])
 
     def append(self, last_action: np.ndarray) -> None:
         self._last_actions[self._size] = last_action
@@ -238,8 +237,9 @@ def batch_objective(params: PolicyParams, states: np.ndarray, buffer: ReplayBuff
 
     Each step contributes ln(mu_t * (a_t . y_t)) where a_t is the policy
     output for the stored state and last-action, y_t the stored price
-    relatives, and mu_t the rebalancing cost factor from the previous
-    action's drifted weights. mu_t is held constant under
+    relatives, and mu_t the rebalancing cost factor from the stored
+    last-action after ``drift_weights`` by the previous row's relatives
+    (the episode's first row has none). mu_t is held constant under
     differentiation. ``states`` are ``buffer.states(start, stop)``.
     Returns the objective, whose ``backward`` sets ``params.grad``.
     """
@@ -248,9 +248,7 @@ def batch_objective(params: PolicyParams, states: np.ndarray, buffer: ReplayBuff
     actions, activations = forward_batch(params, states, last_actions)
     before = np.array(last_actions)
     lo = max(start, 1)  # the episode's first experience has undrifted weights
-    if stop > lo:
-        moved = buffer.last_actions[lo:stop] * buffer.relatives[lo - 1 : stop - 1]
-        before[lo - start :] = moved / moved.sum(axis=1, keepdims=True)
+    before[lo - start :] = drift_weights(buffer.last_actions[lo:stop], buffer.relatives[lo - 1 : stop - 1])
     mu = transaction_factor_batch(before, actions, commission)
     growth = (actions * relatives).sum(axis=1) * mu
 

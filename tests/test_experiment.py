@@ -670,11 +670,20 @@ class TestCli:
         assert out == "" and str(missing) in err and err.count("\n") == 1
         assert not missing.exists()
 
-    def emitted_campaign(self, tmp_path, capsys):
+    def emitted_campaign(self, tmp_path, capsys, runs=1):
         out_dir = tmp_path / "campaign"
         config_path = write_config(tmp_path, write_market(tmp_path))
-        assert cli.main(["run", str(config_path), "--out", str(out_dir), "--runs", "1", "--steps", "1"]) == 0
+        assert cli.main(["run", str(config_path), "--out", str(out_dir), "--runs", str(runs), "--steps", "1"]) == 0
         capsys.readouterr()
+        return out_dir
+
+    def edited_two_seed_campaign(self, tmp_path, capsys, edit):
+        """A 1-method x 2-seed campaign whose summary.json methods went through ``edit``."""
+        out_dir = self.emitted_campaign(tmp_path, capsys, runs=2)
+        summary = out_dir / "summary.json"
+        content = json.loads(summary.read_text())
+        edit(content["methods"])
+        summary.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
         return out_dir
 
     def report_error(self, out_dir, capsys):
@@ -716,6 +725,53 @@ class TestCli:
         summary.write_text(json.dumps(content))
         assert self.report_error(out_dir, capsys) == (
             f"{summary}: method 'last_close' lists seed '0', which is not an integer\n")
+
+    def test_report_on_a_seed_listed_twice_names_the_file_method_and_seed(self, tmp_path, capsys):
+        def edit(methods):
+            methods["last_close"]["runs"].append(methods["last_close"]["runs"][0])
+            methods["last_close"]["failures"].append({"seed": 1, "error": "RuntimeError: boom"})
+
+        out_dir = self.edited_two_seed_campaign(tmp_path, capsys, edit)
+        assert self.report_error(out_dir, capsys) == (
+            f"{out_dir / 'summary.json'}: method 'last_close' lists seed 0 2 time(s) across its runs and failures; "
+            f"the config's seeds 0..1 need one each\n")
+
+    def test_report_on_a_seed_left_out_names_the_file_method_and_seed(self, tmp_path, capsys):
+        def edit(methods):
+            del methods["last_close"]["runs"][1]
+
+        out_dir = self.edited_two_seed_campaign(tmp_path, capsys, edit)
+        assert self.report_error(out_dir, capsys) == (
+            f"{out_dir / 'summary.json'}: method 'last_close' lists seed 1 0 time(s) across its runs and failures; "
+            f"the config's seeds 0..1 need one each\n")
+
+    def test_report_on_a_seed_outside_the_config_names_the_file_method_and_seed(self, tmp_path, capsys):
+        def edit(methods):
+            methods["last_close"]["failures"].append({"seed": 2, "error": "RuntimeError: boom"})
+
+        out_dir = self.edited_two_seed_campaign(tmp_path, capsys, edit)
+        assert self.report_error(out_dir, capsys) == (
+            f"{out_dir / 'summary.json'}: method 'last_close' lists seed 2 1 time(s) across its runs and failures; "
+            f"the config's seeds 0..1 need one each\n")
+
+    def test_report_on_a_method_the_config_does_not_list_names_the_file_and_method(self, tmp_path, capsys):
+        def edit(methods):
+            methods["data_max"] = {**methods["last_close"], "aggregates": None, "max_fapv": None, "runs": []}
+
+        out_dir = self.edited_two_seed_campaign(tmp_path, capsys, edit)
+        assert self.report_error(out_dir, capsys) == (
+            f"{out_dir / 'summary.json'}: lists method 'data_max', but the config's normalization is "
+            f"'last_close'\n")
+        assert not (out_dir / "fapv_data_max.txt").exists()
+
+    def test_report_on_a_method_without_its_entry_names_the_file_and_method(self, tmp_path, capsys):
+        def edit(methods):
+            del methods["last_close"]
+
+        out_dir = self.edited_two_seed_campaign(tmp_path, capsys, edit)
+        assert self.report_error(out_dir, capsys) == (
+            f"{out_dir / 'summary.json'}: has no entry for method 'last_close', but the config's normalization "
+            f"is 'last_close'\n")
 
     def test_report_on_a_malformed_timings_line_names_the_file_and_line(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)

@@ -28,6 +28,7 @@ from portrl.market_data import (
     load_ohlc_csv,
     price_relatives,
     split_periods,
+    step_relatives,
 )
 
 
@@ -601,9 +602,12 @@ class TestPriceRelatives:
     @settings(max_examples=30)
     def test_bit_for_bit_against_naive_recomputation(self, seed):
         frame = random_walk_frame(np.random.default_rng(seed), 3, 12)
+        expected = np.array([[1.0] + [frame.closes[i, t] / frame.closes[i, t - 1] for i in range(3)]
+                             for t in range(1, frame.n_steps)])
         for t in range(1, frame.n_steps):
-            expected = np.array([1.0] + [frame.closes[i, t] / frame.closes[i, t - 1] for i in range(3)])
-            assert np.array_equal(price_relatives(frame, t), expected)
+            assert np.array_equal(price_relatives(frame, t), expected[t - 1])
+        for first, stop in ((1, frame.n_steps), (4, 9), (5, 5)):
+            assert step_relatives(frame, first, stop).tobytes() == expected[first - 1 : stop - 1].tobytes()
 
 
 @pytest.mark.parametrize("shape", [(2, 4), (3, 3, 4), (3, 2, 3), (4, 2, 4)],

@@ -296,26 +296,49 @@ class TestBatchObjective:
         expected = math.log(state.drifted_value / 100_000.0) / len(trainer.buffer)
         assert abs(float(objective.data) - expected) < 1e-9
 
-    def test_vectorized_cost_factors_match_scalar_reference(self, monkeypatch):
+    @staticmethod
+    def drifted_weights_matching_scalar_reference(trainer, monkeypatch, start, stop):
+        """The weights batch_objective over rows [start, stop) drifts the
+        stored last actions to, after checking each row's mu against the
+        scalar transaction_factor from those weights as drift_weights gives
+        them one row at a time."""
         from portrl.environment import drift_weights, transaction_factor
 
+        buffer = trainer.buffer
+        calls = []
+        monkeypatch.setattr(training, "transaction_factor_batch",
+                            lambda *args: calls.append((args[0], transaction_factor_batch(*args))) or calls[-1][1])
+        objective_over(trainer, start, stop, 0.0025)
+        drifted, mu = calls[-1]
+        for i, j in enumerate(range(start, stop)):
+            action = policy_forward(trainer.params, buffer.states(j, j + 1)[0], buffer.last_actions[j])
+            if j == 0:
+                before = buffer.last_actions[j]
+            else:
+                before = drift_weights(buffer.last_actions[j], buffer.relatives[j - 1])
+            assert abs(mu[i] - transaction_factor(before, action, 0.0025)) < 1e-11
+        return drifted
+
+    def test_vectorized_cost_factors_match_scalar_reference(self, monkeypatch):
         frame = random_walk_frame(np.random.default_rng(27), 3, 60)
         trainer = make_trainer(frame, window=5, batch_size=12)
-        buffer = trainer.buffer
-        mus = []
-        monkeypatch.setattr(training, "transaction_factor_batch",
-                            lambda *args: mus.append(transaction_factor_batch(*args)) or mus[-1])
-        for start in (0, 3, len(buffer) - 12):
-            objective_over(trainer, start, start + 12, 0.0025)
-            mu = mus[-1]
-            for i in range(12):
-                j = start + i
-                action = policy_forward(trainer.params, buffer.states(j, j + 1)[0], buffer.last_actions[j])
-                if j == 0:
-                    before = buffer.last_actions[j]
-                else:
-                    before = drift_weights(buffer.last_actions[j], buffer.relatives[j - 1])
-                assert abs(mu[i] - transaction_factor(before, action, 0.0025)) < 1e-11
+        for start in (0, 3, len(trainer.buffer) - 12):
+            self.drifted_weights_matching_scalar_reference(trainer, monkeypatch, start, start + 12)
+
+    @pytest.mark.parametrize("online_steps", [0, 2])
+    def test_cost_factors_across_the_train_test_boundary_match_scalar_reference(self, monkeypatch, online_steps):
+        train = random_walk_frame(np.random.default_rng(30), 3, 60)
+        trainer = make_trainer(train, window=5, batch_size=12)
+        trainer.backtest(random_walk_frame(np.random.default_rng(31), 3, 20), online_steps=online_steps)
+        first_test_row = train.n_steps - 5
+        start = first_test_row - 6
+        drifted = self.drifted_weights_matching_scalar_reference(trainer, monkeypatch, start, start + 12)
+        if not online_steps:
+            # the backtest appends its first row with the all-cash start it
+            # decided from, and all cash drifts to all cash; an online step
+            # whose batch straddles the boundary rewrites that last action
+            # like any other row's
+            assert np.array_equal(drifted[first_test_row - start], [1.0, 0.0, 0.0, 0.0])
 
     def test_gradient_matches_finite_differences_single_step(self, monkeypatch):
         frame = random_walk_frame(np.random.default_rng(10), 3, 16)
@@ -482,6 +505,24 @@ class TestTrainStep:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20, f"{peak / 2**20:.2f} MiB"
+
+    def test_a_paper_shape_step_takes_no_page_faults(self):
+        # importing training raises glibc's mmap threshold above the step's
+        # multi-MB temporaries, so each step reuses them from the heap; mapped
+        # afresh, they fault on about 1,300 pages a step
+        if training._mallopt is None:
+            pytest.skip("the C library has no mallopt")
+        import resource
+
+        trainer = Trainer(init_policy(9, 50, seed=7, c1=2, c2=20), random_walk_frame(np.random.default_rng(40), 9, 400),
+                          50, LAST_CLOSE, 100_000.0, 0.0025, TrainerConfig(batch_size=200), np.random.default_rng(7))
+        trainer.fill_buffer()
+        trainer.train(10)  # warm-up
+        steps = 50
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        trainer.train(steps)
+        faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps
+        assert faults < 50, f"{faults:.2f} minor page faults per step"
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         frame = random_walk_frame(np.random.default_rng(14), 2, 30)
