@@ -14,35 +14,35 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .experiment import aggregate, emit_report, load_campaign, load_config, max_fapv, prepare, run_campaign
+from .experiment import emit_report, load_campaign, load_config, prepare, run_campaign
 from .normalization import DATA_MAX, KINDS, LAST_CLOSE, LAST_PRICE
 
 
-def _print_table(report) -> None:
+def _print_table(summary: dict) -> None:
+    """The summary table of a campaign, from the summary_dict its summary.json holds."""
     header = f"{'method':<14}{'FAPV':>22}{'MDD':>22}{'SR (excess)':>24}{'max FAPV':>12}"
     print(header)
     print("-" * len(header))
     mean_fapv = {}
-    for kind in sorted(report.methods):
-        method = report.methods[kind]
-        if not method.results:
-            print(f"{kind:<14}all {len(method.failures)} runs failed")
+    for kind, method in summary["methods"].items():
+        agg, failures = method["aggregates"], method["failures"]
+        if agg is None:  # every run failed
+            print(f"{kind:<14}all {len(failures)} runs failed")
             continue
-        agg = aggregate(method.results)
-        mean_fapv[kind] = agg["fapv"][0]
-        cells = [f"{agg[name][0]:.4f} +- {agg[name][1]:.4f}" for name in ("fapv", "mdd", "sharpe_excess")]
-        print(f"{kind:<14}{cells[0]:>22}{cells[1]:>22}{cells[2]:>24}{max_fapv(method.results):>12.4f}")
-        if method.failures:
-            print(f"  warning: {len(method.failures)} failed run(s): "
-                  + ", ".join(f"seed {seed}" for seed, _ in method.failures))
+        mean_fapv[kind] = agg["fapv"]["mean"]
+        cells = [f"{agg[name]['mean']:.4f} +- {agg[name]['half_width']:.4f}"
+                 for name in ("fapv", "mdd", "sharpe_excess")]
+        print(f"{kind:<14}{cells[0]:>22}{cells[1]:>22}{cells[2]:>24}{method['max_fapv']:>12.4f}")
+        if failures:
+            print(f"  warning: {len(failures)} failed run(s): " + ", ".join(f"seed {f['seed']}" for f in failures))
     if set(KINDS) <= set(mean_fapv):
         leads = mean_fapv[DATA_MAX] >= max(mean_fapv[LAST_CLOSE], mean_fapv[LAST_PRICE])
         print(f"\ndata_max mean FAPV >= both state normalizations: {leads}")
 
 
-def _exit_status(report) -> int:
+def _exit_status(summary: dict) -> int:
     """1 when some method has no successful run, else 0."""
-    return 0 if all(method.results for method in report.methods.values()) else 1
+    return 0 if all(method["runs"] for method in summary["methods"].values()) else 1
 
 
 def _cmd_run(args) -> int:
@@ -53,18 +53,16 @@ def _cmd_run(args) -> int:
     existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
     if not existing.is_dir():
         raise NotADirectoryError(f"output directory {out_dir}: {existing} is not a directory")
-    report = run_campaign(config)  # loads every method's data before any run starts
-    emit_report(report, out_dir)
+    summary = emit_report(run_campaign(config), out_dir)  # loads every method's data before any run starts
     print(f"campaign written to {out_dir}")
-    _print_table(report)
-    return _exit_status(report)
+    _print_table(summary)
+    return _exit_status(summary)
 
 
 def _cmd_report(args) -> int:
-    report = load_campaign(args.campaign_dir)
-    emit_report(report, args.campaign_dir)
-    _print_table(report)
-    return _exit_status(report)
+    summary = emit_report(load_campaign(args.campaign_dir), args.campaign_dir)
+    _print_table(summary)
+    return _exit_status(summary)
 
 
 def _cmd_validate(args) -> int:

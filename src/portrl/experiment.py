@@ -106,13 +106,12 @@ class ExperimentConfig:
 @dataclass
 class RunResult:
     """One run's record: what summary.json, runs.tsv and timings.tsv list
-    for it, and its trajectory, which run_single and load_campaign always
-    fill in."""
+    for it, and its trajectory."""
     seed: int
     metrics: metrics_mod.MetricReport
     trajectory_path: str
     wall_time: float
-    trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
+    trajectory: Trajectory = field(compare=False, repr=False)
 
 
 @dataclass
@@ -171,14 +170,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config
 
 
+def config_values(config: ExperimentConfig) -> dict[str, str]:
+    """config_resolved.txt's and summary.json's text of each config key; a float's str is its repr."""
+    return {f.name: str(getattr(config, f.name)) for f in fields(ExperimentConfig)}
+
+
 def config_to_text(config: ExperimentConfig) -> str:
-    lines = []
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name} = {value}\n" for name, value in config_values(config).items())
 
 
 # One method's prepared data: (train frame, test frame, fitted scheme)
@@ -310,22 +308,20 @@ def run_campaign(config: ExperimentConfig) -> CampaignReport:
     fails."""
     prepared = prepare(config)
     jobs = [(kind, config.base_seed + k) for kind in prepared for k in range(config.runs)]
-    outcomes: dict[tuple[str, int], object] = {}
+    methods = {kind: MethodResults(scales=scheme.scales) for kind, (_, _, scheme) in prepared.items()}
     started = time.perf_counter()
     for (kind, seed), outcome in _finished_jobs(config, prepared, jobs):
         if isinstance(outcome, BaseException):
-            outcome = f"{type(outcome).__name__}: {outcome}"  # a failure is kept as its message
-        outcomes[kind, seed] = outcome
-        status = f"failed: {outcome}" if isinstance(outcome, str) else "done"
-        print(f"[{time.perf_counter() - started:7.0f}s] {kind} seed {seed} {status}", file=sys.stderr, flush=True)
-
-    methods = {kind: MethodResults(scales=scheme.scales) for kind, (_, _, scheme) in prepared.items()}
-    for kind, seed in jobs:
-        outcome = outcomes[kind, seed]
-        if isinstance(outcome, str):
-            methods[kind].failures.append((seed, outcome))
+            message = f"{type(outcome).__name__}: {outcome}"  # a failure is kept as its message
+            methods[kind].failures.append((seed, message))
+            status = f"failed: {message}"
         else:
             methods[kind].results.append(outcome)
+            status = "done"
+        print(f"[{time.perf_counter() - started:7.0f}s] {kind} seed {seed} {status}", file=sys.stderr, flush=True)
+    for method in methods.values():  # jobs finish in any order; the report lists seeds in order
+        method.results.sort(key=lambda r: r.seed)
+        method.failures.sort()
     return CampaignReport(config=config, methods=methods)
 
 
@@ -402,18 +398,20 @@ def summary_dict(report: CampaignReport) -> dict:
             "sharpe": "mean(rho) / population std(rho), rho_t = V_t / V_{t-1}, risk-free ratio 0",
             "sharpe_excess": "mean(rho - 1) / population std(rho - 1)",
         },
-        "config": {f.name: str(getattr(report.config, f.name)) for f in fields(ExperimentConfig)},
+        "config": config_values(report.config),
         "methods": methods,
     }
 
 
-def emit_report(report: CampaignReport, out_dir: str | Path) -> None:
+def emit_report(report: CampaignReport, out_dir: str | Path) -> dict:
     """Write summary.json, runs.tsv, per-method FAPV lists, the resolved
-    config, per-run trajectories, and (separately) wall times."""
+    config, per-run trajectories, and (separately) wall times. Returns the
+    summary_dict that summary.json holds, methods in sorted order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    (out / "summary.json").write_text(json.dumps(summary_dict(report), indent=2, sort_keys=True) + "\n")
+    summary = summary_dict(report)
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     rows = ["\t".join(["method", "seed", *_RUN_METRICS, "trajectory"])]
     timing_rows = ["method\tseed\twall_time"]
@@ -426,13 +424,13 @@ def emit_report(report: CampaignReport, out_dir: str | Path) -> None:
             timing_rows.append(f"{kind}\t{r.seed}\t{_float_text(r.wall_time)}")
             samples.append(_float_text(r.metrics.fapv) + "\n")
             seeds.append(str(r.seed))
-            if r.trajectory is not None:
-                _write_trajectory(r.trajectory, out / r.trajectory_path)
+            _write_trajectory(r.trajectory, out / r.trajectory_path)
         (out / f"fapv_{kind}.txt").write_text("".join(samples))
 
     (out / "runs.tsv").write_text("\n".join(rows) + "\n")
     (out / "config_resolved.txt").write_text(f"# seeds used: {', '.join(seeds)}\n" + config_to_text(report.config))
     (out / "timings.tsv").write_text("\n".join(timing_rows) + "\n")
+    return summary
 
 
 def load_campaign(out_dir: str | Path) -> CampaignReport:

@@ -19,7 +19,7 @@ from portrl.market_data import MarketFrame
 from portrl.metrics import MetricReport
 from portrl.normalization import KINDS
 from portrl.policy import init_policy
-from portrl.training import Trainer, TrainerConfig, sample_batch
+from portrl.training import Trainer, TrainerConfig, Trajectory, sample_batch
 from portrl.experiment import (
     RunResult,
     aggregate,
@@ -200,6 +200,7 @@ class TestAggregate:
             metrics=MetricReport(fapv=fapv_value, mdd=0.1, sharpe=1.0, sharpe_excess=0.01, n_steps=5),
             trajectory_path="x.tsv",
             wall_time=0.0,
+            trajectory=Trajectory(np.arange(5), np.ones(5), np.zeros(5), np.ones((5, 2)) / 2),
         )
 
     def test_identical_results_have_zero_half_width(self):
