@@ -440,29 +440,47 @@ def load_campaign(out_dir: str | Path) -> CampaignReport:
     ``timings.tsv`` line with its line number, a missing ``summary.json``
     key by name, a byte that is not UTF-8 with its file and line. So does
     a run without its ``timings.tsv`` row or whose trajectory has another
-    row count than its ``n_steps``, and a ``summary.json`` that does not
-    list exactly the config's methods, each with every config seed once
-    across its runs and failures (named with the method and seed). A
-    missing trajectory file raises FileNotFoundError naming it. Each
+    row count than its ``n_steps``, a ``timings.tsv`` row (named by line)
+    that repeats a run or is for no run ``summary.json`` lists, a
+    ``summary.json`` of another ``format_version`` or whose ``config``
+    differs from ``config_resolved.txt`` (named with the first key that
+    differs), and a ``summary.json`` that does not list exactly the
+    config's methods, each with every config seed once across its runs
+    and failures (named with the method and seed). A missing trajectory
+    file raises FileNotFoundError naming it. Each
     trajectory is read from the name ``trajectory_name`` gives its run,
     and a ``summary.json`` that lists another name for it is rejected, so
     no path in the directory's files leads outside it.
     """
     out = Path(out_dir)
-    config = load_config(out / "config_resolved.txt")
+    config_path = out / "config_resolved.txt"
+    config = load_config(config_path)
     timings_path = out / "timings.tsv"
     timings: dict[tuple[str, int], float] = {}
+    lines: dict[tuple[str, int], int] = {}  # each (method, seed)'s line in timings.tsv
     for number, line in enumerate(read_text(timings_path).splitlines()[1:], start=2):
         try:
             kind, seed, wall = line.split("\t")
-            timings[(kind, int(seed))] = float(wall)
+            run, wall = (kind, int(seed)), float(wall)
         except ValueError:
             raise ValueError(f"{timings_path}:{number}: expected method, seed and wall time, got {line!r}") from None
+        if run in lines:
+            raise ValueError(f"{timings_path}:{number}: a second row for method '{kind}' seed {run[1]}, "
+                             f"after line {lines[run]}")
+        timings[run], lines[run] = wall, number
 
     summary_path = out / "summary.json"
     seeds = range(config.base_seed, config.base_seed + config.runs)
     try:
         summary = json.loads(read_text(summary_path))  # read_text's ValueError names the file itself
+        if summary["format_version"] != REPORT_FORMAT_VERSION:
+            raise ValueError(f"{summary_path}: format_version {summary['format_version']!r}, but portrl "
+                             f"reads format_version {REPORT_FORMAT_VERSION}")
+        stored, values = summary["config"], config_values(config)
+        key = next((k for k in [*values, *stored] if stored.get(k) != values.get(k)), None)
+        if key is not None:
+            raise ValueError(f"{summary_path}: config key '{key}' is {stored.get(key)!r}, but {config_path} "
+                             f"gives {values.get(key)!r}")
         entries = summary["methods"]
         kind = min(set(entries) ^ set(config.methods), default=None)  # listed on one side only
         if kind is not None:
@@ -475,6 +493,11 @@ def load_campaign(out_dir: str | Path) -> CampaignReport:
         raise ValueError(f"{summary_path}: missing key {error}") from None
     except (TypeError, AttributeError) as error:
         raise ValueError(f"{summary_path}: {error}") from None
+    listed = {(kind, r.seed) for kind, method in methods.items() for r in method.results}
+    for (kind, seed), number in lines.items():
+        if (kind, seed) not in listed:
+            raise ValueError(f"{timings_path}:{number}: method '{kind}' seed {seed} is not a run that "
+                             f"{summary_path} lists")
     return CampaignReport(config=config, methods=methods)
 
 

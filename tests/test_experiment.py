@@ -781,6 +781,38 @@ class TestCli:
         assert self.report_error(out_dir, capsys) == (
             f"{timings}:3: expected method, seed and wall time, got 'last_close\\t1'\n")
 
+    def test_report_on_a_second_timings_row_for_a_run_names_the_file_and_line(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        timings = out_dir / "timings.tsv"
+        timings.write_text(timings.read_text() + "last_close\t0\t9.18\n")
+        edited = timings.read_text()
+        assert self.report_error(out_dir, capsys) == (
+            f"{timings}:3: a second row for method 'last_close' seed 0, after line 2\n")
+        assert timings.read_text() == edited
+
+    def test_report_on_a_timings_row_for_no_listed_run_names_the_file_and_line(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        timings = out_dir / "timings.tsv"
+        timings.write_text(timings.read_text() + "last_close\t1\t0.5\n")
+        edited = timings.read_text()
+        assert self.report_error(out_dir, capsys) == (
+            f"{timings}:3: method 'last_close' seed 1 is not a run that {out_dir / 'summary.json'} lists\n")
+        assert timings.read_text() == edited
+
+    def test_report_on_a_summary_of_another_format_version_names_the_file(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        summary = out_dir / "summary.json"
+        summary.write_text(summary.read_text().replace('"format_version": 1,', '"format_version": 7,'))
+        assert self.report_error(out_dir, capsys) == (
+            f"{summary}: format_version 7, but portrl reads format_version 1\n")
+
+    def test_report_on_a_config_edited_after_the_run_names_both_files_and_the_key(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        config = out_dir / "config_resolved.txt"
+        config.write_text(config.read_text().replace("learning_rate = 5e-05\n", "learning_rate = 0.001\n"))
+        assert self.report_error(out_dir, capsys) == (
+            f"{out_dir / 'summary.json'}: config key 'learning_rate' is '5e-05', but {config} gives '0.001'\n")
+
     def test_report_on_a_missing_trajectory_names_the_file(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)
         trajectory = out_dir / "traj_last_close_00000.tsv"
@@ -929,6 +961,25 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         row = next(i for i, line in enumerate(lines) if line.startswith("last_close "))
         assert lines[row + 1] == "  warning: 1 failed run(s): seed 1"
+
+    def test_report_prints_the_table_run_printed(self, tmp_path, capsys, monkeypatch):
+        original = portrl.experiment.run_single
+
+        def fails_for_last_price_seed_1(config, seed, prepared):
+            if prepared[2].kind == "last_price" and seed == 1:
+                raise RuntimeError("seed 1 diverged")
+            return original(config, seed, prepared)
+
+        monkeypatch.setattr(portrl.experiment, "run_single", fails_for_last_price_seed_1)
+        config_path = write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS)
+        out_dir = tmp_path / "campaign"
+        assert cli.main(["run", str(config_path), "--out", str(out_dir), "--steps", "1"]) == 0
+        written, table = capsys.readouterr().out.split("\n", 1)
+        assert written == f"campaign written to {out_dir}"
+        assert "\n  warning: 1 failed run(s): seed 1\n" in table
+        assert "\ndata_max mean FAPV >= both state normalizations: " in table
+        assert cli.main(["report", str(out_dir)]) == 0
+        assert capsys.readouterr().out == table
 
     def test_run_overrides_are_validated(self, tmp_path, capsys):
         config_path = write_config(tmp_path, write_market(tmp_path))
