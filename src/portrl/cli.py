@@ -14,12 +14,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .experiment import emit_report, load_campaign, load_config, prepare, run_campaign
+from .experiment import emit_report, load_config, prepare, run_campaign, summarize
 from .normalization import DATA_MAX, KINDS, LAST_CLOSE, LAST_PRICE
 
 
 def _print_table(summary: dict) -> None:
-    """The summary table of a campaign, from the summary_dict its summary.json holds."""
+    """The summary table of a campaign, from the summary_dict that summarize returns."""
     header = f"{'method':<14}{'FAPV':>22}{'MDD':>22}{'SR (excess)':>24}{'max FAPV':>12}"
     print(header)
     print("-" * len(header))
@@ -60,7 +60,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    summary = emit_report(load_campaign(args.campaign_dir), args.campaign_dir)
+    summary = summarize(args.campaign_dir)
     _print_table(summary)
     return _exit_status(summary)
 

@@ -5,10 +5,15 @@ the config lists. Each run is fully determined by (config, method,
 seed): before any run starts, the pipeline loads, aligns and splits the
 manifest's assets once and fits/applies each method's normalization to
 that split, then each run trains the policy on its method's frames and
-backtests with online learning. Reports carry per-run metrics,
-per-method aggregates (mean and 95% normal CI half-width of the mean),
-and plot-ready sample lists. Wall times go to a separate timings file so
-every other emitted byte is reproducible from (config, seed) alone.
+backtests with online learning.
+
+A campaign directory stores facts: each run's trajectory or failure
+message, the fitted data_max scales and the resolved config, the
+config's one copy. ``summarize`` derives everything else from them:
+per-run metrics, per-method aggregates (mean and 95% normal CI
+half-width of the mean) and plot-ready sample lists. Wall times go to a
+separate timings file that nothing reads, so every other emitted byte
+is reproducible from (config, seed) alone.
 """
 
 from __future__ import annotations
@@ -106,11 +111,12 @@ class ExperimentConfig:
 @dataclass
 class RunResult:
     """One run's record: what summary.json, runs.tsv and timings.tsv list
-    for it, and its trajectory."""
+    for it, and its trajectory. A run read back from its trajectory file
+    has no wall time: only timings.tsv records it."""
     seed: int
     metrics: metrics_mod.MetricReport
     trajectory_path: str
-    wall_time: float
+    wall_time: float | None
     trajectory: Trajectory = field(compare=False, repr=False)
 
 
@@ -223,6 +229,12 @@ def trajectory_name(kind: str, seed: int) -> str:
     """The file, inside the campaign directory, that holds the trajectory
     of ``kind``'s run ``seed``."""
     return f"traj_{kind}_{seed:05d}.tsv"
+
+
+def failure_name(kind: str, seed: int) -> str:
+    """The file, inside the campaign directory, that holds the message of
+    ``kind``'s run ``seed`` when it failed."""
+    return f"failed_{kind}_{seed:05d}.txt"
 
 
 def run_single(config: ExperimentConfig, seed: int, prepared: Prepared) -> RunResult:
@@ -372,6 +384,17 @@ def _read_trajectory(path: Path) -> Trajectory:
         raise ValueError(f"{path}: {error}") from None
 
 
+def _read_scales(path: Path) -> tuple[float, ...]:
+    """The fitted data_max scales, one per line."""
+    scales = []
+    for number, line in enumerate(read_text(path).splitlines(), start=1):
+        try:
+            scales.append(float(line))
+        except ValueError:
+            raise ValueError(f"{path}:{number}: expected a scale, got {line!r}") from None
+    return tuple(scales)
+
+
 def summary_dict(report: CampaignReport) -> dict:
     """Deterministic machine-readable content of a campaign."""
     methods = {}
@@ -404,132 +427,74 @@ def summary_dict(report: CampaignReport) -> dict:
 
 
 def emit_report(report: CampaignReport, out_dir: str | Path) -> dict:
-    """Write summary.json, runs.tsv, per-method FAPV lists, the resolved
-    config, per-run trajectories, and (separately) wall times. Returns the
-    summary_dict that summary.json holds, methods in sorted order."""
+    """Write a campaign's facts: each run's trajectory or failure message
+    (removing the other file of that run, left by an earlier campaign),
+    the fitted data_max scales, the resolved config and, separately,
+    wall times. Returns summarize(out_dir), which derives every other
+    file from them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    summary = summary_dict(report)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-    rows = ["\t".join(["method", "seed", *_RUN_METRICS, "trajectory"])]
     timing_rows = ["method\tseed\twall_time"]
-    seeds = []
     for kind in sorted(report.methods):
+        method = report.methods[kind]
+        for r in method.results:
+            _write_trajectory(r.trajectory, out / r.trajectory_path)
+            (out / failure_name(kind, r.seed)).unlink(missing_ok=True)
+            timing_rows.append(f"{kind}\t{r.seed}\t{_float_text(r.wall_time)}")
+        for seed, message in method.failures:
+            (out / failure_name(kind, seed)).write_text(message + "\n", encoding="utf-8")
+            (out / trajectory_name(kind, seed)).unlink(missing_ok=True)
+        if method.scales is not None:
+            (out / "data_max_scales.txt").write_text("".join(_float_text(s) + "\n" for s in method.scales))
+    (out / "config_resolved.txt").write_text(config_to_text(report.config))
+    (out / "timings.tsv").write_text("\n".join(timing_rows) + "\n")
+    return summarize(out)
+
+
+def summarize(out_dir: str | Path) -> dict:
+    """Derive a campaign's summaries from its facts alone: load
+    config_resolved.txt, read each configured (method, seed)'s trajectory
+    or failure file (files of other runs are ignored), recompute each
+    run's metrics from its trajectory, and write summary.json, runs.tsv,
+    the per-method FAPV lists and config_resolved.txt's seed line.
+    Returns the summary_dict that summary.json holds, methods in sorted
+    order. A fact that is missing, doubled or does not parse, or a
+    trajectory of fewer than 2 rows, raises an error naming its file
+    before anything is written."""
+    out = Path(out_dir)
+    config = load_config(out / "config_resolved.txt")
+    methods = {kind: MethodResults() for kind in config.methods}
+    for kind, method in methods.items():
+        for seed in range(config.base_seed, config.base_seed + config.runs):
+            path, failure = out / trajectory_name(kind, seed), out / failure_name(kind, seed)
+            failed = failure.exists()
+            if path.exists() == failed:
+                raise ValueError(f"{path}: method '{kind}' seed {seed} has {'both' if failed else 'neither'} this "
+                                 f"trajectory {'and' if failed else 'nor'} {failure.name}")
+            if failed:
+                method.failures.append((seed, read_text(failure).removesuffix("\n")))
+                continue
+            trajectory = _read_trajectory(path)
+            try:
+                metrics = metrics_mod.report(trajectory, config.initial_value)
+            except ValueError as error:
+                raise ValueError(f"{path}: {error}") from None
+            method.results.append(RunResult(seed, metrics, path.name, None, trajectory))
+        if kind == DATA_MAX:
+            method.scales = _read_scales(out / "data_max_scales.txt")
+
+    summary = summary_dict(CampaignReport(config=config, methods=methods))
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    rows = ["\t".join(["method", "seed", *_RUN_METRICS, "trajectory"])]
+    seeds = []
+    for kind in sorted(methods):
         samples = []
-        for r in report.methods[kind].results:
+        for r in methods[kind].results:
             cells = [_float_text(v) if isinstance(v, float) else str(v) for v in asdict(r.metrics).values()]
             rows.append("\t".join([kind, str(r.seed), *cells, r.trajectory_path]))
-            timing_rows.append(f"{kind}\t{r.seed}\t{_float_text(r.wall_time)}")
             samples.append(_float_text(r.metrics.fapv) + "\n")
             seeds.append(str(r.seed))
-            _write_trajectory(r.trajectory, out / r.trajectory_path)
         (out / f"fapv_{kind}.txt").write_text("".join(samples))
-
     (out / "runs.tsv").write_text("\n".join(rows) + "\n")
-    (out / "config_resolved.txt").write_text(f"# seeds used: {', '.join(seeds)}\n" + config_to_text(report.config))
-    (out / "timings.tsv").write_text("\n".join(timing_rows) + "\n")
+    (out / "config_resolved.txt").write_text(f"# seeds used: {', '.join(seeds)}\n" + config_to_text(config))
     return summary
-
-
-def load_campaign(out_dir: str | Path) -> CampaignReport:
-    """Rebuild a CampaignReport from an emitted directory.
-
-    A file that does not parse raises ValueError naming it: a
-    ``timings.tsv`` line with its line number, a missing ``summary.json``
-    key by name, a byte that is not UTF-8 with its file and line. So does
-    a run without its ``timings.tsv`` row or whose trajectory has another
-    row count than its ``n_steps``, a ``timings.tsv`` row (named by line)
-    that repeats a run or is for no run ``summary.json`` lists, a
-    ``summary.json`` of another ``format_version`` or whose ``config``
-    differs from ``config_resolved.txt`` (named with the first key that
-    differs), and a ``summary.json`` that does not list exactly the
-    config's methods, each with every config seed once across its runs
-    and failures (named with the method and seed). A missing trajectory
-    file raises FileNotFoundError naming it. Each
-    trajectory is read from the name ``trajectory_name`` gives its run,
-    and a ``summary.json`` that lists another name for it is rejected, so
-    no path in the directory's files leads outside it.
-    """
-    out = Path(out_dir)
-    config_path = out / "config_resolved.txt"
-    config = load_config(config_path)
-    timings_path = out / "timings.tsv"
-    timings: dict[tuple[str, int], float] = {}
-    lines: dict[tuple[str, int], int] = {}  # each (method, seed)'s line in timings.tsv
-    for number, line in enumerate(read_text(timings_path).splitlines()[1:], start=2):
-        try:
-            kind, seed, wall = line.split("\t")
-            run, wall = (kind, int(seed)), float(wall)
-        except ValueError:
-            raise ValueError(f"{timings_path}:{number}: expected method, seed and wall time, got {line!r}") from None
-        if run in lines:
-            raise ValueError(f"{timings_path}:{number}: a second row for method '{kind}' seed {run[1]}, "
-                             f"after line {lines[run]}")
-        timings[run], lines[run] = wall, number
-
-    summary_path = out / "summary.json"
-    seeds = range(config.base_seed, config.base_seed + config.runs)
-    try:
-        summary = json.loads(read_text(summary_path))  # read_text's ValueError names the file itself
-        if summary["format_version"] != REPORT_FORMAT_VERSION:
-            raise ValueError(f"{summary_path}: format_version {summary['format_version']!r}, but portrl "
-                             f"reads format_version {REPORT_FORMAT_VERSION}")
-        stored, values = summary["config"], config_values(config)
-        key = next((k for k in [*values, *stored] if stored.get(k) != values.get(k)), None)
-        if key is not None:
-            raise ValueError(f"{summary_path}: config key '{key}' is {stored.get(key)!r}, but {config_path} "
-                             f"gives {values.get(key)!r}")
-        entries = summary["methods"]
-        kind = min(set(entries) ^ set(config.methods), default=None)  # listed on one side only
-        if kind is not None:
-            raise ValueError(f"{summary_path}: {'lists' if kind in entries else 'has no entry for'} method "
-                             f"'{kind}', but the config's normalization is '{config.normalization}'")
-        methods = {kind: _load_method(summary_path, kind, entry, timings, seeds) for kind, entry in entries.items()}
-    except json.JSONDecodeError as error:
-        raise ValueError(f"{summary_path}: not valid JSON: {error}") from None
-    except KeyError as error:
-        raise ValueError(f"{summary_path}: missing key {error}") from None
-    except (TypeError, AttributeError) as error:
-        raise ValueError(f"{summary_path}: {error}") from None
-    listed = {(kind, r.seed) for kind, method in methods.items() for r in method.results}
-    for (kind, seed), number in lines.items():
-        if (kind, seed) not in listed:
-            raise ValueError(f"{timings_path}:{number}: method '{kind}' seed {seed} is not a run that "
-                             f"{summary_path} lists")
-    return CampaignReport(config=config, methods=methods)
-
-
-def _load_method(summary_path: Path, kind: str, entry: dict, timings: dict[tuple[str, int], float],
-                 seeds: range) -> MethodResults:
-    """One method's entry of summary.json, each run with its trajectory and
-    wall time; a missing or short trajectory file or timings.tsv row
-    raises, and so do runs and failures that list other than ``seeds``."""
-    method = MethodResults()
-    timings_path = summary_path.parent / "timings.tsv"
-    for run in entry["runs"]:
-        seed = run["seed"]
-        if not isinstance(seed, int):
-            raise TypeError(f"method '{kind}' lists seed {seed!r}, which is not an integer")
-        name = trajectory_name(kind, seed)
-        if run["trajectory"] != name:
-            raise ValueError(f"{summary_path}: method '{kind}' seed {seed} lists trajectory "
-                             f"{run['trajectory']!r}, expected {name!r}")
-        if (kind, seed) not in timings:
-            raise ValueError(f"{timings_path}: no wall time for method '{kind}' seed {seed}")
-        metrics = metrics_mod.MetricReport(**{key: run[key] for key in _RUN_METRICS})
-        path = summary_path.parent / name
-        trajectory = _read_trajectory(path)
-        if len(trajectory) != metrics.n_steps:
-            raise ValueError(f"{path}: {len(trajectory)} rows, but summary.json lists n_steps = {metrics.n_steps}")
-        method.results.append(RunResult(seed, metrics, name, timings[kind, seed], trajectory))
-    method.failures = [(f["seed"], f["error"]) for f in entry["failures"]]
-    listed = [r.seed for r in method.results] + [seed for seed, _ in method.failures]
-    for seed in [*listed, *seeds]:
-        if listed.count(seed) != 1 or seed not in seeds:
-            raise ValueError(f"{summary_path}: method '{kind}' lists seed {seed!r} {listed.count(seed)} time(s) across "
-                             f"its runs and failures; the config's seeds {seeds.start}..{seeds.stop - 1} need one each")
-    scales = entry["data_max_scales"]
-    method.scales = tuple(scales) if scales is not None else None
-    return method

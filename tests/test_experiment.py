@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -22,15 +22,17 @@ from portrl.policy import init_policy
 from portrl.training import Trainer, TrainerConfig, Trajectory, sample_batch
 from portrl.experiment import (
     RunResult,
+    _read_trajectory,
     aggregate,
     config_to_text,
     emit_report,
-    load_campaign,
     load_config,
     max_fapv,
     prepare,
     run_campaign,
     run_single,
+    summarize,
+    summary_dict,
 )
 
 ALL_METHODS = "last_close, last_price, data_max"
@@ -432,10 +434,7 @@ class TestCampaign:
         assert summary["methods"]["data_max"]["data_max_scales"] == list(prepare(config)["data_max"][2].scales)
         assert summary["methods"]["last_close"]["aggregates"]["fapv"]["mean"] == \
             aggregate(report.methods["last_close"].results)["fapv"][0]
-        loaded = load_campaign(tmp_path / "campaign")
-        assert loaded.methods["last_close"].results == report.methods["last_close"].results
-        assert loaded.methods["data_max"].results == []
-        assert loaded.methods["data_max"].failures == report.methods["data_max"].failures
+        assert summarize(tmp_path / "campaign") == summary == summary_dict(report)
 
     def test_all_failures_abort(self, tmp_path, tiny_config, monkeypatch):
         fail_every_run(monkeypatch)
@@ -483,6 +482,20 @@ def fail_data_max(monkeypatch):
         return original(config, seed, prepared)
 
     monkeypatch.setattr(experiment, "run_single", fails_for_data_max)
+
+
+def fail_last_price_seed_1(monkeypatch):
+    """Make last_price's seed 1 fail; every other run runs normally."""
+    import portrl.experiment as experiment
+
+    original = experiment.run_single
+
+    def fails_for_last_price_seed_1(config, seed, prepared):
+        if prepared[2].kind == "last_price" and seed == 1:
+            raise RuntimeError("seed 1 diverged")
+        return original(config, seed, prepared)
+
+    monkeypatch.setattr(experiment, "run_single", fails_for_last_price_seed_1)
 
 
 def non_timing_files(out_dir):
@@ -551,13 +564,13 @@ class TestEmitLoad:
     def test_round_trip_reproduces_report(self, tmp_path, tiny_config):
         report = run_campaign(tiny_config)
         out = tmp_path / "campaign"
-        emit_report(report, out)
-        loaded = load_campaign(out)
-        assert loaded.config == report.config
-        assert loaded.methods["last_close"].results == report.methods["last_close"].results
-        assert loaded.methods["last_close"].failures == report.methods["last_close"].failures
-        for run, restored_run in zip(report.methods["last_close"].results, loaded.methods["last_close"].results):
-            traj, restored = run.trajectory, restored_run.trajectory
+        assert emit_report(report, out) == summary_dict(report)
+        before = non_timing_files(out)
+        assert summarize(out) == summary_dict(report)
+        assert non_timing_files(out) == before
+        for run in report.methods["last_close"].results:
+            traj, restored = run.trajectory, _read_trajectory(out / run.trajectory_path)
+            assert np.array_equal(traj.steps, restored.steps)
             assert np.array_equal(traj.values, restored.values)
             assert np.array_equal(traj.actions, restored.actions)
             assert np.array_equal(traj.rewards, restored.rewards)
@@ -580,9 +593,11 @@ class TestEmitLoad:
         report = run_campaign(tiny_config)
         out = tmp_path / "campaign"
         emit_report(report, out)
-        loaded = load_campaign(out)
         summary = json.loads((out / "summary.json").read_text())
-        recomputed = aggregate(loaded.methods["last_close"].results)
+        results = report.methods["last_close"].results
+        for run, stored_run in zip(results, summary["methods"]["last_close"]["runs"], strict=True):
+            assert stored_run == {"seed": run.seed, **asdict(run.metrics), "trajectory": run.trajectory_path}
+        recomputed = aggregate(results)
         stored = summary["methods"]["last_close"]["aggregates"]
         for name, (mean, half) in recomputed.items():
             assert stored[name]["mean"] == mean
@@ -602,7 +617,10 @@ class TestEmitLoad:
         assert cli.main(["run", str(config_path), "--out", str(out_dir)]) == 1
         assert capsys.readouterr().out.count("all 2 runs failed") == 3
         before = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
-        assert sorted(before) == ["config_resolved.txt", "fapv_data_max.txt", "fapv_last_close.txt",
+        assert sorted(before) == ["config_resolved.txt", "data_max_scales.txt", "failed_data_max_00000.txt",
+                                  "failed_data_max_00001.txt", "failed_last_close_00000.txt",
+                                  "failed_last_close_00001.txt", "failed_last_price_00000.txt",
+                                  "failed_last_price_00001.txt", "fapv_data_max.txt", "fapv_last_close.txt",
                                   "fapv_last_price.txt", "runs.tsv", "summary.json", "timings.tsv"]
         assert cli.main(["report", str(out_dir)]) == 1
         assert {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} == before
@@ -671,21 +689,21 @@ class TestCli:
         assert out == "" and str(missing) in err and err.count("\n") == 1
         assert not missing.exists()
 
-    def emitted_campaign(self, tmp_path, capsys, runs=1):
+    def emitted_campaign(self, tmp_path, capsys):
         out_dir = tmp_path / "campaign"
         config_path = write_config(tmp_path, write_market(tmp_path))
-        assert cli.main(["run", str(config_path), "--out", str(out_dir), "--runs", str(runs), "--steps", "1"]) == 0
+        assert cli.main(["run", str(config_path), "--out", str(out_dir), "--runs", "1", "--steps", "1"]) == 0
         capsys.readouterr()
         return out_dir
 
-    def edited_two_seed_campaign(self, tmp_path, capsys, edit):
-        """A 1-method x 2-seed campaign whose summary.json methods went through ``edit``."""
-        out_dir = self.emitted_campaign(tmp_path, capsys, runs=2)
-        summary = out_dir / "summary.json"
-        content = json.loads(summary.read_text())
-        edit(content["methods"])
-        summary.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
-        return out_dir
+    def failing_campaign(self, tmp_path, capsys, monkeypatch):
+        """A 3-method x 2-seed campaign whose last_price seed 1 failed, and the table run printed."""
+        out_dir = tmp_path / "campaign"
+        config_path = write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS)
+        with monkeypatch.context() as patch:
+            fail_last_price_seed_1(patch)
+            assert cli.main(["run", str(config_path), "--out", str(out_dir), "--steps", "1"]) == 0
+        return out_dir, capsys.readouterr().out.split("\n", 1)[1]
 
     def report_error(self, out_dir, capsys):
         """The report's stderr, after checking it exits 2 with nothing else printed or written."""
@@ -696,145 +714,86 @@ class TestCli:
         assert non_timing_files(out_dir) == before
         return err
 
-    def test_report_on_a_summary_that_is_not_json_names_the_file(self, tmp_path, capsys):
-        out_dir = self.emitted_campaign(tmp_path, capsys)
-        summary = out_dir / "summary.json"
-        summary.write_text(summary.read_text().replace('"methods"', "methods"))
-        assert self.report_error(out_dir, capsys).startswith(f"{summary}: not valid JSON: Expecting property name")
+    def test_report_rebuilds_every_summary_from_the_per_run_files(self, tmp_path, capsys, monkeypatch):
+        out_dir, table = self.failing_campaign(tmp_path, capsys, monkeypatch)
+        assert (out_dir / "failed_last_price_00001.txt").read_text() == "RuntimeError: seed 1 diverged\n"
+        before = non_timing_files(out_dir)
+        for path in [out_dir / "runs.tsv", *out_dir.glob("fapv_*.txt")]:
+            path.unlink()
+        (out_dir / "summary.json").write_text("{ not json\n")
+        # per-run files of seeds and methods the config does not list are not read
+        stray = {"traj_last_close_00002.tsv": b"not a trajectory\n", "failed_zscore_00000.txt": b"\xe9\n"}
+        for name, content in stray.items():
+            (out_dir / name).write_bytes(content)
+        assert cli.main(["report", str(out_dir)]) == 0
+        assert capsys.readouterr().out == table
+        assert non_timing_files(out_dir) == {**before, **stray}
 
-    def test_report_on_a_summary_missing_a_key_names_the_file_and_key(self, tmp_path, capsys):
-        out_dir = self.emitted_campaign(tmp_path, capsys)
-        summary = out_dir / "summary.json"
-        content = json.loads(summary.read_text())
-        del content["methods"]["last_close"]["failures"]
-        summary.write_text(json.dumps(content))
-        assert self.report_error(out_dir, capsys) == f"{summary}: missing key 'failures'\n"
+    def test_emit_report_returns_the_summary_of_the_runs_in_memory(self, tmp_path, monkeypatch):
+        fail_last_price_seed_1(monkeypatch)
+        config = load_config(write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS, steps=1))
+        report = run_campaign(config)
+        assert [r.seed for r in report.methods["last_price"].results] == [0]
+        # each run's metrics, recomputed from its trajectory file, are bitwise the ones run_single returned
+        assert emit_report(report, tmp_path / "campaign") == summary_dict(report)
 
-    def test_report_on_a_summary_of_the_wrong_shape_names_the_file(self, tmp_path, capsys):
-        out_dir = self.emitted_campaign(tmp_path, capsys)
-        summary = out_dir / "summary.json"
-        content = json.loads(summary.read_text())
-        content["methods"]["last_close"]["runs"] = 3
-        summary.write_text(json.dumps(content))
-        assert self.report_error(out_dir, capsys) == f"{summary}: 'int' object is not iterable\n"
+    @pytest.mark.parametrize("first_fails", [True, False], ids=["failure_then_success", "success_then_failure"])
+    def test_a_second_run_into_one_directory_leaves_the_files_of_a_fresh_one(self, tmp_path, capsys, monkeypatch,
+                                                                            first_fails):
+        config_path = write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS)
 
-    def test_report_on_a_seed_that_is_not_an_integer_names_the_file_method_and_seed(self, tmp_path, capsys):
-        out_dir = self.emitted_campaign(tmp_path, capsys)
-        summary = out_dir / "summary.json"
-        content = json.loads(summary.read_text())
-        content["methods"]["last_close"]["runs"][0]["seed"] = "0"
-        summary.write_text(json.dumps(content))
-        assert self.report_error(out_dir, capsys) == (
-            f"{summary}: method 'last_close' lists seed '0', which is not an integer\n")
+        def run(out_dir, fails):
+            with monkeypatch.context() as patch:
+                if fails:
+                    fail_last_price_seed_1(patch)
+                assert cli.main(["run", str(config_path), "--out", str(out_dir), "--steps", "1"]) == 0
 
-    def test_report_on_a_seed_listed_twice_names_the_file_method_and_seed(self, tmp_path, capsys):
-        def edit(methods):
-            methods["last_close"]["runs"].append(methods["last_close"]["runs"][0])
-            methods["last_close"]["failures"].append({"seed": 1, "error": "RuntimeError: boom"})
-
-        out_dir = self.edited_two_seed_campaign(tmp_path, capsys, edit)
-        assert self.report_error(out_dir, capsys) == (
-            f"{out_dir / 'summary.json'}: method 'last_close' lists seed 0 2 time(s) across its runs and failures; "
-            f"the config's seeds 0..1 need one each\n")
-
-    def test_report_on_a_seed_left_out_names_the_file_method_and_seed(self, tmp_path, capsys):
-        def edit(methods):
-            del methods["last_close"]["runs"][1]
-
-        out_dir = self.edited_two_seed_campaign(tmp_path, capsys, edit)
-        assert self.report_error(out_dir, capsys) == (
-            f"{out_dir / 'summary.json'}: method 'last_close' lists seed 1 0 time(s) across its runs and failures; "
-            f"the config's seeds 0..1 need one each\n")
-
-    def test_report_on_a_seed_outside_the_config_names_the_file_method_and_seed(self, tmp_path, capsys):
-        def edit(methods):
-            methods["last_close"]["failures"].append({"seed": 2, "error": "RuntimeError: boom"})
-
-        out_dir = self.edited_two_seed_campaign(tmp_path, capsys, edit)
-        assert self.report_error(out_dir, capsys) == (
-            f"{out_dir / 'summary.json'}: method 'last_close' lists seed 2 1 time(s) across its runs and failures; "
-            f"the config's seeds 0..1 need one each\n")
-
-    def test_report_on_a_method_the_config_does_not_list_names_the_file_and_method(self, tmp_path, capsys):
-        def edit(methods):
-            methods["data_max"] = {**methods["last_close"], "aggregates": None, "max_fapv": None, "runs": []}
-
-        out_dir = self.edited_two_seed_campaign(tmp_path, capsys, edit)
-        assert self.report_error(out_dir, capsys) == (
-            f"{out_dir / 'summary.json'}: lists method 'data_max', but the config's normalization is "
-            f"'last_close'\n")
-        assert not (out_dir / "fapv_data_max.txt").exists()
-
-    def test_report_on_a_method_without_its_entry_names_the_file_and_method(self, tmp_path, capsys):
-        def edit(methods):
-            del methods["last_close"]
-
-        out_dir = self.edited_two_seed_campaign(tmp_path, capsys, edit)
-        assert self.report_error(out_dir, capsys) == (
-            f"{out_dir / 'summary.json'}: has no entry for method 'last_close', but the config's normalization "
-            f"is 'last_close'\n")
-
-    def test_report_on_a_malformed_timings_line_names_the_file_and_line(self, tmp_path, capsys):
-        out_dir = self.emitted_campaign(tmp_path, capsys)
-        timings = out_dir / "timings.tsv"
-        timings.write_text(timings.read_text() + "last_close\t1\n")
-        assert self.report_error(out_dir, capsys) == (
-            f"{timings}:3: expected method, seed and wall time, got 'last_close\\t1'\n")
-
-    def test_report_on_a_second_timings_row_for_a_run_names_the_file_and_line(self, tmp_path, capsys):
-        out_dir = self.emitted_campaign(tmp_path, capsys)
-        timings = out_dir / "timings.tsv"
-        timings.write_text(timings.read_text() + "last_close\t0\t9.18\n")
-        edited = timings.read_text()
-        assert self.report_error(out_dir, capsys) == (
-            f"{timings}:3: a second row for method 'last_close' seed 0, after line 2\n")
-        assert timings.read_text() == edited
-
-    def test_report_on_a_timings_row_for_no_listed_run_names_the_file_and_line(self, tmp_path, capsys):
-        out_dir = self.emitted_campaign(tmp_path, capsys)
-        timings = out_dir / "timings.tsv"
-        timings.write_text(timings.read_text() + "last_close\t1\t0.5\n")
-        edited = timings.read_text()
-        assert self.report_error(out_dir, capsys) == (
-            f"{timings}:3: method 'last_close' seed 1 is not a run that {out_dir / 'summary.json'} lists\n")
-        assert timings.read_text() == edited
-
-    def test_report_on_a_summary_of_another_format_version_names_the_file(self, tmp_path, capsys):
-        out_dir = self.emitted_campaign(tmp_path, capsys)
-        summary = out_dir / "summary.json"
-        summary.write_text(summary.read_text().replace('"format_version": 1,', '"format_version": 7,'))
-        assert self.report_error(out_dir, capsys) == (
-            f"{summary}: format_version 7, but portrl reads format_version 1\n")
-
-    def test_report_on_a_config_edited_after_the_run_names_both_files_and_the_key(self, tmp_path, capsys):
-        out_dir = self.emitted_campaign(tmp_path, capsys)
-        config = out_dir / "config_resolved.txt"
-        config.write_text(config.read_text().replace("learning_rate = 5e-05\n", "learning_rate = 0.001\n"))
-        assert self.report_error(out_dir, capsys) == (
-            f"{out_dir / 'summary.json'}: config key 'learning_rate' is '5e-05', but {config} gives '0.001'\n")
+        run(tmp_path / "reused", first_fails)
+        run(tmp_path / "reused", not first_fails)
+        run(tmp_path / "fresh", not first_fails)
+        reused = non_timing_files(tmp_path / "reused")
+        assert reused == non_timing_files(tmp_path / "fresh")
+        # one per-run file per (method, seed): 'traj_<m>_<s>.tsv' or 'failed_<m>_<s>.txt'
+        runs = sorted(name.split("_", 1)[1].rsplit(".", 1)[0] for name in reused
+                      if name.startswith(("traj_", "failed_")))
+        assert runs == sorted(f"{kind}_{seed:05d}" for kind in KINDS for seed in (0, 1))
+        assert ("failed_last_price_00001.txt" in reused) == (not first_fails)
 
     def test_report_on_a_missing_trajectory_names_the_file(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)
         trajectory = out_dir / "traj_last_close_00000.tsv"
         trajectory.unlink()
-        err = self.report_error(out_dir, capsys)
-        assert str(trajectory) in err and "No such file" in err
+        assert self.report_error(out_dir, capsys) == (
+            f"{trajectory}: method 'last_close' seed 0 has neither this trajectory nor failed_last_close_00000.txt\n")
         assert not trajectory.exists()
+
+    def test_report_on_a_failed_seed_without_its_failure_file_names_both_files(self, tmp_path, capsys, monkeypatch):
+        out_dir, _ = self.failing_campaign(tmp_path, capsys, monkeypatch)
+        (out_dir / "failed_last_price_00001.txt").unlink()
+        assert self.report_error(out_dir, capsys) == (
+            f"{out_dir / 'traj_last_price_00001.tsv'}: method 'last_price' seed 1 has neither this trajectory nor "
+            f"failed_last_price_00001.txt\n")
+
+    def test_report_on_a_seed_with_both_per_run_files_names_both_files(self, tmp_path, capsys, monkeypatch):
+        out_dir, _ = self.failing_campaign(tmp_path, capsys, monkeypatch)
+        (out_dir / "traj_last_price_00001.tsv").write_bytes((out_dir / "traj_last_price_00000.tsv").read_bytes())
+        assert self.report_error(out_dir, capsys) == (
+            f"{out_dir / 'traj_last_price_00001.tsv'}: method 'last_price' seed 1 has both this trajectory and "
+            f"failed_last_price_00001.txt\n")
 
     def test_report_on_a_trajectory_with_rows_missing_names_the_file(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)
         trajectory = out_dir / "traj_last_close_00000.tsv"
-        rows = trajectory.read_text().splitlines()
-        trajectory.write_text(rows[0] + "\n")
+        trajectory.write_text(trajectory.read_text().splitlines()[0] + "\n")
         assert self.report_error(out_dir, capsys) == (
-            f"{trajectory}: 0 rows, but summary.json lists n_steps = {len(rows) - 1}\n")
+            f"{trajectory}: need at least two steps for a return series, got 0\n")
 
-    def test_report_on_a_missing_timings_row_names_the_file_method_and_seed(self, tmp_path, capsys):
+    def test_report_on_a_one_row_trajectory_names_the_file(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)
-        timings = out_dir / "timings.tsv"
-        timings.write_text(timings.read_text().splitlines()[0] + "\n")
-        assert self.report_error(out_dir, capsys) == f"{timings}: no wall time for method 'last_close' seed 0\n"
-        assert timings.read_text() == "method\tseed\twall_time\n"
+        trajectory = out_dir / "traj_last_close_00000.tsv"
+        trajectory.write_text("\n".join(trajectory.read_text().splitlines()[:2]) + "\n")
+        assert self.report_error(out_dir, capsys) == (
+            f"{trajectory}: need at least two steps for a return series, got 1\n")
 
     def test_report_on_a_malformed_trajectory_names_the_file(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)
@@ -843,10 +802,27 @@ class TestCli:
         trajectory.write_text(f"{header}\n1\tx\t0.0\n")
         assert self.report_error(out_dir, capsys).startswith(f"{trajectory}: could not convert string to float")
 
-    @pytest.mark.parametrize("name, line", [("summary.json", 3), ("timings.tsv", 2), ("traj_last_close_00000.tsv", 2)],
-                             ids=["summary", "timings", "trajectory"])
-    def test_report_names_the_file_and_line_of_a_byte_that_is_not_utf8(self, tmp_path, capsys, name, line):
-        out_dir = self.emitted_campaign(tmp_path, capsys)
+    @pytest.mark.parametrize("malformed", [False, True], ids=["missing", "malformed"])
+    def test_report_on_missing_or_malformed_data_max_scales_names_the_file(self, tmp_path, capsys, monkeypatch,
+                                                                          malformed):
+        out_dir, _ = self.failing_campaign(tmp_path, capsys, monkeypatch)
+        scales = out_dir / "data_max_scales.txt"
+        if malformed:
+            lines = scales.read_text().splitlines()
+            lines[1] = "1.5x"
+            scales.write_text("\n".join(lines) + "\n")
+            assert self.report_error(out_dir, capsys) == f"{scales}:2: expected a scale, got '1.5x'\n"
+        else:
+            scales.unlink()
+            err = self.report_error(out_dir, capsys)
+            assert str(scales) in err and "No such file" in err
+
+    @pytest.mark.parametrize("name, line", [("traj_last_close_00000.tsv", 2), ("failed_last_price_00001.txt", 1),
+                                            ("config_resolved.txt", 3), ("data_max_scales.txt", 2)],
+                             ids=["trajectory", "failure", "config", "scales"])
+    def test_report_names_the_file_and_line_of_a_byte_that_is_not_utf8(self, tmp_path, capsys, monkeypatch, name,
+                                                                       line):
+        out_dir, _ = self.failing_campaign(tmp_path, capsys, monkeypatch)
         path = out_dir / name
         lines = path.read_bytes().split(b"\n")
         lines[line - 1] = b"\xe9" + lines[line - 1]
@@ -854,28 +830,6 @@ class TestCli:
         timings = (out_dir / "timings.tsv").read_bytes()
         assert self.report_error(out_dir, capsys).startswith(f"{path}:{line}: byte 0xe9 is not UTF-8 (")
         assert (out_dir / "timings.tsv").read_bytes() == timings
-
-    @pytest.mark.parametrize("outside", ["absolute", "parent"])
-    def test_report_rejects_a_trajectory_entry_outside_the_campaign_directory(self, tmp_path, capsys, outside):
-        out_dir = self.emitted_campaign(tmp_path, capsys)
-        trajectory = out_dir / "traj_last_close_00000.tsv"
-        target = tmp_path / "elsewhere" / "traj.tsv" if outside == "absolute" else tmp_path / "x.tsv"
-        target.parent.mkdir(exist_ok=True)
-        original = trajectory.read_bytes()
-        target.write_bytes(original)
-        os.utime(target, ns=(1_000_000_000, 1_000_000_000))
-        entry = str(target) if outside == "absolute" else "../x.tsv"
-        summary = out_dir / "summary.json"
-        content = json.loads(summary.read_text())
-        content["methods"]["last_close"]["runs"][0]["trajectory"] = entry
-        summary.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
-        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-        assert self.report_error(out_dir, capsys) == (
-            f"{summary}: method 'last_close' seed 0 lists trajectory {entry!r}, "
-            f"expected 'traj_last_close_00000.tsv'\n")
-        assert target.read_bytes() == original
-        assert target.stat().st_mtime_ns == 1_000_000_000
-        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
     def test_report_into_a_runs_tsv_that_is_a_directory_is_its_message_alone_and_exit_2(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)
@@ -963,14 +917,7 @@ class TestCli:
         assert lines[row + 1] == "  warning: 1 failed run(s): seed 1"
 
     def test_report_prints_the_table_run_printed(self, tmp_path, capsys, monkeypatch):
-        original = portrl.experiment.run_single
-
-        def fails_for_last_price_seed_1(config, seed, prepared):
-            if prepared[2].kind == "last_price" and seed == 1:
-                raise RuntimeError("seed 1 diverged")
-            return original(config, seed, prepared)
-
-        monkeypatch.setattr(portrl.experiment, "run_single", fails_for_last_price_seed_1)
+        fail_last_price_seed_1(monkeypatch)
         config_path = write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS)
         out_dir = tmp_path / "campaign"
         assert cli.main(["run", str(config_path), "--out", str(out_dir), "--steps", "1"]) == 0
