@@ -625,6 +625,40 @@ class TestEmitLoad:
         assert cli.main(["report", str(out_dir)]) == 1
         assert {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} == before
 
+    @pytest.mark.parametrize("message", ["día 1: valor no finito é", "first line\r\nsecond line\n"],
+                             ids=["non_ascii", "multi_line"])
+    def test_a_failure_message_round_trips_through_its_file(self, tmp_path, tiny_config, monkeypatch, message):
+        def always_fail(config, seed, prepared):
+            raise RuntimeError(message)
+
+        monkeypatch.setattr(portrl.experiment, "run_single", always_fail)
+        report = run_campaign(tiny_config)
+        out = tmp_path / "campaign"
+        summary = emit_report(report, out)
+        assert summary == summary_dict(report)
+        assert summary["methods"]["last_close"]["failures"] == [
+            {"seed": seed, "error": f"RuntimeError: {message}"} for seed in (0, 1)]
+        assert (out / "failed_last_close_00001.txt").read_bytes() == f"RuntimeError: {message}\n".encode()
+
+    def test_data_max_scales_are_written_one_repr_per_asset_when_data_max_is_listed(self, tmp_path, tiny_config):
+        report = run_campaign(replace(tiny_config, normalization="last_close, data_max", runs=1, steps=1))
+        out = tmp_path / "campaign"
+        summary = emit_report(report, out)
+        scales = report.methods["data_max"].scales
+        assert len(scales) == 3
+        assert (out / "data_max_scales.txt").read_text() == "".join(f"{float(s)!r}\n" for s in scales)
+        assert summary["methods"]["data_max"]["data_max_scales"] == list(scales)
+        assert summary["methods"]["last_close"]["data_max_scales"] is None
+
+    def test_a_stale_data_max_scales_file_is_not_read_when_data_max_is_not_listed(self, tmp_path, tiny_config):
+        out = tmp_path / "campaign"
+        out.mkdir()
+        stale = out / "data_max_scales.txt"
+        stale.write_bytes(b"not a scale \xe9\n")
+        report = run_campaign(replace(tiny_config, runs=1, steps=1))
+        assert emit_report(report, out) == summary_dict(report)
+        assert stale.read_bytes() == b"not a scale \xe9\n"
+
 
 
 class TestCli:
@@ -801,6 +835,43 @@ class TestCli:
         header = trajectory.read_text().splitlines()[0]
         trajectory.write_text(f"{header}\n1\tx\t0.0\n")
         assert self.report_error(out_dir, capsys).startswith(f"{trajectory}: could not convert string to float")
+
+    def test_report_on_a_trajectory_row_with_columns_missing_names_the_file(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        trajectory = out_dir / "traj_last_close_00000.tsv"
+        lines = trajectory.read_text().splitlines()
+        lines[2] = lines[2].split("\t")[0]  # the step alone
+        trajectory.write_text("\n".join(lines) + "\n")
+        assert self.report_error(out_dir, capsys) == f"{trajectory}: list index out of range\n"
+
+    def test_report_on_a_missing_config_names_the_file(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        config = out_dir / "config_resolved.txt"
+        config.unlink()
+        err = self.report_error(out_dir, capsys)
+        assert str(config) in err and "No such file" in err
+
+    def test_report_on_a_config_listing_a_run_without_its_files_names_the_trajectory(self, tmp_path, capsys):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        config = out_dir / "config_resolved.txt"
+        config.write_text(config.read_text().replace("\nruns = 1\n", "\nruns = 2\n"))
+        assert self.report_error(out_dir, capsys) == (
+            f"{out_dir / 'traj_last_close_00001.tsv'}: method 'last_close' seed 1 has neither this trajectory nor "
+            f"failed_last_close_00001.txt\n")
+
+    @pytest.mark.parametrize("timings", [None, b"not\ta timings table\n\xe9\n"], ids=["missing", "malformed"])
+    def test_report_neither_reads_nor_writes_timings_tsv(self, tmp_path, capsys, monkeypatch, timings):
+        out_dir, table = self.failing_campaign(tmp_path, capsys, monkeypatch)
+        before = non_timing_files(out_dir)
+        path = out_dir / "timings.tsv"
+        if timings is None:
+            path.unlink()
+        else:
+            path.write_bytes(timings)
+        assert cli.main(["report", str(out_dir)]) == 0
+        assert capsys.readouterr().out == table
+        assert non_timing_files(out_dir) == before
+        assert (path.read_bytes() if path.exists() else None) == timings
 
     @pytest.mark.parametrize("malformed", [False, True], ids=["missing", "malformed"])
     def test_report_on_missing_or_malformed_data_max_scales_names_the_file(self, tmp_path, capsys, monkeypatch,
