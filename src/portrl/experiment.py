@@ -7,13 +7,13 @@ manifest's assets once and fits/applies each method's normalization to
 that split, then each run trains the policy on its method's frames and
 backtests with online learning.
 
-A campaign directory stores facts: each run's trajectory or failure
-message, the fitted data_max scales and the resolved config, the
-config's one copy. ``summarize`` derives everything else from them:
-per-run metrics, per-method aggregates (mean and 95% normal CI
-half-width of the mean) and plot-ready sample lists. Wall times go to a
-separate timings file that nothing reads, so every other emitted byte
-is reproducible from (config, seed) alone.
+A campaign directory stores facts, each written once: each run's
+trajectory or failure message, the fitted data_max scales and the
+config as loaded, its one copy. ``summarize`` writes only the summaries
+it derives from them: per-run metrics, per-method aggregates (mean and
+95% normal CI half-width of the mean) and plot-ready sample lists. Wall
+times go to a separate timings file that nothing reads, so every other
+emitted byte is reproducible from (config, seed) alone.
 """
 
 from __future__ import annotations
@@ -361,20 +361,16 @@ def _float_text(value: float) -> str:
 
 
 def _write_trajectory(traj: Trajectory, path: Path) -> None:
-    n_weights = traj.actions.shape[1]
-    header = "step\tvalue\treward\t" + "\t".join(f"w_{i}" for i in range(n_weights))
-    lines = [header]
-    for i in range(len(traj)):
-        row = [str(int(traj.steps[i])), _float_text(traj.values[i]), _float_text(traj.rewards[i])]
-        row += [_float_text(w) for w in traj.actions[i]]
-        lines.append("\t".join(row))
+    lines = ["\t".join(["step", "value", "reward", *(f"w_{i}" for i in range(traj.actions.shape[1]))])]
+    for step, value, reward, action in zip(traj.steps, traj.values, traj.rewards, traj.actions):
+        lines.append("\t".join([str(int(step)), *map(_float_text, (value, reward, *action))]))
     path.write_text("\n".join(lines) + "\n")
 
 
 def _read_trajectory(path: Path) -> Trajectory:
     rows = [line.split("\t") for line in read_text(path).splitlines()[1:]]
     try:
-        return Trajectory(
+        traj = Trajectory(
             steps=np.array([int(r[0]) for r in rows], dtype=np.int64),
             values=np.array([float(r[1]) for r in rows]),
             rewards=np.array([float(r[2]) for r in rows]),
@@ -382,6 +378,10 @@ def _read_trajectory(path: Path) -> Trajectory:
         )
     except (ValueError, IndexError) as error:
         raise ValueError(f"{path}: {error}") from None
+    valid = (traj.values > 0) & np.isfinite(np.column_stack([traj.values, traj.rewards, traj.actions])).all(axis=1)
+    if not valid.all():
+        raise ValueError(f"{path}:{np.argmin(valid) + 2}: expected finite numbers and a value > 0")
+    return traj
 
 
 def _read_scales(path: Path) -> tuple[float, ...]:
@@ -427,13 +427,14 @@ def summary_dict(report: CampaignReport) -> dict:
 
 
 def emit_report(report: CampaignReport, out_dir: str | Path) -> dict:
-    """Write a campaign's facts: each run's trajectory or failure message
+    """Write a campaign's facts: first the resolved config, exactly
+    config_to_text(config), then each run's trajectory or failure message
     (removing the other file of that run, left by an earlier campaign),
-    the fitted data_max scales, the resolved config and, separately,
-    wall times. Returns summarize(out_dir), which derives every other
-    file from them."""
+    the fitted data_max scales and, separately, wall times. Returns
+    summarize(out_dir), which derives the summaries from them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "config_resolved.txt").write_text(config_to_text(report.config))
     timing_rows = ["method\tseed\twall_time"]
     for kind in sorted(report.methods):
         method = report.methods[kind]
@@ -446,7 +447,6 @@ def emit_report(report: CampaignReport, out_dir: str | Path) -> dict:
             (out / trajectory_name(kind, seed)).unlink(missing_ok=True)
         if method.scales is not None:
             (out / "data_max_scales.txt").write_text("".join(_float_text(s) + "\n" for s in method.scales))
-    (out / "config_resolved.txt").write_text(config_to_text(report.config))
     (out / "timings.tsv").write_text("\n".join(timing_rows) + "\n")
     return summarize(out)
 
@@ -455,12 +455,12 @@ def summarize(out_dir: str | Path) -> dict:
     """Derive a campaign's summaries from its facts alone: load
     config_resolved.txt, read each configured (method, seed)'s trajectory
     or failure file (files of other runs are ignored), recompute each
-    run's metrics from its trajectory, and write summary.json, runs.tsv,
-    the per-method FAPV lists and config_resolved.txt's seed line.
-    Returns the summary_dict that summary.json holds, methods in sorted
-    order. A fact that is missing, doubled or does not parse, or a
-    trajectory of fewer than 2 rows, raises an error naming its file
-    before anything is written."""
+    run's metrics from its trajectory, and write only summary.json,
+    runs.tsv and the listed methods' FAPV lists, removing any other
+    method's. Returns the summary_dict that summary.json holds, methods in
+    sorted order. A fact that is missing, doubled or does not parse, or a
+    trajectory of fewer than 2 rows, a non-finite cell or a value <= 0,
+    raises an error naming its file before anything is written."""
     out = Path(out_dir)
     config = load_config(out / "config_resolved.txt")
     methods = {kind: MethodResults() for kind in config.methods}
@@ -486,15 +486,14 @@ def summarize(out_dir: str | Path) -> dict:
     summary = summary_dict(CampaignReport(config=config, methods=methods))
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     rows = ["\t".join(["method", "seed", *_RUN_METRICS, "trajectory"])]
-    seeds = []
     for kind in sorted(methods):
         samples = []
         for r in methods[kind].results:
             cells = [_float_text(v) if isinstance(v, float) else str(v) for v in asdict(r.metrics).values()]
             rows.append("\t".join([kind, str(r.seed), *cells, r.trajectory_path]))
             samples.append(_float_text(r.metrics.fapv) + "\n")
-            seeds.append(str(r.seed))
         (out / f"fapv_{kind}.txt").write_text("".join(samples))
+    for kind in set(KINDS) - set(methods):
+        (out / f"fapv_{kind}.txt").unlink(missing_ok=True)
     (out / "runs.tsv").write_text("\n".join(rows) + "\n")
-    (out / "config_resolved.txt").write_text(f"# seeds used: {', '.join(seeds)}\n" + config_to_text(config))
     return summary

@@ -575,6 +575,11 @@ class TestEmitLoad:
             assert np.array_equal(traj.actions, restored.actions)
             assert np.array_equal(traj.rewards, restored.rewards)
 
+    def test_config_resolved_is_exactly_the_config_as_loaded(self, tmp_path, tiny_config):
+        out = tmp_path / "campaign"
+        emit_report(run_campaign(tiny_config), out)
+        assert (out / "config_resolved.txt").read_text() == config_to_text(tiny_config)
+
     def test_summary_schema_is_stable(self, tmp_path, tiny_config):
         report = run_campaign(tiny_config)
         out = tmp_path / "campaign"
@@ -771,27 +776,63 @@ class TestCli:
         # each run's metrics, recomputed from its trajectory file, are bitwise the ones run_single returned
         assert emit_report(report, tmp_path / "campaign") == summary_dict(report)
 
-    @pytest.mark.parametrize("first_fails", [True, False], ids=["failure_then_success", "success_then_failure"])
+    # Each campaign is (normalization, runs, whether last_price seed 1 fails). The reused directory keeps,
+    # beside a fresh one's files, only the facts of runs the second config does not list.
+    @pytest.mark.parametrize("first, second, leftovers", [
+        ((ALL_METHODS, 2, True), (ALL_METHODS, 2, False), []),
+        ((ALL_METHODS, 2, False), (ALL_METHODS, 2, True), []),
+        (("last_close, data_max", 2, False), ("last_close", 1, False),
+         ["data_max_scales.txt", "traj_data_max_00000.tsv", "traj_data_max_00001.tsv", "traj_last_close_00001.tsv"]),
+    ], ids=["failure_then_success", "success_then_failure", "narrower_rerun"])
     def test_a_second_run_into_one_directory_leaves_the_files_of_a_fresh_one(self, tmp_path, capsys, monkeypatch,
-                                                                            first_fails):
-        config_path = write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS)
+                                                                            first, second, leftovers):
+        manifest = write_market(tmp_path)
 
-        def run(out_dir, fails):
+        def run(out_dir, normalization, runs, fails):
+            config_path = write_config(tmp_path, manifest, normalization=normalization, runs=runs)
             with monkeypatch.context() as patch:
                 if fails:
                     fail_last_price_seed_1(patch)
                 assert cli.main(["run", str(config_path), "--out", str(out_dir), "--steps", "1"]) == 0
 
-        run(tmp_path / "reused", first_fails)
-        run(tmp_path / "reused", not first_fails)
-        run(tmp_path / "fresh", not first_fails)
-        reused = non_timing_files(tmp_path / "reused")
-        assert reused == non_timing_files(tmp_path / "fresh")
-        # one per-run file per (method, seed): 'traj_<m>_<s>.tsv' or 'failed_<m>_<s>.txt'
-        runs = sorted(name.split("_", 1)[1].rsplit(".", 1)[0] for name in reused
-                      if name.startswith(("traj_", "failed_")))
-        assert runs == sorted(f"{kind}_{seed:05d}" for kind in KINDS for seed in (0, 1))
-        assert ("failed_last_price_00001.txt" in reused) == (not first_fails)
+        run(tmp_path / "reused", *first)
+        run(tmp_path / "reused", *second)
+        run(tmp_path / "fresh", *second)
+        reused, fresh = non_timing_files(tmp_path / "reused"), non_timing_files(tmp_path / "fresh")
+        assert {name: reused[name] for name in fresh if name in reused} == fresh
+        assert sorted(set(reused) - set(fresh)) == leftovers
+        # one per-run file per configured (method, seed): 'traj_<m>_<s>.tsv' or 'failed_<m>_<s>.txt'
+        normalization, runs, fails = second
+        per_run = sorted(name.split("_", 1)[1].rsplit(".", 1)[0] for name in fresh
+                         if name.startswith(("traj_", "failed_")))
+        assert per_run == sorted(f"{kind.strip()}_{seed:05d}" for kind in normalization.split(",")
+                                 for seed in range(runs))
+        assert ("failed_last_price_00001.txt" in reused) == fails
+
+    def test_report_writes_only_the_summaries(self, tmp_path, capsys, monkeypatch):
+        out_dir, table = self.failing_campaign(tmp_path, capsys, monkeypatch)
+        written = []
+        for name in ("write_text", "write_bytes", "unlink"):
+            def recording(path, *args, _original=getattr(Path, name), **kwargs):
+                written.append(path.name)
+                return _original(path, *args, **kwargs)
+            monkeypatch.setattr(Path, name, recording)
+        assert cli.main(["report", str(out_dir)]) == 0
+        assert capsys.readouterr().out == table
+        assert sorted(written) == ["fapv_data_max.txt", "fapv_last_close.txt", "fapv_last_price.txt", "runs.tsv",
+                                   "summary.json"]
+
+    @pytest.mark.parametrize("column, cell", [("value", "nan"), ("value", "inf"), ("value", "0"), ("value", "-1"),
+                                              ("reward", "nan"), ("w_0", "-inf")])
+    def test_report_on_a_non_finite_cell_or_a_value_not_above_0_names_the_file_and_line(self, tmp_path, capsys,
+                                                                                       column, cell):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        trajectory = out_dir / "traj_last_close_00000.tsv"
+        lines = [line.split("\t") for line in trajectory.read_text().splitlines()]
+        lines[3][lines[0].index(column)] = cell
+        trajectory.write_text("".join("\t".join(line) + "\n" for line in lines))
+        assert self.report_error(out_dir, capsys) == (
+            f"{trajectory}:4: expected finite numbers and a value > 0\n")
 
     def test_report_on_a_missing_trajectory_names_the_file(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)
