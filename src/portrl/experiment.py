@@ -18,6 +18,7 @@ emitted byte is reproducible from (config, seed) alone.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import sys
@@ -31,8 +32,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import metrics as metrics_mod
-from .market_data import (ALIGNMENT_POLICIES, MarketFrame, align_assets, load_manifest, load_ohlc_csv, read_text,
-                          split_periods)
+from .market_data import MarketFrame, align_assets, load_manifest, load_ohlc_csv, read_text, split_periods
 from .normalization import DATA_MAX, KINDS, NormalizationScheme, apply_data_max, fit_data_max, scheme_from_kind
 from .policy import init_policy
 from .training import Trainer, TrainerConfig, Trajectory, release_free_heap
@@ -41,7 +41,8 @@ REPORT_FORMAT_VERSION = 1
 # A run's metrics, in the order runs.tsv lists them; the float ones are aggregated.
 _RUN_METRICS = tuple(f.name for f in fields(metrics_mod.MetricReport))
 _METRIC_NAMES = tuple(name for name, hint in get_type_hints(metrics_mod.MetricReport).items() if hint is float)
-_ALIGNMENTS = ("", *ALIGNMENT_POLICIES)
+# The policy's first convolution needs a window at least one day wider than its kernel.
+_MIN_WINDOW = inspect.signature(init_policy).parameters["k1"].default + 1
 # Allowed range of each numeric key: (test, description). NaN fails every test.
 _RANGES = {
     "learning_rate": (lambda v: 0 < v < math.inf, "finite and > 0"),
@@ -49,20 +50,23 @@ _RANGES = {
     "sample_bias": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "steps": (lambda v: v >= 0, ">= 0"),
     "online_steps": (lambda v: v >= 0, ">= 0"),
+    "time_window": (lambda v: v >= _MIN_WINDOW, f">= {_MIN_WINDOW}"),
     "commission_rate": (lambda v: 0 <= v < 1, "in [0, 1)"),
     "initial_value": (lambda v: 0 < v < math.inf, "finite and > 0"),
     "weight_decay": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
     "runs": (lambda v: v >= 1, ">= 1"),
     "base_seed": (lambda v: v >= 0, ">= 0"),
     "workers": (lambda v: v >= 1, ">= 1"),
-    "kernel_width": (lambda v: v >= 1, ">= 1"),
-    "conv1_channels": (lambda v: v >= 1, ">= 1"),
-    "conv2_channels": (lambda v: v >= 1, ">= 1"),
 }
 
 
 @dataclass
 class ExperimentConfig:
+    """A campaign's settings, one field per config key.
+
+    The calendar is the manifest's own (its ``alignment =`` line) and the
+    network has ``init_policy``'s default shape, so neither is a key.
+    """
     manifest: str
     train_start: date
     train_end: date
@@ -81,10 +85,6 @@ class ExperimentConfig:
     runs: int = 50
     base_seed: int = 0
     workers: int = 1
-    alignment: str = ""
-    kernel_width: int = 3
-    conv1_channels: int = 2
-    conv2_channels: int = 20
 
     def __post_init__(self):
         methods = self.methods
@@ -96,11 +96,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not allowed(value):
                 raise ValueError(f"{name} must be {text}, got {value!r}")
-        if self.time_window < self.kernel_width + 1:
-            raise ValueError(f"time_window must be >= kernel_width + 1 = {self.kernel_width + 1}, "
-                             f"got {self.time_window}")
-        if self.alignment not in _ALIGNMENTS:
-            raise ValueError(f"alignment must be empty, 'intersect' or 'forward_fill', got '{self.alignment}'")
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -190,9 +185,10 @@ Prepared = tuple[MarketFrame, MarketFrame, NormalizationScheme]
 
 
 def prepare(config: ExperimentConfig) -> dict[str, Prepared]:
-    """Load, align and split the manifest's assets once, then, for each
-    method the config lists, fit its normalization on the training rows
-    only and apply it to both slices.
+    """Load, align and split the manifest's assets once, on the calendar
+    its ``alignment =`` line names (``intersect`` when it has none), then,
+    for each method the config lists, fit its normalization on the
+    training rows only and apply it to both slices.
 
     Returns {method: (train frame, test frame, scheme)} in listed order;
     each test frame carries the (time_window - 1)-row prefix its first
@@ -200,7 +196,7 @@ def prepare(config: ExperimentConfig) -> dict[str, Prepared]:
     """
     entries, manifest_alignment = load_manifest(config.manifest)
     frames = [load_ohlc_csv(csv_path, ticker) for ticker, csv_path in entries]
-    frame = align_assets(frames, config.alignment or manifest_alignment or "intersect")
+    frame = align_assets(frames, manifest_alignment or "intersect")
     split = split_periods(
         frame,
         (config.train_start, config.train_end),
@@ -243,16 +239,8 @@ def run_single(config: ExperimentConfig, seed: int, prepared: Prepared) -> RunRe
     The wall time covers the training and the backtest, not the load."""
     started = time.perf_counter()
     train_frame, test_frame, scheme = prepared
-    params = init_policy(
-        train_frame.n_assets,
-        config.time_window,
-        seed,
-        k1=config.kernel_width,
-        c1=config.conv1_channels,
-        c2=config.conv2_channels,
-    )
     trainer = Trainer(
-        params=params,
+        params=init_policy(train_frame.n_assets, config.time_window, seed),
         frame=train_frame,
         window=config.time_window,
         scheme=scheme,

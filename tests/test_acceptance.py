@@ -326,7 +326,6 @@ def test_reduced_directional_replication_micro(tmp_path):
         "sample_bias = 0.01",
         "time_window = 10",
         "runs = 2",
-        "conv2_channels = 8",
     ])
     config_path = tmp_path / "micro.cfg"
     config_path.write_text(config_text + "\n")
@@ -366,7 +365,6 @@ def test_determinism_of_runs_and_campaigns(tmp_path):
         "sample_bias = 0.05",
         "time_window = 6",
         "runs = 2",
-        "conv2_channels = 4",
     ]) + "\n")
     config = load_config(config_path)
 

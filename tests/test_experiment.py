@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -21,6 +21,7 @@ from portrl.normalization import KINDS
 from portrl.policy import init_policy
 from portrl.training import Trainer, TrainerConfig, Trajectory, sample_batch
 from portrl.experiment import (
+    ExperimentConfig,
     RunResult,
     _read_trajectory,
     aggregate,
@@ -76,8 +77,6 @@ def write_config(tmp_path, manifest, **overrides):
         "runs": "2",
         "base_seed": "0",
         "workers": "1",
-        "conv1_channels": "2",
-        "conv2_channels": "3",
     }
     values.update({key: str(value) for key, value in overrides.items()})
     path = tmp_path / "experiment.cfg"
@@ -123,12 +122,10 @@ class TestConfig:
         ("steps", "-5"), ("online_steps", "-1"),
         ("sample_bias", "3.0"), ("sample_bias", "0"), ("sample_bias", "nan"),
         ("workers", "-2"), ("workers", "0"),
-        ("kernel_width", "0"), ("conv1_channels", "0"), ("conv2_channels", "0"),
         ("weight_decay", "-1"), ("base_seed", "-1"),
         ("learning_rate", "0"), ("batch_size", "0"), ("runs", "0"), ("initial_value", "-1"),
         ("learning_rate", "inf"), ("weight_decay", "inf"), ("initial_value", "inf"),
-        ("time_window", "3"),  # the default kernel_width 3 needs at least 4
-        ("alignment", "outer"),
+        ("time_window", "3"),  # the policy's kernel width 3 needs at least 4
         ("normalization", "last_close, zscore"), ("normalization", "data_max, data_max"),
         ("normalization", "last_close,"),
     ])
@@ -165,6 +162,12 @@ class TestConfig:
         with pytest.raises(ValueError) as err:
             load_config(path)
         assert str(err.value) == f"{path}:10: cannot parse 'many' for key 'steps'"
+
+    def test_the_shipped_config_names_every_key(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "synth_crypto.cfg"
+        lines = [line.split("#", 1)[0] for line in path.read_text().splitlines()]
+        keys = [line.partition("=")[0].strip() for line in lines if line.strip()]
+        assert keys == [f.name for f in fields(ExperimentConfig)]
 
     def test_normalization_lists_methods_in_order(self, tmp_path):
         config = load_config(write_config(tmp_path, tmp_path / "portfolio.txt", normalization="data_max,last_close"))
@@ -233,8 +236,7 @@ def test_seeds_are_paired_across_methods(tiny_config):
     for kind in KINDS:
         config = replace(tiny_config, normalization=kind)
         train_frame, _, scheme = prepare(config)[kind]
-        params = init_policy(train_frame.n_assets, config.time_window, seed, k1=config.kernel_width,
-                             c1=config.conv1_channels, c2=config.conv2_channels)
+        params = init_policy(train_frame.n_assets, config.time_window, seed)
         initial = params.theta.copy()
         trainer = Trainer(params, train_frame, config.time_window, scheme, config.initial_value,
                           config.commission_rate,
@@ -258,6 +260,18 @@ def test_prepare_rejects_a_batch_larger_than_the_training_slice(tiny_config):
     with pytest.raises(ValueError) as err:
         prepare(replace(tiny_config, batch_size=57))
     assert "batch_size = 57" in str(err.value) and "56 decidable training step" in str(err.value)
+
+
+@pytest.mark.parametrize("line, kept", [("alignment = intersect\n", False), ("alignment = forward_fill\n", True),
+                                        ("", False)], ids=["intersect", "forward_fill", "no_line"])
+def test_prepare_takes_the_calendar_from_the_manifest_line(tmp_path, line, kept):
+    manifest = write_market(tmp_path, n_assets=2)
+    csv = manifest.parent / "T1.csv"  # T1 lacks one of the 60 training days
+    csv.write_text("".join(row for row in csv.read_text().splitlines(keepends=True)
+                           if not row.startswith("2021-02-01,")))
+    manifest.write_text(line + "T0 T0.csv\nT1 T1.csv\n")
+    train, _, _ = prepare(load_config(write_config(tmp_path, manifest)))["last_close"]
+    assert (date(2021, 2, 1) in train.dates) == kept and len(train.dates) == 59 + kept
 
 
 class TestRunSingle:
@@ -891,6 +905,16 @@ class TestCli:
         config.unlink()
         err = self.report_error(out_dir, capsys)
         assert str(config) in err and "No such file" in err
+
+    @pytest.mark.parametrize("line", ["alignment = ", "kernel_width = 3", "conv1_channels = 2",
+                                      "conv2_channels = 20"])
+    def test_report_on_a_config_with_a_removed_key_names_the_key(self, tmp_path, capsys, line):
+        # config_resolved.txt of a campaign written when the calendar and the network's shape were keys
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        config = out_dir / "config_resolved.txt"
+        config.write_text(config.read_text() + line + "\n")
+        assert self.report_error(out_dir, capsys) == (
+            f"{config}:19: unknown config key '{line.partition(' =')[0]}'\n")
 
     def test_report_on_a_config_listing_a_run_without_its_files_names_the_trajectory(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)
