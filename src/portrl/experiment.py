@@ -5,7 +5,9 @@ the config lists. Each run is fully determined by (config, method,
 seed): before any run starts, the pipeline loads, aligns and splits the
 manifest's assets once and fits/applies each method's normalization to
 that split, then each run trains the policy on its method's frames and
-backtests with online learning.
+backtests with online learning. The config is read by
+market_data.read_settings, its dates by the CSV rule (YYYY-MM-DD). A
+run that raises, or whose worker process dies, costs only its own seed.
 
 A campaign directory stores facts, each written once: each run's
 trajectory or failure message, the fitted data_max scales and the
@@ -24,6 +26,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date
 from pathlib import Path
@@ -32,7 +35,8 @@ from typing import get_type_hints
 import numpy as np
 
 from . import metrics as metrics_mod
-from .market_data import MarketFrame, align_assets, load_manifest, load_ohlc_csv, read_text, split_periods
+from .market_data import (MarketFrame, align_assets, iso_days, load_manifest, load_ohlc_csv, read_settings, read_text,
+                          split_periods)
 from .normalization import DATA_MAX, KINDS, NormalizationScheme, apply_data_max, fit_data_max, scheme_from_kind
 from .policy import init_policy
 from .training import Trainer, TrainerConfig, Trajectory, release_free_heap
@@ -128,37 +132,20 @@ class CampaignReport:
     methods: dict[str, MethodResults]
 
 
-# Each config key parses as its field's type (str, int, float or date);
-# the keys whose fields have no default are required.
-_KEY_PARSERS = {name: date.fromisoformat if hint is date else hint
+# Each config key parses as its field's type (str, int, float or date, a
+# date by the CSV rule); the keys whose fields have no default are required.
+_KEY_PARSERS = {name: (lambda text: iso_days([text])[0]) if hint is date else hint
                 for name, hint in get_type_hints(ExperimentConfig).items()}
 _REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a flat `key = value` config file ('#' starts a comment); each
-    key may appear once."""
+    """Parse a flat `key = value` config file ('#' starts a comment) with
+    read_settings; each key may appear once."""
     path = Path(path)
-    values: dict[str, object] = {}
-    key_lines: dict[str, int] = {}
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, text = line.partition("=")
-        key, text = key.strip(), text.strip()
-        if key not in _KEY_PARSERS:
-            raise ValueError(f"{path}:{line_no}: unknown config key '{key}'")
-        if key in key_lines:
-            raise ValueError(f"{path}:{line_no}: config key '{key}' given twice, on lines {key_lines[key]} "
-                             f"and {line_no}")
-        key_lines[key] = line_no
-        try:
-            values[key] = _KEY_PARSERS[key](text)
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: cannot parse '{text}' for key '{key}'") from None
+    values, others = read_settings(path, _KEY_PARSERS, "config")
+    if others:
+        raise ValueError(f"{path}:{others[0][0]}: expected 'key = value'")
     missing = [name for name in _REQUIRED_KEYS if name not in values]
     if missing:
         raise ValueError(f"{path}: missing required keys {missing}")
@@ -275,6 +262,18 @@ def _run_job(kind: str, seed: int) -> RunResult:
     return run_single(config, seed, prepared[kind])
 
 
+def _pooled_outcomes(config: ExperimentConfig, prepared: dict[str, Prepared], jobs: list[tuple[str, int]]):
+    """Yield ((method, seed), outcome) as jobs finish on a pool of at most
+    config.workers processes; an outcome is BrokenProcessPool when a worker
+    process died before the job finished, its own worker or another."""
+    with ProcessPoolExecutor(max_workers=min(config.workers, len(jobs)), initializer=_start_worker,
+                             initargs=(config, prepared)) as pool:
+        futures = {pool.submit(_run_job, kind, seed): (kind, seed) for kind, seed in jobs}
+        for future in as_completed(futures):
+            error = future.exception()
+            yield futures[future], future.result() if error is None else error
+
+
 def _finished_jobs(config: ExperimentConfig, prepared: dict[str, Prepared], jobs: list[tuple[str, int]]):
     """Yield ((method, seed), outcome) as jobs finish; the outcome is what
     run_single returned or the exception it raised."""
@@ -284,12 +283,19 @@ def _finished_jobs(config: ExperimentConfig, prepared: dict[str, Prepared], jobs
         # pickled once per worker otherwise. The heap prepare() freed goes
         # back to the OS first, so no forked worker inherits it.
         release_free_heap()
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(jobs)), initializer=_start_worker,
-                                 initargs=(config, prepared)) as pool:
-            futures = {pool.submit(_run_job, kind, seed): (kind, seed) for kind, seed in jobs}
-            for future in as_completed(futures):
-                error = future.exception()
-                yield futures[future], future.result() if error is None else error
+        unfinished = []
+        for job, outcome in _pooled_outcomes(config, prepared, jobs):
+            if isinstance(outcome, BrokenProcessPool):
+                unfinished.append(job)
+            else:
+                yield job, outcome
+        # A dead worker breaks the pool for every unfinished job: each reruns
+        # alone, so only the job whose own worker dies again fails.
+        for job in sorted(unfinished, key=jobs.index):
+            for _, outcome in _pooled_outcomes(config, prepared, [job]):
+                if isinstance(outcome, BrokenProcessPool):
+                    outcome = BrokenProcessPool("the worker process running this job died")
+                yield job, outcome
     else:
         for kind, seed in jobs:
             try:

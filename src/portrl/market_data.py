@@ -20,6 +20,11 @@ state window: loading a CSV gives a one-asset frame, and alignment
 joins frames onto one calendar by a sorted-date search, each frame
 contributing its own assets. Cash is implicit at index 0 of every
 relative vector with a price ratio of exactly 1.
+
+Manifests, and the campaign configs of portrl.experiment, are read by
+one settings reader. Every load-time error, in a CSV, a manifest or a
+config, is a plain ValueError whose message names the file and line,
+and the key where there is one.
 """
 
 from __future__ import annotations
@@ -35,34 +40,6 @@ from datetime import date
 from pathlib import Path
 
 import numpy as np
-
-
-class MissingColumn(ValueError):
-    pass
-
-
-class UnparsableRow(ValueError):
-    pass
-
-
-class OhlcOrderingViolation(ValueError):
-    pass
-
-
-class EmptySeries(ValueError):
-    pass
-
-
-class EmptyIntersection(ValueError):
-    pass
-
-
-class RangesOverlap(ValueError):
-    pass
-
-
-class InsufficientTrainLength(ValueError):
-    pass
 
 
 class IndexOutOfRange(IndexError):
@@ -163,7 +140,7 @@ def required_columns(path: Path, header: list[str]) -> list[int]:
     columns = {name.strip().lower(): i for i, name in enumerate(header)}
     for name in REQUIRED_COLUMNS:
         if name not in columns:
-            raise MissingColumn(f"{path}: missing column '{name}' in header {header}")
+            raise ValueError(f"{path}: missing column '{name}' in header {header}")
     return [columns[name] for name in REQUIRED_COLUMNS]
 
 
@@ -224,14 +201,14 @@ def frame_from_csv_module(path: Path, ticker: str, text: str) -> MarketFrame:
                     days += iso_days([row[usecols[0]]])
                     prices.append([float(row[i]) for i in usecols[1:]])
                 except (ValueError, IndexError) as exc:
-                    raise UnparsableRow(f"{path}:{line_no}: {exc}") from None
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
                 lines.append(line_no)
     except csv.Error as exc:
-        raise UnparsableRow(f"{path}:{line_no + 1}: {exc}") from None
+        raise ValueError(f"{path}:{line_no + 1}: {exc}") from None
     if not line_no:
-        raise EmptySeries(f"{path}: file is empty")
+        raise ValueError(f"{path}: file is empty")
     if not lines:
-        raise EmptySeries(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return sorted_frame(path, ticker, days, np.array(prices).T, lines)
 
 
@@ -243,7 +220,7 @@ def sorted_frame(path: Path, ticker: str, days: list[date], prices: np.ndarray, 
     repeats = np.flatnonzero(np.diff(ordinals[order]) == 0)
     if repeats.size:
         k = order[repeats[0] + 1]
-        raise UnparsableRow(f"{path}:{lines[k]}: duplicate date {days[k]}")
+        raise ValueError(f"{path}:{lines[k]}: duplicate date {days[k]}")
 
     opens, highs, lows, closes = prices.take(order, axis=1)
     # NaN fails every comparison and high < inf bounds the rest, so this
@@ -252,12 +229,8 @@ def sorted_frame(path: Path, ticker: str, days: list[date], prices: np.ndarray, 
     if not valid.all():
         k = order[np.argmin(valid)]
         o, h, l, c = prices[:, k].tolist()
-        where = f"{path}:{lines[k]}"
-        if not all(map(math.isfinite, (o, h, l, c))):
-            raise UnparsableRow(f"{where}: non-finite price on {days[k]} (open={o}, high={h}, low={l}, close={c})")
-        raise OhlcOrderingViolation(
-            f"{where}: OHLC ordering violated on {days[k]} (open={o}, high={h}, low={l}, close={c})"
-        )
+        fault = "OHLC ordering violated" if all(map(math.isfinite, (o, h, l, c))) else "non-finite price"
+        raise ValueError(f"{path}:{lines[k]}: {fault} on {days[k]} (open={o}, high={h}, low={l}, close={c})")
     return MarketFrame(
         tickers=(ticker,),
         dates=tuple(map(days.__getitem__, order.tolist())),
@@ -289,7 +262,7 @@ def align_assets(frames: list[MarketFrame], policy: str = "intersect") -> Market
     if policy == "intersect":
         calendar = functools.reduce(functools.partial(np.intersect1d, assume_unique=True), days)
         if not calendar.size:
-            raise EmptyIntersection(f"no common dates across {list(tickers)}")
+            raise ValueError(f"no common dates across {list(tickers)}")
     else:
         merged = np.sort(np.concatenate(days))
         calendar = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
@@ -315,7 +288,7 @@ def split_periods(
     test_text = f"test range {test_range[0]}..{test_range[1]}"
     data_text = f"(data: {dates[0]}..{dates[-1]})"
     if train_range[1] >= test_range[0]:
-        raise RangesOverlap(f"{train_text} must end before {test_text} starts {data_text}")
+        raise ValueError(f"{train_text} must end before {test_text} starts {data_text}")
     # each range's rows, found by search on the sorted calendar (empty when none fall in it)
     train_rows = range(bisect.bisect_left(dates, train_range[0]), bisect.bisect_right(dates, train_range[1]))
     test_rows = range(bisect.bisect_left(dates, test_range[0]), bisect.bisect_right(dates, test_range[1]))
@@ -323,9 +296,7 @@ def split_periods(
         if not rows:
             raise ValueError(f"{text} holds no rows {data_text}")
     if len(train_rows) < time_window + 1:
-        raise InsufficientTrainLength(
-            f"{train_text} holds {len(train_rows)} rows, need at least {time_window + 1} {data_text}"
-        )
+        raise ValueError(f"{train_text} holds {len(train_rows)} rows, need at least {time_window + 1} {data_text}")
     # the train rows precede the test range, so its (time_window - 1)-row prefix exists
     return PeriodSplit(
         train=frame.slice(train_rows.start, train_rows.stop),
@@ -348,31 +319,44 @@ def price_relatives(frame: MarketFrame, t: int) -> np.ndarray:
     return step_relatives(frame, t, t + 1)[0]
 
 
+def read_settings(path: Path, parsers: dict, kind: str) -> tuple[dict, list[tuple[int, str]]]:
+    """Read a settings file, a config or a manifest: '#' starts a comment
+    and blank lines are skipped. A `key = value` line must name a key of
+    ``parsers``, at most once, and its value is that key's parser's result.
+    Every error is a ValueError naming the file and line, and the key.
+    Returns ({key: value}, [(line number, text) of every other line])."""
+    values, key_lines, others = {}, {}, []
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if "=" in line:
+            key, _, text = (part.strip() for part in line.partition("="))
+            if key not in parsers:
+                raise ValueError(f"{path}:{line_no}: unknown {kind} key '{key}'")
+            if key in key_lines:
+                raise ValueError(f"{path}:{line_no}: {kind} key '{key}' given twice, on lines {key_lines[key]} "
+                                 f"and {line_no}")
+            key_lines[key] = line_no
+            try:
+                values[key] = parsers[key](text)
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: cannot parse '{text}' for key '{key}'") from None
+        elif line:
+            others.append((line_no, line))
+    return values, others
+
+
 def load_manifest(path: str | Path) -> tuple[list[tuple[str, Path]], str | None]:
     """Read a portfolio manifest: `TICKER PATH` lines plus an optional
     `alignment = intersect|forward_fill` line. Paths resolve relative to
     the manifest's directory. A ticker, or the alignment line, may appear
     once."""
     path = Path(path)
+    # index() raises a ValueError on a value that names no policy
+    parsers = {"alignment": lambda text: ALIGNMENT_POLICIES[ALIGNMENT_POLICIES.index(text)]}
+    values, lines = read_settings(path, parsers, "manifest")
     entries: list[tuple[str, Path]] = []
-    alignment = None
-    alignment_line = None
     ticker_lines: dict[str, int] = {}
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" in line:
-            key, _, value = line.partition("=")
-            if key.strip() != "alignment":
-                raise ValueError(f"{path}:{line_no}: unknown manifest key '{key.strip()}'")
-            if alignment_line is not None:
-                raise ValueError(f"{path}:{line_no}: 'alignment =' given twice, on lines {alignment_line} "
-                                 f"and {line_no}")
-            alignment, alignment_line = value.strip(), line_no
-            if alignment not in ALIGNMENT_POLICIES:
-                raise ValueError(f"{path}:{line_no}: alignment must be intersect or forward_fill, got '{alignment}'")
-            continue
+    for line_no, line in lines:
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ValueError(f"{path}:{line_no}: expected 'TICKER PATH'")
@@ -384,4 +368,4 @@ def load_manifest(path: str | Path) -> tuple[list[tuple[str, Path]], str | None]
         entries.append((ticker, (path.parent / csv_path.strip()).resolve()))
     if not entries:
         raise ValueError(f"{path}: manifest lists no assets")
-    return entries, alignment
+    return entries, values.get("alignment")

@@ -22,14 +22,6 @@ DATA_MAX = "data_max"
 KINDS = (LAST_CLOSE, LAST_PRICE, DATA_MAX)
 
 
-class NonPositiveScale(ValueError):
-    pass
-
-
-class TickerMismatch(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class NormalizationScheme:
     kind: str
@@ -76,7 +68,7 @@ def fit_data_max(train: MarketFrame) -> NormalizationScheme:
         raise ValueError("cannot fit data_max on an empty frame")
     scales = train.highs.max(axis=1)
     if (scales <= 0.0).any():
-        raise NonPositiveScale(f"non-positive fitted scale in {scales}")
+        raise ValueError(f"non-positive fitted scale in {scales}")
     return NormalizationScheme(kind=DATA_MAX, tickers=train.tickers, scales=tuple(scales))
 
 
@@ -85,7 +77,7 @@ def apply_data_max(scheme: NormalizationScheme, frame: MarketFrame) -> MarketFra
     if scheme.kind != DATA_MAX:
         raise ValueError(f"apply_data_max needs a data_max scheme, got '{scheme.kind}'")
     if frame.tickers != scheme.tickers:
-        raise TickerMismatch(f"frame tickers {frame.tickers} != fitted tickers {scheme.tickers}")
+        raise ValueError(f"frame tickers {frame.tickers} != fitted tickers {scheme.tickers}")
     divisor = np.asarray(scheme.scales)[:, None]
     return MarketFrame(
         tickers=frame.tickers,

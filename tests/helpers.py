@@ -17,15 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from portrl import training
 from portrl.environment import transaction_factor_batch
-from portrl.market_data import (
-    EmptyIntersection,
-    EmptySeries,
-    MarketFrame,
-    MissingColumn,
-    OhlcOrderingViolation,
-    UnparsableRow,
-    read_text,
-)
+from portrl.market_data import MarketFrame, read_text
 
 
 def make_frame(closes, spread: float = 0.01, start: date = date(2020, 1, 1), tickers=None) -> MarketFrame:
@@ -63,7 +55,7 @@ def numbered_records(path: Path):
         except StopIteration:
             return
         except csv.Error as exc:  # say, a cell past csv.field_size_limit()
-            raise UnparsableRow(f"{path}:{line_no}: {exc}") from None
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
         yield line_no, record
         line_no += 1
 
@@ -78,12 +70,12 @@ def load_ohlc_csv_reference(path: str | Path, ticker: str) -> MarketFrame:
     try:
         _, header = next(records)
     except StopIteration:
-        raise EmptySeries(f"{path}: file is empty") from None
+        raise ValueError(f"{path}: file is empty") from None
     columns = {name.strip().lower(): i for i, name in enumerate(header)}
     required = ("date", "open", "high", "low", "close")
     for name in required:
         if name not in columns:
-            raise MissingColumn(f"{path}: missing column '{name}' in header {header}")
+            raise ValueError(f"{path}: missing column '{name}' in header {header}")
     rows = []
     for line_no, row in records:
         if not row or all(not cell.strip() for cell in row):
@@ -95,25 +87,24 @@ def load_ohlc_csv_reference(path: str | Path, ticker: str) -> MarketFrame:
                 raise ValueError(f"Invalid isoformat string: {text!r}")
             values = [float(row[columns[name]]) for name in required[1:]]
         except (ValueError, IndexError) as exc:
-            raise UnparsableRow(f"{path}:{line_no}: {exc}") from None
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
         rows.append((day, line_no, values))
 
     if not rows:
-        raise EmptySeries(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     rows.sort(key=lambda item: item[0])
     for (day, _, _), (next_day, line_no, _) in zip(rows, rows[1:]):
         if day == next_day:
-            raise UnparsableRow(f"{path}:{line_no}: duplicate date {day}")
+            raise ValueError(f"{path}:{line_no}: duplicate date {day}")
 
     prices = np.empty((3, 1, len(rows)))
     for i, (day, line_no, (o, h, l, c)) in enumerate(rows):
         if not (0.0 < l <= c <= h < math.inf and l <= o <= h):
             if not all(map(math.isfinite, (o, h, l, c))):
-                raise UnparsableRow(f"{path}:{line_no}: non-finite price on {day} "
-                                    f"(open={o}, high={h}, low={l}, close={c})")
-            raise OhlcOrderingViolation(
-                f"{path}:{line_no}: OHLC ordering violated on {day} (open={o}, high={h}, low={l}, close={c})"
-            )
+                raise ValueError(f"{path}:{line_no}: non-finite price on {day} "
+                                 f"(open={o}, high={h}, low={l}, close={c})")
+            raise ValueError(f"{path}:{line_no}: OHLC ordering violated on {day} "
+                             f"(open={o}, high={h}, low={l}, close={c})")
         prices[:, 0, i] = c, h, l
     return MarketFrame(
         tickers=(ticker,),
@@ -131,7 +122,7 @@ def align_assets_reference(frames: list[MarketFrame], policy: str) -> MarketFram
         for frame in frames[1:]:
             common &= set(frame.dates)
         if not common:
-            raise EmptyIntersection("no common dates")
+            raise ValueError("no common dates")
         calendar = sorted(common)
     else:
         union: set[date] = set()

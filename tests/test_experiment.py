@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -162,6 +163,14 @@ class TestConfig:
         with pytest.raises(ValueError) as err:
             load_config(path)
         assert str(err.value) == f"{path}:10: cannot parse 'many' for key 'steps'"
+
+    @pytest.mark.parametrize("day", ["20180101", "2018-W01-2"])
+    def test_a_date_other_than_yyyy_mm_dd_is_refused_on_every_python(self, tmp_path, day):
+        # Python 3.11's date.fromisoformat takes both; a config date follows the CSV rule
+        path = write_config(tmp_path, tmp_path / "portfolio.txt", train_start=day)  # train_start is line 2
+        message = f"{path}:2: cannot parse '{day}' for key 'train_start'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(path)
 
     def test_the_shipped_config_names_every_key(self):
         path = Path(__file__).resolve().parents[1] / "configs" / "synth_crypto.cfg"
@@ -389,6 +398,56 @@ class TestCampaign:
         for name in left:
             assert left[name] == right[name], name
 
+    def test_a_crashed_worker_costs_only_its_own_run(self, tmp_path, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the crash is patched into the parent, so only forked workers see it")
+        import portrl.experiment as experiment
+
+        config = replace(load_config(write_config(tmp_path, write_market(tmp_path))), normalization=ALL_METHODS)
+        emit_report(run_campaign(config), tmp_path / "serial")
+        original = experiment.run_single
+
+        def crashes_for_last_price_seed_0(config, seed, prepared):
+            if prepared[2].kind == "last_price" and seed == 0:
+                os._exit(3)
+            return original(config, seed, prepared)
+
+        monkeypatch.setattr(experiment, "run_single", crashes_for_last_price_seed_0)
+        report = run_campaign(replace(config, workers=2))
+        message = "BrokenProcessPool: the worker process running this job died"
+        assert {kind: method.failures for kind, method in report.methods.items()} == {
+            "last_close": [], "last_price": [(0, message)], "data_max": []}
+        emit_report(report, tmp_path / "pool")
+        serial, pool = non_timing_files(tmp_path / "serial"), non_timing_files(tmp_path / "pool")
+        per_run = [name for name in serial if name.startswith("traj_") or name == "data_max_scales.txt"]
+        assert len(per_run) == 7
+        per_run.remove("traj_last_price_00000.tsv")
+        assert {name: pool[name] for name in per_run} == {name: serial[name] for name in per_run}
+        assert pool["failed_last_price_00000.txt"] == (message + "\n").encode()
+        assert sorted(pool) == sorted(per_run + ["failed_last_price_00000.txt", "config_resolved.txt", "summary.json",
+                                                 "runs.tsv", *(f"fapv_{kind}.txt" for kind in KINDS)])
+
+    def test_without_a_crash_each_job_is_submitted_once(self, tmp_path, monkeypatch):
+        import portrl.experiment as experiment
+
+        sizes, submitted = [], []
+
+        class RecordingPool(experiment.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+            def submit(self, fn, *args):
+                submitted.append(args)
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        config = replace(load_config(write_config(tmp_path, write_market(tmp_path))), normalization=ALL_METHODS)
+        report = run_campaign(replace(config, workers=2))
+        assert all(len(method.results) == 2 for method in report.methods.values())
+        assert sizes == [2]
+        assert sorted(submitted) == sorted((kind, seed) for kind in KINDS for seed in (0, 1))
+
     def test_jobs_carry_no_market_frames(self, tmp_path, monkeypatch):
         pickled = []
         reduce = MarketFrame.__reduce__
@@ -524,6 +583,53 @@ def without_workers(files, workers):
         files[name] = files[name].replace(f'"workers": "{workers}"'.encode(), b"") \
             .replace(f"workers = {workers}".encode(), b"")
     return files
+
+
+def replace_all(pattern, replacement):
+    """An edit of a file's bytes that replaces every match of a pattern."""
+    return lambda data: re.sub(pattern, replacement, data)
+
+
+# One malformed input of each kind, for write_market's basket and write_config's config:
+# {name: (file edited, edit of its bytes, what `portrl validate` prints on stderr)}, where
+# {config}, {manifest} and {data}, the CSVs' resolved directory, stand for paths.
+MALFORMED_INPUTS = {
+    "missing_column": ("T1.csv", replace_all(rb"close\n", b"price\n"),
+                       "{data}/T1.csv: missing column 'close' in header ['date', 'open', 'high', 'low', 'price']"),
+    "unparsable_row": ("T1.csv", replace_all(rb"\n2021-01-03,[^,]*,", b"\n2021-01-03,abc,"),
+                       "{data}/T1.csv:4: could not convert string to float: 'abc'"),
+    "ohlc_ordering": ("T1.csv", replace_all(rb"\n2021-01-03,[^\n]*", b"\n2021-01-03,10,12,9,13"),
+                      "{data}/T1.csv:4: OHLC ordering violated on 2021-01-03 (open=10.0, high=12.0, low=9.0, "
+                      "close=13.0)"),
+    "empty_series": ("T1.csv", replace_all(rb"(?s)\n.*", b"\n"), "{data}/T1.csv: no data rows"),
+    "empty_intersection": ("T1.csv", replace_all(rb"2021-", b"2019-"), "no common dates across ['T0', 'T1', 'T2']"),
+    "ranges_overlap": ("config", replace_all(rb"test_start = 2021-03-02", b"test_start = 2021-02-01"),
+                       "train range 2021-01-01..2021-03-01 must end before test range 2021-02-01..2021-04-01 "
+                       "starts (data: 2021-01-01..2021-04-30)"),
+    "insufficient_train_length": ("config", replace_all(rb"train_end = 2021-03-01", b"train_end = 2021-01-03"),
+                                  "train range 2021-01-01..2021-01-03 holds 3 rows, need at least 5 "
+                                  "(data: 2021-01-01..2021-04-30)"),
+    "unknown_config_key": ("config", replace_all(rb"\Z", b"mystery = 1\n"),
+                           "{config}:18: unknown config key 'mystery'"),
+    "config_key_given_twice": ("config", replace_all(rb"\Z", b"steps = 7\n"),
+                               "{config}:18: config key 'steps' given twice, on lines 10 and 18"),
+    "unparsable_config_value": ("config", replace_all(rb"runs = 2", b"runs = two"),
+                                "{config}:15: cannot parse 'two' for key 'runs'"),
+    "config_line_without_equals": ("config", replace_all(rb"\Z", b"steps 7\n"), "{config}:18: expected 'key = value'"),
+    "config_byte_not_utf8": ("config", replace_all(rb"steps", b"st\xe9ps"),
+                             "{config}:10: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+    "ticker_listed_twice": ("manifest", replace_all(rb"\Z", b"T0 T1.csv\n"),
+                            "{manifest}:5: ticker 'T0' listed twice, on lines 2 and 5"),
+    "alignment_given_twice": ("manifest", replace_all(rb"\Z", b"alignment = forward_fill\n"),
+                              "{manifest}:5: manifest key 'alignment' given twice, on lines 1 and 5"),
+    "bad_alignment": ("manifest", replace_all(rb"= intersect", b"= forwardfill"),
+                      "{manifest}:1: cannot parse 'forwardfill' for key 'alignment'"),
+    "unknown_manifest_key": ("manifest", replace_all(rb"\Z", b"files = T3.csv\n"),
+                             "{manifest}:5: unknown manifest key 'files'"),
+    "manifest_line_without_a_path": ("manifest", replace_all(rb"\Z", b"T3\n"), "{manifest}:5: expected 'TICKER PATH'"),
+    "manifest_byte_not_utf8": ("manifest", replace_all(rb"T1 T1", b"T1 T\xe91"),
+                               "{manifest}:3: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+}
 
 
 def perturb_after(data_dir, out_dir, cutoff, factors):
@@ -998,7 +1104,7 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert cli.main([command, str(config_path)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == f"{manifest}:1: alignment must be intersect or forward_fill, got 'forwardfill'\n"
+        assert out == "" and err == f"{manifest}:1: cannot parse 'forwardfill' for key 'alignment'\n"
         assert calls == [] and not list(tmp_path.glob("campaign_*"))
 
     @pytest.mark.parametrize("inside", [False, True], ids=["the_file", "under_the_file"])
@@ -1012,6 +1118,17 @@ class TestCli:
         assert cli.main(["run", str(config_path), "--out", str(out_dir)]) == 2
         assert capsys.readouterr() == ("", f"output directory {out_dir}: {taken} is not a directory\n")
         assert calls == [] and taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name", MALFORMED_INPUTS)
+    def test_validate_prints_the_message_of_each_malformed_input(self, tmp_path, capsys, name):
+        manifest = write_market(tmp_path)
+        config_path = write_config(tmp_path, manifest)
+        file, edit, message = MALFORMED_INPUTS[name]
+        path = {"config": config_path, "manifest": manifest}.get(file, manifest.parent / file)
+        path.write_bytes(edit(path.read_bytes()))
+        assert cli.main(["validate", str(config_path)]) == 2
+        expected = message.format(config=config_path, manifest=manifest, data=manifest.parent.resolve())
+        assert capsys.readouterr() == ("", expected + "\n")
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_a_config_error_is_its_message_alone_and_exit_2(self, tmp_path, capsys, command):

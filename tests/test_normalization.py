@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,6 @@ from helpers import make_frame, random_walk_frame
 from portrl.market_data import MarketFrame
 from portrl.normalization import (
     DATA_MAX,
-    NonPositiveScale,
-    TickerMismatch,
     apply_data_max,
     fit_data_max,
     normalize_window,
@@ -126,13 +126,13 @@ class TestDataMax:
         frame = random_walk_frame(np.random.default_rng(4), 2, 5)
         scheme = fit_data_max(frame)
         other = MarketFrame(("X", "Y"), frame.dates, frame.prices.copy())
-        with pytest.raises(TickerMismatch):
+        with pytest.raises(ValueError, match=re.escape("frame tickers ('X', 'Y') != fitted tickers ('A0', 'A1')")):
             apply_data_max(scheme, other)
 
     def test_non_positive_scale_is_defended(self):
         zeros = np.zeros((1, 3))
         frame = MarketFrame(("A",), make_frame(zeros).dates, np.stack([zeros] * 3))
-        with pytest.raises(NonPositiveScale):
+        with pytest.raises(ValueError, match=re.escape("non-positive fitted scale in [0.]")):
             fit_data_max(frame)
 
 
