@@ -19,10 +19,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 
-class ShapeMismatch(ValueError):
-    pass
-
-
 class Tensor:
     __slots__ = ("data", "_backward")
 
@@ -113,12 +109,12 @@ def conv1d_over_time(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *, gr
     among the rows.
     """
     if x.ndim != 3 or kernels.ndim != 3 or x.shape[0] != kernels.shape[1]:
-        raise ShapeMismatch(f"conv1d_over_time: input {x.shape} vs kernels {kernels.shape}")
+        raise ValueError(f"conv1d_over_time: input {x.shape} vs kernels {kernels.shape}")
     c_out, c_in, k = kernels.shape
     if k > x.shape[2]:
-        raise ShapeMismatch(f"conv1d_over_time: kernel width {k} exceeds time axis {x.shape[2]}")
+        raise ValueError(f"conv1d_over_time: kernel width {k} exceeds time axis {x.shape[2]}")
     if bias.shape != (c_out,):
-        raise ShapeMismatch(f"conv1d_over_time: bias {bias.shape} vs kernels {kernels.shape}")
+        raise ValueError(f"conv1d_over_time: bias {bias.shape} vs kernels {kernels.shape}")
     rows = x.shape[1]
     if x.shape[2] > k:
         steps = time_major(x)
@@ -155,6 +151,6 @@ def conv1d_input_grad(g: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     _, c_in, k = kernels.shape
     rows, t_out = g.shape[1], g.shape[2]
     if t_out != 1:
-        raise ShapeMismatch(f"conv1d_input_grad: output gradient {g.shape} spans more than one step")
+        raise ValueError(f"conv1d_input_grad: output gradient {g.shape} spans more than one step")
     steps = np.dot(tap_rows(kernels), g[:, :, 0])
     return steps.reshape(k, c_in, rows).transpose(1, 2, 0)

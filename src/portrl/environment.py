@@ -18,19 +18,7 @@ from .market_data import MarketFrame, price_relatives
 from .normalization import NormalizationScheme, normalize_window
 
 
-class WindowOutOfRange(IndexError):
-    pass
-
-
-class FrameTooShort(ValueError):
-    pass
-
-
 class InvalidAction(ValueError):
-    pass
-
-
-class SteppedAfterTerminal(RuntimeError):
     pass
 
 
@@ -102,7 +90,8 @@ def transaction_factor_batch(w_from: np.ndarray, w_to: np.ndarray, commission: f
         mu = (1 - c*w_from[0] - (2c - c^2) * sum_i max(w_from[i] - mu*w_to[i], 0))
              / (1 - c*w_to[0])
     over the risky entries i >= 1, iterated from mu_0 = 1 - c*sum|delta|
-    until every row moves less than ``MU_TOL``.
+    until every row moves less than ``MU_TOL``. A NaN row (a non-finite
+    weight makes one) ends it too, and comes back NaN.
     """
     c = commission
     risky_from, risky_to = w_from[:, 1:], w_to[:, 1:]
@@ -111,7 +100,7 @@ def transaction_factor_batch(w_from: np.ndarray, w_to: np.ndarray, commission: f
     for _ in range(MU_MAX_ITER):
         sold = np.maximum(risky_from - mu[:, None] * risky_to, 0.0).sum(axis=1)
         nxt = (1.0 - c * w_from[:, 0] - (2.0 * c - c * c) * sold) / denominator
-        if np.abs(nxt - mu).max() < MU_TOL:
+        if not np.abs(nxt - mu).max() >= MU_TOL:  # False for a NaN row as well
             return nxt
         mu = nxt
     raise NoConvergence(f"mu fixed point did not converge (c={c})")
@@ -121,7 +110,7 @@ def build_state(frame: MarketFrame, t: int, window: int, scheme: NormalizationSc
     """Normalized (close, high, low) window of shape (3, n, window) for
     deciding at step t (the window ends at t, inclusive)."""
     if t < window - 1 or t >= frame.n_steps:
-        raise WindowOutOfRange(f"step {t} with window {window} outside frame of length {frame.n_steps}")
+        raise IndexError(f"step {t} with window {window} outside frame of length {frame.n_steps}")
     return normalize_window(scheme, frame.prices[:, :, t - window + 1 : t + 1].copy())
 
 
@@ -129,9 +118,9 @@ def env_reset(frame: MarketFrame, window: int, scheme: NormalizationScheme,
               initial_value: float = 100_000.0, commission: float = 0.0025) -> tuple[EnvState, np.ndarray]:
     """All-cash start at the first decidable step."""
     if window < 1:
-        raise WindowOutOfRange(f"window must be >= 1, got {window}")
+        raise IndexError(f"window must be >= 1, got {window}")
     if frame.n_steps < window + 1:
-        raise FrameTooShort(f"frame of length {frame.n_steps} allows no step with window {window}")
+        raise ValueError(f"frame of length {frame.n_steps} allows no step with window {window}")
     w0 = np.zeros(frame.n_assets + 1)
     w0[0] = 1.0
     t0 = window - 1
@@ -152,7 +141,7 @@ def env_reset(frame: MarketFrame, window: int, scheme: NormalizationScheme,
 def env_step(state: EnvState, action: np.ndarray) -> tuple[EnvState, np.ndarray | None, float]:
     """Rebalance to ``action``, advance one day, and return the log-return reward."""
     if state.terminal:
-        raise SteppedAfterTerminal(f"episode already ended at step {state.t}")
+        raise RuntimeError(f"episode already ended at step {state.t}")
     action = coerce_action(action)
     mu = transaction_factor(state.drifted_weights, action, state.commission)
     value = mu * state.drifted_value

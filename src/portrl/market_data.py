@@ -42,10 +42,6 @@ from pathlib import Path
 import numpy as np
 
 
-class IndexOutOfRange(IndexError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class MarketFrame:
     """Read-only (close, high, low) prices of shape (3, assets, days): one
@@ -315,7 +311,7 @@ def step_relatives(frame: MarketFrame, first: int, stop: int) -> np.ndarray:
 def price_relatives(frame: MarketFrame, t: int) -> np.ndarray:
     """The price relatives of the move into step t: step_relatives' one row."""
     if not 1 <= t < frame.n_steps:
-        raise IndexOutOfRange(f"step {t} outside [1, {frame.n_steps})")
+        raise IndexError(f"step {t} outside [1, {frame.n_steps})")
     return step_relatives(frame, t, t + 1)[0]
 
 

@@ -21,14 +21,6 @@ import numpy as np
 from .training import Trajectory
 
 
-class EmptyTrajectory(ValueError):
-    pass
-
-
-class TooShort(ValueError):
-    pass
-
-
 class ZeroVariance(ValueError):
     pass
 
@@ -45,14 +37,14 @@ class MetricReport:
 def fapv(traj: Trajectory, initial_value: float) -> float:
     """Final portfolio value over initial value."""
     if len(traj) == 0:
-        raise EmptyTrajectory("trajectory has no steps")
+        raise ValueError("trajectory has no steps")
     return float(traj.values[-1]) / initial_value
 
 
 def mdd(traj: Trajectory) -> float:
     """Largest peak-to-trough relative loss, 0 if values never decline."""
     if len(traj) == 0:
-        raise EmptyTrajectory("trajectory has no steps")
+        raise ValueError("trajectory has no steps")
     peaks = np.maximum.accumulate(traj.values)
     return float(((peaks - traj.values) / peaks).max())
 
@@ -70,7 +62,7 @@ def report(traj: Trajectory, initial_value: float) -> MetricReport:
     """All metrics of one trajectory; both Sharpe conventions need a
     return series, so at least two steps."""
     if len(traj) < 2:
-        raise TooShort(f"need at least two steps for a return series, got {len(traj)}")
+        raise ValueError(f"need at least two steps for a return series, got {len(traj)}")
     ratios = traj.values[1:] / traj.values[:-1]
     return MetricReport(
         fapv=fapv(traj, initial_value),

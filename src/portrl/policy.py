@@ -40,10 +40,6 @@ import numpy as np
 from . import autodiff as ad
 
 
-class WindowTooSmall(ValueError):
-    pass
-
-
 class PolicyParams:
     """Every learnable value in one float64 array ``theta``, the kernels
     first (its leading ``n_kernel`` values, which weight decay applies to)
@@ -98,7 +94,7 @@ def init_policy(n_assets: int, window: int, seed: int, k1: int = 3, c1: int = 2,
     if n_assets < 1:
         raise ValueError(f"need at least one asset, got {n_assets}")
     if window < k1 + 1:
-        raise WindowTooSmall(f"window {window} too small for kernel width {k1}")
+        raise ValueError(f"window {window} too small for kernel width {k1}")
     k2 = window - k1 + 1
     rng = np.random.default_rng(seed)
     params = PolicyParams(n_assets, window, k1, c1, c2)
@@ -120,11 +116,11 @@ def forward_batch(params: PolicyParams, states: np.ndarray,
     """
     batch, channels, n, t = states.shape
     if channels != 3 or n != params.n_assets or t != params.window:
-        raise ad.ShapeMismatch(
+        raise ValueError(
             f"states {states.shape} incompatible with policy (3, {params.n_assets}, {params.window})"
         )
     if last_actions.shape != (batch, n + 1):
-        raise ad.ShapeMismatch(f"last_actions {last_actions.shape}, expected {(batch, n + 1)}")
+        raise ValueError(f"last_actions {last_actions.shape}, expected {(batch, n + 1)}")
     x = stacked_rows(states)
     scores, (h1, h2) = features(params, x)
     actions = head(params, scores, last_actions)
@@ -229,7 +225,7 @@ def policy_forward(params: PolicyParams, state: np.ndarray, last_action: np.ndar
     values = np.asarray(state)
     last_action = np.asarray(last_action)
     if values.shape != (3, params.n_assets, params.window) or last_action.shape != (params.n_assets + 1,):
-        raise ad.ShapeMismatch(
+        raise ValueError(
             f"state {values.shape} / last_action {last_action.shape} incompatible with "
             f"policy (3, {params.n_assets}, {params.window})"
         )

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor
-from .environment import FrameTooShort, drift_weights, env_reset, env_step, transaction_factor_batch
+from .environment import drift_weights, env_reset, env_step, transaction_factor_batch
 from .market_data import MarketFrame, step_relatives
 from .normalization import NormalizationScheme, normalize_window
 from .policy import PolicyParams, backward_batch, features, forward_batch, head_chain, policy_forward, stacked_rows
@@ -55,10 +55,6 @@ def release_free_heap() -> None:
     where the C library lacks malloc_trim."""
     if _malloc_trim is not None:
         _malloc_trim(0)
-
-
-class BatchTooLarge(ValueError):
-    pass
 
 
 class NonFiniteLoss(RuntimeError):
@@ -107,7 +103,7 @@ class ReplayBuffer:
         ``step_relatives`` gives for the move out of that step."""
         rows = frame.n_steps - self.window
         if rows < 1:
-            raise FrameTooShort(f"frame of length {frame.n_steps} allows no step with window {self.window}")
+            raise ValueError(f"frame of length {frame.n_steps} allows no step with window {self.window}")
         self._starts = np.concatenate([self._starts, self._prices.shape[1] + np.arange(rows)])
         self._prices = np.concatenate([self._prices, frame.prices.transpose(0, 2, 1)], axis=1)
         self._last_actions = np.concatenate([self._last_actions, np.empty((rows,) + self._last_actions.shape[1:])])
@@ -222,7 +218,7 @@ def sample_batch(buffer: ReplayBuffer, batch_size: int, sample_bias: float,
     out-of-range draws are redrawn, then clamped to the earliest start.
     """
     if batch_size > len(buffer):
-        raise BatchTooLarge(f"batch {batch_size} exceeds buffer length {len(buffer)}")
+        raise ValueError(f"batch {batch_size} exceeds buffer length {len(buffer)}")
     latest = len(buffer) - batch_size
     for _ in range(MAX_REDRAWS):
         offset = int(rng.geometric(sample_bias)) - 1

@@ -520,6 +520,28 @@ class TestCampaign:
             {"seed": 1, "error": "RuntimeError: boom at seed 1"},
         ]
 
+    @pytest.mark.parametrize("block, value, overrides, text", [
+        ("theta", np.nan, {}, "NonFiniteLoss: loss nan at step 0, batch [37, 43)"),
+        ("theta", np.nan, {"steps": 0}, "InvalidAction: non-finite entries in action [nan nan nan nan]"),
+        ("cash_bias", 1e3, {"commission_rate": 0}, "ZeroVariance: returns are all identical"),
+        (None, None, {"commission_rate": 0.9999999}, "NoConvergence: mu fixed point did not converge (c=0.9999999)"),
+    ], ids=["NonFiniteLoss", "InvalidAction", "ZeroVariance", "NoConvergence"])
+    def test_each_failure_a_run_can_record_reaches_its_file(self, tmp_path, monkeypatch, block, value, overrides,
+                                                            text):
+        import portrl.experiment as experiment
+
+        def init_policy_with_block_set(*args, **kwargs):
+            params = init_policy(*args, **kwargs)
+            getattr(params, block)[...] = value
+            return params
+
+        if block is not None:
+            monkeypatch.setattr(experiment, "init_policy", init_policy_with_block_set)
+        config = load_config(write_config(tmp_path, write_market(tmp_path), runs=1, **overrides))
+        summary = emit_report(run_campaign(config), tmp_path / "campaign")
+        assert (tmp_path / "campaign" / "failed_last_close_00000.txt").read_text() == text + "\n"
+        assert summary["methods"]["last_close"]["failures"] == [{"seed": 0, "error": text}]
+
 
 def fail_every_run(monkeypatch):
     """Make every run fail with a message that names its seed."""

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from helpers import align_assets_reference, load_ohlc_csv_reference, make_frame, random_walk_frame, write_ohlc_csv
 from portrl.market_data import (
     ALIGNMENT_POLICIES,
-    IndexOutOfRange,
     MarketFrame,
     align_assets,
     load_manifest,
@@ -591,9 +590,9 @@ class TestPriceRelatives:
 
     def test_out_of_range(self):
         frame = make_frame([[1.0, 2.0]])
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexError, match=re.escape("step 0 outside [1, 2)")):
             price_relatives(frame, 0)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexError, match=re.escape("step 2 outside [1, 2)")):
             price_relatives(frame, 2)
 
     @given(st.integers(min_value=0, max_value=10_000))

@@ -1,12 +1,11 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
 
-from portrl.autodiff import ShapeMismatch
 from portrl.policy import (
-    WindowTooSmall,
     backward_batch,
     features,
     forward_batch,
@@ -70,7 +69,7 @@ class TestInit:
         assert float(params.cash_bias) == 0.0
 
     def test_window_too_small(self):
-        with pytest.raises(WindowTooSmall):
+        with pytest.raises(ValueError, match=re.escape("window 3 too small for kernel width 3")):
             init_policy(3, 3, seed=0)
 
 
@@ -127,9 +126,9 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         params = init_policy(4, 10, seed=7)
         states, lasts = random_inputs(np.random.default_rng(7), 4, 10)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=re.escape("states (1, 3, 3, 10) incompatible with policy (3, 4, 10)")):
             forward_batch(params, states[:, :, :3, :], lasts)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=re.escape("last_actions (1, 4), expected (1, 5)")):
             forward_batch(params, states, lasts[:, :4])
 
     def test_gradient_reaches_every_parameter_block(self):

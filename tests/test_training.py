@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,13 +10,12 @@ from hypothesis import strategies as st
 
 from helpers import hold_mu, make_frame, max_fd_error, random_walk_frame
 from portrl import training
-from portrl.environment import FrameTooShort, build_state, env_reset, env_step, transaction_factor_batch
+from portrl.environment import build_state, env_reset, env_step, transaction_factor_batch
 from portrl.market_data import price_relatives
 from portrl.normalization import DATA_MAX, KINDS, apply_data_max, fit_data_max, scheme_from_kind
 from portrl.policy import init_policy, policy_forward, stacked_rows
 from portrl.training import (
     AdamW,
-    BatchTooLarge,
     NonFiniteLoss,
     Trainer,
     TrainerConfig,
@@ -253,7 +253,8 @@ class TestSampleBatch:
     def test_batch_larger_than_buffer_rejected(self):
         frame = random_walk_frame(np.random.default_rng(6), 2, 20)
         trainer = make_trainer(frame, window=5)
-        with pytest.raises(BatchTooLarge):
+        message = f"batch {len(trainer.buffer) + 1} exceeds buffer length {len(trainer.buffer)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             sample_batch(trainer.buffer, len(trainer.buffer) + 1, 0.002, np.random.default_rng(0))
 
     def test_recent_windows_dominate(self):
@@ -615,10 +616,11 @@ class TestEpisodeLoop:
     def test_frame_without_a_decidable_step_is_too_short(self, length):
         frame = random_walk_frame(np.random.default_rng(29), 2, length)
         params = init_policy(2, 6, seed=0, c1=2, c2=4)
-        with pytest.raises(FrameTooShort):
+        message = re.escape(f"frame of length {length} allows no step with window 6")
+        with pytest.raises(ValueError, match=message):
             fill_buffer(frame, 6, LAST_CLOSE, 8, params)
         trainer = make_trainer(random_walk_frame(np.random.default_rng(32), 2, 20), window=6)
-        with pytest.raises(FrameTooShort):
+        with pytest.raises(ValueError, match=message):
             trainer.backtest(frame, online_steps=0)
 
     def test_buffer_has_no_unused_rows(self):
