@@ -183,7 +183,10 @@ def prepare(config: ExperimentConfig) -> dict[str, Prepared]:
     """
     entries, manifest_alignment = load_manifest(config.manifest)
     frames = [load_ohlc_csv(csv_path, ticker) for ticker, csv_path in entries]
-    frame = align_assets(frames, manifest_alignment or "intersect")
+    try:
+        frame = align_assets(frames, manifest_alignment or "intersect")
+    except ValueError as error:  # an intersect calendar left empty, the one error a manifest reaches here
+        raise ValueError(f"{config.manifest}: {error}") from None
     split = split_periods(
         frame,
         (config.train_start, config.train_end),

@@ -278,10 +278,11 @@ def split_periods(
     test_range: tuple[date, date],
     time_window: int,
 ) -> PeriodSplit:
-    """Cut a frame into a train slice and a window-prefixed test slice."""
+    """Cut a frame into a train slice and a window-prefixed test slice. An
+    error names each range by the config keys that set it."""
     dates = frame.dates
-    train_text = f"train range {train_range[0]}..{train_range[1]}"
-    test_text = f"test range {test_range[0]}..{test_range[1]}"
+    train_text = f"train_start = {train_range[0]} .. train_end = {train_range[1]}"
+    test_text = f"test_start = {test_range[0]} .. test_end = {test_range[1]}"
     data_text = f"(data: {dates[0]}..{dates[-1]})"
     if train_range[1] >= test_range[0]:
         raise ValueError(f"{train_text} must end before {test_text} starts {data_text}")

@@ -624,12 +624,13 @@ MALFORMED_INPUTS = {
                       "{data}/T1.csv:4: OHLC ordering violated on 2021-01-03 (open=10.0, high=12.0, low=9.0, "
                       "close=13.0)"),
     "empty_series": ("T1.csv", replace_all(rb"(?s)\n.*", b"\n"), "{data}/T1.csv: no data rows"),
-    "empty_intersection": ("T1.csv", replace_all(rb"2021-", b"2019-"), "no common dates across ['T0', 'T1', 'T2']"),
+    "empty_intersection": ("T1.csv", replace_all(rb"2021-", b"2019-"),
+                           "{manifest}: no common dates across ['T0', 'T1', 'T2']"),
     "ranges_overlap": ("config", replace_all(rb"test_start = 2021-03-02", b"test_start = 2021-02-01"),
-                       "train range 2021-01-01..2021-03-01 must end before test range 2021-02-01..2021-04-01 "
-                       "starts (data: 2021-01-01..2021-04-30)"),
+                       "train_start = 2021-01-01 .. train_end = 2021-03-01 must end before test_start = 2021-02-01 "
+                       ".. test_end = 2021-04-01 starts (data: 2021-01-01..2021-04-30)"),
     "insufficient_train_length": ("config", replace_all(rb"train_end = 2021-03-01", b"train_end = 2021-01-03"),
-                                  "train range 2021-01-01..2021-01-03 holds 3 rows, need at least 5 "
+                                  "train_start = 2021-01-01 .. train_end = 2021-01-03 holds 3 rows, need at least 5 "
                                   "(data: 2021-01-01..2021-04-30)"),
     "unknown_config_key": ("config", replace_all(rb"\Z", b"mystery = 1\n"),
                            "{config}:18: unknown config key 'mystery'"),
@@ -839,7 +840,7 @@ class TestCli:
     def test_validate_names_a_test_range_outside_the_data(self, tmp_path, capsys):
         config_path = write_config(tmp_path, write_market(tmp_path), test_start="2030-01-01", test_end="2030-12-31")
         assert cli.main(["validate", str(config_path)]) == 2
-        assert capsys.readouterr() == ("", "test range 2030-01-01..2030-12-31 holds no rows "
+        assert capsys.readouterr() == ("", "test_start = 2030-01-01 .. test_end = 2030-12-31 holds no rows "
                                            "(data: 2021-01-01..2021-04-30)\n")
 
     def test_validate_names_the_csv_and_line_of_a_byte_that_is_not_utf8(self, tmp_path, capsys):

@@ -506,14 +506,15 @@ class TestSplit:
 
     def test_insufficient_train_length(self):
         frame = random_walk_frame(np.random.default_rng(2), 1, 60)
-        message = "train range 2020-01-01..2020-01-03 holds 3 rows, need at least 51 (data: 2020-01-01..2020-02-29)"
+        message = ("train_start = 2020-01-01 .. train_end = 2020-01-03 holds 3 rows, need at least 51 "
+                   "(data: 2020-01-01..2020-02-29)")
         with pytest.raises(ValueError, match=re.escape(message)):
             split_periods(frame, (frame.dates[0], frame.dates[2]), (frame.dates[3], frame.dates[59]), 50)
 
     def test_overlapping_ranges(self):
         frame = random_walk_frame(np.random.default_rng(3), 1, 30)
-        message = ("train range 2020-01-01..2020-01-16 must end before test range 2020-01-11..2020-01-30 "
-                   "starts (data: 2020-01-01..2020-01-30)")
+        message = ("train_start = 2020-01-01 .. train_end = 2020-01-16 must end before test_start = 2020-01-11 .. "
+                   "test_end = 2020-01-30 starts (data: 2020-01-01..2020-01-30)")
         with pytest.raises(ValueError, match=re.escape(message)):
             split_periods(frame, (frame.dates[0], frame.dates[15]), (frame.dates[10], frame.dates[29]), 3)
 
@@ -523,7 +524,7 @@ class TestSplit:
         frame = random_walk_frame(np.random.default_rng(3), 1, 30)
         ranges = {"train": (frame.dates[0], frame.dates[20]), "test": (frame.dates[21], frame.dates[29])}
         ranges[empty] = outside
-        message = f"{empty} range {outside[0]}..{outside[1]} holds no rows (data: 2020-01-01..2020-01-30)"
+        message = f"{empty}_start = {outside[0]} .. {empty}_end = {outside[1]} holds no rows (data: 2020-01-01..2020-01-30)"
         with pytest.raises(ValueError, match=re.escape(message)):
             split_periods(frame, ranges["train"], ranges["test"], 3)
 
@@ -560,7 +561,7 @@ class TestSplit:
             test = [i for i, day in enumerate(weekdays) if test_range[0] <= day <= test_range[1]]
             if not train or not test:
                 empty, (start, end) = ("train", train_range) if not train else ("test", test_range)
-                with pytest.raises(ValueError, match=f"^{empty} range {start}..{end} holds no rows "):
+                with pytest.raises(ValueError, match=f"^{empty}_start = {start} .. {empty}_end = {end} holds no rows "):
                     split_periods(frame, train_range, test_range, window)
                 outcomes.add(empty)
             elif len(train) < window + 1:
