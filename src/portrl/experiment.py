@@ -159,8 +159,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_values(config: ExperimentConfig) -> dict[str, str]:
-    """config_resolved.txt's and summary.json's text of each config key; a float's str is its repr."""
-    return {f.name: str(getattr(config, f.name)) for f in fields(ExperimentConfig)}
+    """config_resolved.txt's and summary.json's text of each config key but
+    ``workers``, which changes no result; a float's str is its repr."""
+    return {f.name: str(getattr(config, f.name)) for f in fields(ExperimentConfig) if f.name != "workers"}
 
 
 def config_to_text(config: ExperimentConfig) -> str:

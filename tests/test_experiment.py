@@ -324,17 +324,7 @@ class TestCampaign:
         serial_dir, concurrent_dir = tmp_path / "serial", tmp_path / "parallel"
         emit_report(serial, serial_dir)
         emit_report(concurrent, concurrent_dir)
-        for name in ("summary.json", "runs.tsv", "fapv_last_close.txt"):
-            left = (serial_dir / name).read_text()
-            right = (concurrent_dir / name).read_text()
-            if name == "summary.json":
-                # configs differ only in the workers knob
-                left_doc, right_doc = json.loads(left), json.loads(right)
-                left_doc["config"].pop("workers")
-                right_doc["config"].pop("workers")
-                assert left_doc == right_doc
-            else:
-                assert left == right
+        assert non_timing_files(concurrent_dir) == non_timing_files(serial_dir)
 
     def test_campaign_is_deterministic_across_reruns(self, tiny_config):
         first = run_campaign(tiny_config)
@@ -377,7 +367,7 @@ class TestCampaign:
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
         emit_report(serial, serial_dir)
         emit_report(parallel, parallel_dir)
-        assert without_workers(non_timing_files(parallel_dir), 4) == without_workers(non_timing_files(serial_dir), 1)
+        assert non_timing_files(parallel_dir) == non_timing_files(serial_dir)
 
     def test_multi_method_campaign_is_one_report_serial_or_parallel(self, tmp_path, capsys):
         config = replace(load_config(write_config(tmp_path, write_market(tmp_path))), normalization=ALL_METHODS)
@@ -391,8 +381,7 @@ class TestCampaign:
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
         emit_report(serial, serial_dir)
         emit_report(parallel, parallel_dir)
-        left = without_workers(non_timing_files(serial_dir), 1)
-        right = without_workers(non_timing_files(parallel_dir), 2)
+        left, right = non_timing_files(serial_dir), non_timing_files(parallel_dir)
         assert sorted(left) == sorted(right)
         assert len([name for name in left if name.startswith("traj_")]) == 6
         for name in left:
@@ -480,7 +469,7 @@ class TestCampaign:
         assert done.returncode == 0, done.stderr
         assert done.stderr.count(" done\n") == 4
         serial, pool = non_timing_files(tmp_path / "serial"), non_timing_files(tmp_path / "pool")
-        assert without_workers(pool, 2) == without_workers(serial, 1)
+        assert pool == serial
 
     def test_a_multi_method_campaign_parses_each_csv_once(self, tmp_path, monkeypatch):
         config = load_config(write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS))
@@ -595,16 +584,6 @@ def fail_last_price_seed_1(monkeypatch):
 
 def non_timing_files(out_dir):
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.name != "timings.tsv"}
-
-
-def without_workers(files, workers):
-    """Emitted files with the workers setting blanked out of the two that
-    record the config, the only bytes a worker count changes."""
-    files = dict(files)
-    for name in ("summary.json", "config_resolved.txt"):
-        files[name] = files[name].replace(f'"workers": "{workers}"'.encode(), b"") \
-            .replace(f"workers = {workers}".encode(), b"")
-    return files
 
 
 def replace_all(pattern, replacement):
@@ -1043,7 +1022,7 @@ class TestCli:
         config = out_dir / "config_resolved.txt"
         config.write_text(config.read_text() + line + "\n")
         assert self.report_error(out_dir, capsys) == (
-            f"{config}:19: unknown config key '{line.partition(' =')[0]}'\n")
+            f"{config}:18: unknown config key '{line.partition(' =')[0]}'\n")
 
     def test_report_on_a_config_listing_a_run_without_its_files_names_the_trajectory(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)
