@@ -4,7 +4,9 @@ One step: rebalance the drifted weights to the requested action, paying
 the transaction-cost factor mu; then prices move one day, drifting
 weights and value passively. The reward is the log-return of the
 drifted portfolio value. The market frame is never mutated; the agent's
-actions do not influence prices.
+actions do not influence prices. An action with a non-finite entry or
+off the simplex raises InvalidAction, and a cost factor whose fixed
+point does not converge NoConvergence.
 """
 
 from __future__ import annotations

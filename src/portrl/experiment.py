@@ -8,10 +8,13 @@ that split, then each run trains the policy on its method's frames and
 backtests with online learning. The config is read by
 market_data.read_settings, its dates by the CSV rule (YYYY-MM-DD). A
 run that raises, or whose worker process dies, costs only its own seed.
+Once the data loads, a run can fail four ways, each its own exception
+class: NonFiniteLoss, InvalidAction, NoConvergence and ZeroVariance.
 
 A campaign directory stores facts, each written once: each run's
 trajectory or failure message, the fitted data_max scales and the
-config as loaded, its one copy. ``summarize`` writes only the summaries
+config as loaded but for ``workers``, which changes no result, its one
+copy. ``summarize`` writes only the summaries
 it derives from them: per-run metrics, per-method aggregates (mean and
 95% normal CI half-width of the mean) and plot-ready sample lists. Wall
 times go to a separate timings file that nothing reads, so every other

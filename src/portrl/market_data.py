@@ -24,7 +24,8 @@ relative vector with a price ratio of exactly 1.
 Manifests, and the campaign configs of portrl.experiment, are read by
 one settings reader. Every load-time error, in a CSV, a manifest or a
 config, is a plain ValueError whose message names the file and line,
-and the key where there is one.
+and the key where there is one; split_periods names a train or test
+range by the config keys that set it.
 """
 
 from __future__ import annotations
@@ -278,8 +279,7 @@ def split_periods(
     test_range: tuple[date, date],
     time_window: int,
 ) -> PeriodSplit:
-    """Cut a frame into a train slice and a window-prefixed test slice. An
-    error names each range by the config keys that set it."""
+    """Cut a frame into a train slice and a window-prefixed test slice."""
     dates = frame.dates
     train_text = f"train_start = {train_range[0]} .. train_end = {train_range[1]}"
     test_text = f"test_start = {test_range[0]} .. test_end = {test_range[1]}"

@@ -9,7 +9,8 @@ population (1/N) standard deviation.
 A trajectory's values start after the first decision, so V_0 is its
 first value, not the initial value: the initial value enters FAPV only.
 A first-day move is neither a drawdown nor a return of either Sharpe
-ratio (values 90, 95, 99 from 100 give FAPV 0.99 and MDD 0).
+ratio (values 90, 95, 99 from 100 give FAPV 0.99 and MDD 0). Returns
+that are all identical leave both ratios undefined: ZeroVariance.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ step's objective, its backward pass and its rewrite. ``chain_actions``
 writes stored last-actions for both the fill (from all cash, with no
 simulator) and the rewrite. During backtests it keeps learning online:
 each new test experience is appended to the buffer before a burst of
-update steps.
+update steps. A loss that is not finite stops training with
+NonFiniteLoss, naming the step and the batch.
 """
 
 from __future__ import annotations
