@@ -13,10 +13,10 @@ class: NonFiniteLoss, InvalidAction, NoConvergence and ZeroVariance.
 
 A campaign directory stores facts, each written once: each run's
 trajectory or failure message, the fitted data_max scales and the
-config as loaded but for ``workers``, which changes no result, its one
-copy. ``summarize`` writes only the summaries
-it derives from them: per-run metrics, per-method aggregates (mean and
-95% normal CI half-width of the mean) and plot-ready sample lists. Wall
+config as loaded, its one copy, without ``workers``, which changes no
+result. ``summarize`` writes only the summaries it derives from them:
+per-run metrics, per-method aggregates (mean and 95% normal CI
+half-width of the mean) and plot-ready sample lists. Wall
 times go to a separate timings file that nothing reads, so every other
 emitted byte is reproducible from (config, seed) alone.
 """
