@@ -53,6 +53,8 @@ def _cmd_run(args) -> int:
     existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
     if not existing.is_dir():
         raise NotADirectoryError(f"output directory {out_dir}: {existing} is not a directory")
+    if existing == out_dir and any(out_dir.iterdir()):
+        raise FileExistsError(f"output directory {out_dir} is not empty: a campaign needs a new or empty directory")
     summary = emit_report(run_campaign(config), out_dir)  # loads every method's data before any run starts
     print(f"campaign written to {out_dir}")
     _print_table(summary)

@@ -11,10 +11,13 @@ run that raises, or whose worker process dies, costs only its own seed.
 Once the data loads, a run can fail four ways, each its own exception
 class: NonFiniteLoss, InvalidAction, NoConvergence and ZeroVariance.
 
-A campaign directory stores facts, each written once: each run's
-trajectory or failure message, the fitted data_max scales and the
-config as loaded, its one copy, without ``workers``, which changes no
-result. ``summarize`` writes only the summaries it derives from them:
+A campaign directory holds one campaign and stores its facts, each
+written once: each run's trajectory or failure message, the fitted
+data_max scales and the config as loaded, its one copy, without
+``workers``, which changes no result. It starts new or empty:
+``portrl run`` refuses one that holds files, so no fact of another
+campaign sits beside them. ``summarize`` writes only the summaries it
+derives from them:
 per-run metrics, per-method aggregates (mean and 95% normal CI
 half-width of the mean) and plot-ready sample lists. Wall
 times go to a separate timings file that nothing reads, so every other
@@ -428,11 +431,11 @@ def summary_dict(report: CampaignReport) -> dict:
 
 
 def emit_report(report: CampaignReport, out_dir: str | Path) -> dict:
-    """Write a campaign's facts: first the resolved config, exactly
-    config_to_text(config), then each run's trajectory or failure message
-    (removing the other file of that run, left by an earlier campaign),
-    the fitted data_max scales and, separately, wall times. Returns
-    summarize(out_dir), which derives the summaries from them."""
+    """Write a campaign's facts into ``out_dir``, a new or empty directory
+    (``portrl run`` checks this): first the resolved config, exactly
+    config_to_text(config), then each run's trajectory or failure
+    message, the fitted data_max scales and, separately, wall times.
+    Returns summarize(out_dir), which derives the summaries from them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_resolved.txt").write_text(config_to_text(report.config))
@@ -441,11 +444,9 @@ def emit_report(report: CampaignReport, out_dir: str | Path) -> dict:
         method = report.methods[kind]
         for r in method.results:
             _write_trajectory(r.trajectory, out / r.trajectory_path)
-            (out / failure_name(kind, r.seed)).unlink(missing_ok=True)
             timing_rows.append(f"{kind}\t{r.seed}\t{_float_text(r.wall_time)}")
         for seed, message in method.failures:
             (out / failure_name(kind, seed)).write_text(message + "\n", encoding="utf-8")
-            (out / trajectory_name(kind, seed)).unlink(missing_ok=True)
         if method.scales is not None:
             (out / "data_max_scales.txt").write_text("".join(_float_text(s) + "\n" for s in method.scales))
     (out / "timings.tsv").write_text("\n".join(timing_rows) + "\n")
@@ -457,11 +458,11 @@ def summarize(out_dir: str | Path) -> dict:
     config_resolved.txt, read each configured (method, seed)'s trajectory
     or failure file (files of other runs are ignored), recompute each
     run's metrics from its trajectory, and write only summary.json,
-    runs.tsv and the listed methods' FAPV lists, removing any other
-    method's. Returns the summary_dict that summary.json holds, methods in
-    sorted order. A fact that is missing, doubled or does not parse, or a
-    trajectory of fewer than 2 rows, a non-finite cell or a value <= 0,
-    raises an error naming its file before anything is written."""
+    runs.tsv and the listed methods' FAPV lists. Returns the summary_dict
+    that summary.json holds, methods in sorted order. A fact that is
+    missing, doubled or does not parse, or a trajectory of fewer than 2
+    rows, a non-finite cell or a value <= 0, raises an error naming its
+    file before anything is written."""
     out = Path(out_dir)
     config = load_config(out / "config_resolved.txt")
     methods = {kind: MethodResults() for kind in config.methods}
@@ -494,7 +495,5 @@ def summarize(out_dir: str | Path) -> dict:
             rows.append("\t".join([kind, str(r.seed), *cells, r.trajectory_path]))
             samples.append(_float_text(r.metrics.fapv) + "\n")
         (out / f"fapv_{kind}.txt").write_text("".join(samples))
-    for kind in set(KINDS) - set(methods):
-        (out / f"fapv_{kind}.txt").unlink(missing_ok=True)
     (out / "runs.tsv").write_text("\n".join(rows) + "\n")
     return summary

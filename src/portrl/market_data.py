@@ -345,8 +345,8 @@ def read_settings(path: Path, parsers: dict, kind: str) -> tuple[dict, list[tupl
 def load_manifest(path: str | Path) -> tuple[list[tuple[str, Path]], str | None]:
     """Read a portfolio manifest: `TICKER PATH` lines plus an optional
     `alignment = intersect|forward_fill` line. Paths resolve relative to
-    the manifest's directory. A ticker, or the alignment line, may appear
-    once."""
+    the manifest's directory and must name files. A ticker, or the
+    alignment line, may appear once."""
     path = Path(path)
     # index() raises a ValueError on a value that names no policy
     parsers = {"alignment": lambda text: ALIGNMENT_POLICIES[ALIGNMENT_POLICIES.index(text)]}
@@ -362,7 +362,10 @@ def load_manifest(path: str | Path) -> tuple[list[tuple[str, Path]], str | None]
             raise ValueError(f"{path}:{line_no}: ticker '{ticker}' listed twice, on lines {ticker_lines[ticker]} "
                              f"and {line_no}")
         ticker_lines[ticker] = line_no
-        entries.append((ticker, (path.parent / csv_path.strip()).resolve()))
+        resolved = (path.parent / csv_path.strip()).resolve()
+        if not resolved.is_file():
+            raise ValueError(f"{path}:{line_no}: ticker '{ticker}': {resolved} is not a file")
+        entries.append((ticker, resolved))
     if not entries:
         raise ValueError(f"{path}: manifest lists no assets")
     return entries, values.get("alignment")

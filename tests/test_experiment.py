@@ -628,6 +628,10 @@ MALFORMED_INPUTS = {
                       "{manifest}:1: cannot parse 'forwardfill' for key 'alignment'"),
     "unknown_manifest_key": ("manifest", replace_all(rb"\Z", b"files = T3.csv\n"),
                              "{manifest}:5: unknown manifest key 'files'"),
+    "manifest_names_a_missing_csv": ("manifest", replace_all(rb"\Z", b"T3 missing.csv\n"),
+                                     "{manifest}:5: ticker 'T3': {data}/missing.csv is not a file"),
+    "manifest_names_a_directory": ("manifest", replace_all(rb"\Z", b"T3 .\n"),
+                                   "{manifest}:5: ticker 'T3': {data} is not a file"),
     "manifest_line_without_a_path": ("manifest", replace_all(rb"\Z", b"T3\n"), "{manifest}:5: expected 'TICKER PATH'"),
     "manifest_byte_not_utf8": ("manifest", replace_all(rb"T1 T1", b"T1 T\xe91"),
                                "{manifest}:3: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
@@ -779,11 +783,11 @@ class TestEmitLoad:
 
     def test_a_stale_data_max_scales_file_is_not_read_when_data_max_is_not_listed(self, tmp_path, tiny_config):
         out = tmp_path / "campaign"
-        out.mkdir()
+        report = run_campaign(replace(tiny_config, runs=1, steps=1))
+        emit_report(report, out)
         stale = out / "data_max_scales.txt"
         stale.write_bytes(b"not a scale \xe9\n")
-        report = run_campaign(replace(tiny_config, runs=1, steps=1))
-        assert emit_report(report, out) == summary_dict(report)
+        assert summarize(out) == summary_dict(report)
         assert stale.read_bytes() == b"not a scale \xe9\n"
 
 
@@ -898,38 +902,57 @@ class TestCli:
         # each run's metrics, recomputed from its trajectory file, are bitwise the ones run_single returned
         assert emit_report(report, tmp_path / "campaign") == summary_dict(report)
 
-    # Each campaign is (normalization, runs, whether last_price seed 1 fails). The reused directory keeps,
-    # beside a fresh one's files, only the facts of runs the second config does not list.
-    @pytest.mark.parametrize("first, second, leftovers", [
-        ((ALL_METHODS, 2, True), (ALL_METHODS, 2, False), []),
-        ((ALL_METHODS, 2, False), (ALL_METHODS, 2, True), []),
-        (("last_close, data_max", 2, False), ("last_close", 1, False),
-         ["data_max_scales.txt", "traj_data_max_00000.tsv", "traj_data_max_00001.tsv", "traj_last_close_00001.tsv"]),
-    ], ids=["failure_then_success", "success_then_failure", "narrower_rerun"])
-    def test_a_second_run_into_one_directory_leaves_the_files_of_a_fresh_one(self, tmp_path, capsys, monkeypatch,
-                                                                            first, second, leftovers):
+    # The directory holds a first campaign, (normalization, runs), or, for None, one unrelated file.
+    @pytest.mark.parametrize("first, second", [
+        ((ALL_METHODS, 2), (ALL_METHODS, 2)),
+        (("last_close, data_max", 2), ("last_close", 1)),
+        (None, (ALL_METHODS, 2)),
+    ], ids=["same_config", "narrower_config", "an_unrelated_file"])
+    def test_run_refuses_an_out_directory_that_holds_files_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                                          first, second):
         manifest = write_market(tmp_path)
+        out_dir = tmp_path / "campaign"
 
-        def run(out_dir, normalization, runs, fails):
+        def run(normalization, runs):
             config_path = write_config(tmp_path, manifest, normalization=normalization, runs=runs)
-            with monkeypatch.context() as patch:
-                if fails:
-                    fail_last_price_seed_1(patch)
-                assert cli.main(["run", str(config_path), "--out", str(out_dir), "--steps", "1"]) == 0
+            return cli.main(["run", str(config_path), "--out", str(out_dir), "--steps", "1"])
 
-        run(tmp_path / "reused", *first)
-        run(tmp_path / "reused", *second)
-        run(tmp_path / "fresh", *second)
-        reused, fresh = non_timing_files(tmp_path / "reused"), non_timing_files(tmp_path / "fresh")
-        assert {name: reused[name] for name in fresh if name in reused} == fresh
-        assert sorted(set(reused) - set(fresh)) == leftovers
-        # one per-run file per configured (method, seed): 'traj_<m>_<s>.tsv' or 'failed_<m>_<s>.txt'
-        normalization, runs, fails = second
-        per_run = sorted(name.split("_", 1)[1].rsplit(".", 1)[0] for name in fresh
-                         if name.startswith(("traj_", "failed_")))
-        assert per_run == sorted(f"{kind.strip()}_{seed:05d}" for kind in normalization.split(",")
-                                 for seed in range(runs))
-        assert ("failed_last_price_00001.txt" in reused) == fails
+        if first is None:
+            out_dir.mkdir()
+            (out_dir / "notes.txt").write_bytes(b"kept \xe9\n")
+        else:
+            assert run(*first) == 0
+            capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        calls = []
+        monkeypatch.setattr(portrl.experiment, "run_single", lambda *args: calls.append(args))
+        assert run(*second) == 2
+        assert capsys.readouterr() == (
+            "", f"output directory {out_dir} is not empty: a campaign needs a new or empty directory\n")
+        assert calls == []
+        assert {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} == before
+
+    def test_run_refuses_a_default_directory_that_holds_files(self, tmp_path, capsys, monkeypatch):
+        config_path = write_config(tmp_path, write_market(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        Path("campaign_last_close").mkdir()
+        Path("campaign_last_close", "notes.txt").write_text("kept\n")
+        calls = []
+        monkeypatch.setattr(portrl.experiment, "run_single", lambda *args: calls.append(args))
+        assert cli.main(["run", str(config_path)]) == 2
+        assert capsys.readouterr() == (
+            "", "output directory campaign_last_close is not empty: a campaign needs a new or empty directory\n")
+        assert calls == [] and os.listdir("campaign_last_close") == ["notes.txt"]
+
+    def test_run_writes_into_an_existing_empty_directory(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS)
+        (tmp_path / "empty").mkdir()
+        tables = []
+        for name in ("empty", "new"):
+            assert cli.main(["run", str(config_path), "--out", str(tmp_path / name), "--steps", "1"]) == 0
+            tables.append(capsys.readouterr().out.split("\n", 1)[1])
+        assert non_timing_files(tmp_path / "empty") == non_timing_files(tmp_path / "new")
+        assert tables[0] == tables[1]
 
     def test_report_writes_only_the_summaries(self, tmp_path, capsys, monkeypatch):
         out_dir, table = self.failing_campaign(tmp_path, capsys, monkeypatch)

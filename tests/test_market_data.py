@@ -656,6 +656,8 @@ def test_manifest_parsing(tmp_path):
 
 
 def test_manifest_byte_order_mark_is_not_part_of_the_first_ticker(tmp_path):
+    (tmp_path / "a.csv").touch()
+    (tmp_path / "b.csv").touch()
     manifest = tmp_path / "portfolio.txt"
     manifest.write_bytes("\ufeffCOIN1 a.csv\nCOIN2 b.csv\n".encode("utf-8"))
     entries, _ = load_manifest(manifest)
@@ -663,6 +665,8 @@ def test_manifest_byte_order_mark_is_not_part_of_the_first_ticker(tmp_path):
 
 
 def test_manifest_ticker_listed_twice_names_file_and_both_lines(tmp_path):
+    (tmp_path / "a.csv").touch()
+    (tmp_path / "b.csv").touch()
     manifest = tmp_path / "portfolio.txt"
     manifest.write_text("AAA a.csv\nBBB b.csv\n# comment\nAAA c.csv\n")
     with pytest.raises(ValueError) as err:
@@ -690,6 +694,7 @@ def test_manifest_unknown_alignment_names_file_and_line(tmp_path):
 
 
 def test_manifest_ticker_without_a_path_names_file_and_line(tmp_path):
+    (tmp_path / "a.csv").touch()
     manifest = tmp_path / "portfolio.txt"
     manifest.write_text("AAA a.csv\n# comment\nBBB\n")
     with pytest.raises(ValueError) as err:
