@@ -4,7 +4,7 @@ validate a config and its data without training."""
 import os
 
 # One BLAS thread per process, set before anything loads numpy: campaign
-# workers are forked and inherit the parent's already-started BLAS thread
+# jobs are forked and inherit the parent's already-started BLAS thread
 # pool, so setting these later has no effect. A value the user set wins.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

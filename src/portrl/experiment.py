@@ -5,11 +5,12 @@ the config lists. Each run is fully determined by (config, method,
 seed): before any run starts, the pipeline loads, aligns and splits the
 manifest's assets once and fits/applies each method's normalization to
 that split, then each run trains the policy on its method's frames and
-backtests with online learning. The config is read by
-market_data.read_settings, its dates by the CSV rule (YYYY-MM-DD). A
-run that raises, or whose worker process dies, costs only its own seed.
-Once the data loads, a run can fail four ways, each its own exception
-class: NonFiniteLoss, InvalidAction, NoConvergence and ZeroVariance.
+backtests with online learning, in this process or, with workers > 1,
+in a process of its own. The config is read by market_data.read_settings,
+its dates by the CSV rule (YYYY-MM-DD). A run that raises, or whose
+process dies, costs only its own seed. Once the data loads, a run can
+fail four ways, each its own exception class: NonFiniteLoss,
+InvalidAction, NoConvergence and ZeroVariance.
 
 A campaign directory holds one campaign and stores its facts, each
 written once: each run's trajectory or failure message, the fitted
@@ -17,9 +18,8 @@ data_max scales and the config as loaded, its one copy, without
 ``workers``, which changes no result. It starts new or empty:
 ``portrl run`` refuses one that holds files, so no fact of another
 campaign sits beside them. ``summarize`` writes only the summaries it
-derives from them:
-per-run metrics, per-method aggregates (mean and 95% normal CI
-half-width of the mean) and plot-ready sample lists. Wall
+derives from them: per-run metrics, per-method aggregates (mean and 95%
+normal CI half-width of the mean) and plot-ready sample lists. Wall
 times go to a separate timings file that nothing reads, so every other
 emitted byte is reproducible from (config, seed) alone.
 """
@@ -29,12 +29,13 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import multiprocessing.connection
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date
+from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
 
@@ -258,67 +259,64 @@ def run_single(config: ExperimentConfig, seed: int, prepared: Prepared) -> RunRe
     return RunResult(seed, report, trajectory_name(scheme.kind, seed), time.perf_counter() - started, trajectory)
 
 
-# A pool worker's (config, prepared data), set once when it starts
-_worker_campaign: tuple[ExperimentConfig, dict[str, Prepared]] | None = None
+def _outcome(config: ExperimentConfig, seed: int, prepared: Prepared) -> RunResult | Exception:
+    """What run_single returns, or the exception it raises."""
+    try:
+        return run_single(config, seed, prepared)
+    except Exception as exc:
+        return exc
 
 
-def _start_worker(config: ExperimentConfig, prepared: dict[str, Prepared]) -> None:
-    global _worker_campaign
-    _worker_campaign = config, prepared
-
-
-def _run_job(kind: str, seed: int) -> RunResult:
-    config, prepared = _worker_campaign
-    return run_single(config, seed, prepared[kind])
-
-
-def _pooled_outcomes(config: ExperimentConfig, prepared: dict[str, Prepared], jobs: list[tuple[str, int]]):
-    """Yield ((method, seed), outcome) as jobs finish on a pool of at most
-    config.workers processes; an outcome is BrokenProcessPool when a worker
-    process died before the job finished, its own worker or another."""
-    with ProcessPoolExecutor(max_workers=min(config.workers, len(jobs)), initializer=_start_worker,
-                             initargs=(config, prepared)) as pool:
-        futures = {pool.submit(_run_job, kind, seed): (kind, seed) for kind, seed in jobs}
-        for future in as_completed(futures):
-            error = future.exception()
-            yield futures[future], future.result() if error is None else error
+def _job(config: ExperimentConfig, seed: int, prepared: Prepared, sender) -> None:
+    sender.send(_outcome(config, seed, prepared))
 
 
 def _finished_jobs(config: ExperimentConfig, prepared: dict[str, Prepared], jobs: list[tuple[str, int]]):
     """Yield ((method, seed), outcome) as jobs finish; the outcome is what
     run_single returned or the exception it raised."""
-    if config.workers > 1:
-        # A job is just (method, seed): each worker gets the config and every
-        # method's frames once, when it starts, inherited under fork and
-        # pickled once per worker otherwise. The heap prepare() freed goes
-        # back to the OS first, so no forked worker inherits it.
-        release_free_heap()
-        unfinished = []
-        for job, outcome in _pooled_outcomes(config, prepared, jobs):
-            if isinstance(outcome, BrokenProcessPool):
-                unfinished.append(job)
-            else:
-                yield job, outcome
-        # A dead worker breaks the pool for every unfinished job: each reruns
-        # alone, so only the job whose own worker dies again fails.
-        for job in sorted(unfinished, key=jobs.index):
-            for _, outcome in _pooled_outcomes(config, prepared, [job]):
-                if isinstance(outcome, BrokenProcessPool):
-                    outcome = BrokenProcessPool("the worker process running this job died")
-                yield job, outcome
-    else:
+    if config.workers == 1:
         for kind, seed in jobs:
-            try:
-                outcome = run_single(config, seed, prepared[kind])
-            except Exception as exc:
-                outcome = exc
-            yield (kind, seed), outcome
+            yield (kind, seed), _outcome(config, seed, prepared[kind])
+        return
+    # Each job runs in a process of its own, at most config.workers at once. A forked job inherits the
+    # config and frames, so nothing is pickled; spawn and forkserver pickle its method's entry only.
+    # The heap prepare() freed goes back to the OS first, so no forked job inherits it.
+    release_free_heap()
+    pending, running = iter(jobs), {}  # running: {receiving end: (job, process)}
+    try:
+        while True:
+            for kind, seed in islice(pending, config.workers - len(running)):
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                process = multiprocessing.Process(target=_job, args=(config, seed, prepared[kind], sender))
+                process.start()
+                sender.close()  # so the receiver reads EOF once the job's process ends
+                running[receiver] = (kind, seed), process
+            if not running:
+                return
+            for receiver in multiprocessing.connection.wait(list(running)):
+                job, process = running[receiver]
+                try:
+                    outcome = receiver.recv()
+                except EOFError:  # the process ended without sending an outcome: say how
+                    process.join()
+                    code = process.exitcode
+                    how = f"was killed by signal {-code}" if code < 0 else f"died with exit code {code}"
+                    outcome = ChildProcessError(f"the process running this job {how}")
+                process.join()
+                del running[receiver]
+                receiver.close()
+                yield job, outcome
+    finally:  # left early: no job process outlives the campaign
+        for receiver, (_, process) in running.items():
+            process.terminate()
+            process.join()
+            receiver.close()
 
 
 def run_campaign(config: ExperimentConfig) -> CampaignReport:
     """Run config.runs seeds (seed = base_seed + k) of every listed method,
-    serially or on config.workers processes, printing one progress line
-    per finished job on stderr. The data is prepared once, before any
+    serially or each in a process of its own, at most config.workers at
+    once, printing one progress line per finished job on stderr. The data is prepared once, before any
     run starts, so a load error leaves here and no run starts. A failed
     run is recorded with its message, never fatal, even when every run
     fails."""
@@ -326,15 +324,16 @@ def run_campaign(config: ExperimentConfig) -> CampaignReport:
     jobs = [(kind, config.base_seed + k) for kind in prepared for k in range(config.runs)]
     methods = {kind: MethodResults(scales=scheme.scales) for kind, (_, _, scheme) in prepared.items()}
     started = time.perf_counter()
-    for (kind, seed), outcome in _finished_jobs(config, prepared, jobs):
-        if isinstance(outcome, BaseException):
-            message = f"{type(outcome).__name__}: {outcome}"  # a failure is kept as its message
-            methods[kind].failures.append((seed, message))
-            status = f"failed: {message}"
-        else:
-            methods[kind].results.append(outcome)
-            status = "done"
-        print(f"[{time.perf_counter() - started:7.0f}s] {kind} seed {seed} {status}", file=sys.stderr, flush=True)
+    with closing(_finished_jobs(config, prepared, jobs)) as outcomes:
+        for (kind, seed), outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                message = f"{type(outcome).__name__}: {outcome}"  # a failure is kept as its message
+                methods[kind].failures.append((seed, message))
+                status = f"failed: {message}"
+            else:
+                methods[kind].results.append(outcome)
+                status = "done"
+            print(f"[{time.perf_counter() - started:7.0f}s] {kind} seed {seed} {status}", file=sys.stderr, flush=True)
     for method in methods.values():  # jobs finish in any order; the report lists seeds in order
         method.results.sort(key=lambda r: r.seed)
         method.failures.sort()

@@ -59,7 +59,7 @@ class MarketFrame:
         self.prices.flags.writeable = False
 
     def __reduce__(self):
-        # an unpickled copy (a campaign worker's) goes through __init__, so its prices are read-only too
+        # an unpickled copy (a spawned campaign job's) goes through __init__, so its prices are read-only too
         return MarketFrame, (self.tickers, self.dates, self.prices)
 
     @property

@@ -1,10 +1,13 @@
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import asdict, fields, replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -350,20 +353,12 @@ class TestCampaign:
         assert method.failures == [(1, "RuntimeError: synthetic failure")]
 
     def test_the_pool_starts_no_more_workers_than_jobs(self, tmp_path, tiny_config, monkeypatch):
-        import portrl.experiment as experiment
-
-        sizes = []
-        pool = experiment.ProcessPoolExecutor
-
-        def recording_pool(max_workers, **kwargs):
-            sizes.append(max_workers)
-            return pool(max_workers=max_workers, **kwargs)
-
         tiny_config.runs = 1
         serial = run_campaign(tiny_config)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", recording_pool)
+        started, alive = record_job_processes(monkeypatch)
         parallel = run_campaign(replace(tiny_config, workers=4))
-        assert sizes == [1]
+        assert started == [("last_close", 0)]
+        assert alive and max(alive) <= 1
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
         emit_report(serial, serial_dir)
         emit_report(parallel, parallel_dir)
@@ -387,9 +382,13 @@ class TestCampaign:
         for name in left:
             assert left[name] == right[name], name
 
-    def test_a_crashed_worker_costs_only_its_own_run(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("crash, how", [
+        (lambda: os._exit(3), "died with exit code 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    ], ids=["exit_3", "sigkill"])
+    def test_a_crashed_worker_costs_only_its_own_run(self, tmp_path, monkeypatch, crash, how):
         if multiprocessing.get_start_method() != "fork":
-            pytest.skip("the crash is patched into the parent, so only forked workers see it")
+            pytest.skip("the crash is patched into the parent, so only forked jobs see it")
         import portrl.experiment as experiment
 
         config = replace(load_config(write_config(tmp_path, write_market(tmp_path))), normalization=ALL_METHODS)
@@ -398,12 +397,14 @@ class TestCampaign:
 
         def crashes_for_last_price_seed_0(config, seed, prepared):
             if prepared[2].kind == "last_price" and seed == 0:
-                os._exit(3)
+                crash()
             return original(config, seed, prepared)
 
         monkeypatch.setattr(experiment, "run_single", crashes_for_last_price_seed_0)
+        started, _ = record_job_processes(monkeypatch)
         report = run_campaign(replace(config, workers=2))
-        message = "BrokenProcessPool: the worker process running this job died"
+        assert sorted(started) == sorted((kind, seed) for kind in KINDS for seed in (0, 1))
+        message = f"ChildProcessError: the process running this job {how}"
         assert {kind: method.failures for kind, method in report.methods.items()} == {
             "last_close": [], "last_price": [(0, message)], "data_max": []}
         emit_report(report, tmp_path / "pool")
@@ -417,25 +418,41 @@ class TestCampaign:
                                                  "runs.tsv", *(f"fapv_{kind}.txt" for kind in KINDS)])
 
     def test_without_a_crash_each_job_is_submitted_once(self, tmp_path, monkeypatch):
-        import portrl.experiment as experiment
-
-        sizes, submitted = [], []
-
-        class RecordingPool(experiment.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-            def submit(self, fn, *args):
-                submitted.append(args)
-                return super().submit(fn, *args)
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        started, alive = record_job_processes(monkeypatch)
         config = replace(load_config(write_config(tmp_path, write_market(tmp_path))), normalization=ALL_METHODS)
         report = run_campaign(replace(config, workers=2))
         assert all(len(method.results) == 2 for method in report.methods.values())
-        assert sizes == [2]
-        assert sorted(submitted) == sorted((kind, seed) for kind in KINDS for seed in (0, 1))
+        assert sorted(started) == sorted((kind, seed) for kind in KINDS for seed in (0, 1))
+        assert alive and max(alive) <= 2
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_no_job_process_outlives_a_campaign_left_early(self, tmp_path, monkeypatch, error):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the stall is patched into the parent, so only forked jobs see it")
+        import portrl.experiment as experiment
+
+        original = experiment.run_single
+
+        def seed_1_stalls(config, seed, prepared):
+            if seed == 1:
+                time.sleep(120)
+            return original(config, seed, prepared)
+
+        running_at_the_line = []
+
+        class FailingStderr:
+            def write(self, text):
+                running_at_the_line.append(len(multiprocessing.active_children()))
+                raise error("the progress line failed")
+
+        monkeypatch.setattr(experiment, "run_single", seed_1_stalls)
+        config = load_config(write_config(tmp_path, write_market(tmp_path), workers=2))
+        monkeypatch.setattr(sys, "stderr", FailingStderr())
+        with pytest.raises(error, match="the progress line failed"):
+            run_campaign(config)
+        monkeypatch.undo()
+        assert running_at_the_line == [1]  # seed 0 finished, seed 1 still running
+        assert multiprocessing.active_children() == []
 
     def test_jobs_carry_no_market_frames(self, tmp_path, monkeypatch):
         pickled = []
@@ -580,6 +597,27 @@ def fail_last_price_seed_1(monkeypatch):
         return original(config, seed, prepared)
 
     monkeypatch.setattr(experiment, "run_single", fails_for_last_price_seed_1)
+
+
+def record_job_processes(monkeypatch):
+    """Record the (method, seed) of each job process a campaign starts and,
+    each time it waits on their pipes, how many of them are alive."""
+    process_class, wait = multiprocessing.Process, multiprocessing.connection.wait
+    processes, started, alive = [], [], []
+
+    def recording_process(*args, **kwargs):
+        _, seed, (_, _, scheme), _ = kwargs["args"]
+        started.append((scheme.kind, seed))
+        processes.append(process_class(*args, **kwargs))
+        return processes[-1]
+
+    def recording_wait(*args, **kwargs):
+        alive.append(sum(process.is_alive() for process in processes))
+        return wait(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Process", recording_process)
+    monkeypatch.setattr(multiprocessing.connection, "wait", recording_wait)
+    return started, alive
 
 
 def non_timing_files(out_dir):

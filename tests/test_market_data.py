@@ -632,7 +632,7 @@ def test_frame_matrices_are_read_only():
 
 
 def test_unpickled_frame_matrices_are_read_only():
-    # campaign workers train on frames unpickled from the parent process
+    # spawned campaign jobs train on frames unpickled from the parent process
     frame = pickle.loads(pickle.dumps(make_frame([[1.0, 2.0, 3.0]])))
     assert frame.closes.tolist() == [[1.0, 2.0, 3.0]]
     for matrix in (frame.prices, frame.closes, frame.highs, frame.lows):
