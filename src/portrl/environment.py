@@ -117,8 +117,8 @@ def build_state(frame: MarketFrame, t: int, window: int, scheme: NormalizationSc
 
 
 def env_reset(frame: MarketFrame, window: int, scheme: NormalizationScheme,
-              initial_value: float = 100_000.0, commission: float = 0.0025) -> tuple[EnvState, np.ndarray]:
-    """All-cash start at the first decidable step."""
+              initial_value: float, commission: float) -> tuple[EnvState, np.ndarray]:
+    """All-cash start at the first decidable step; a campaign takes both values from its ExperimentConfig."""
     if window < 1:
         raise IndexError(f"window must be >= 1, got {window}")
     if frame.n_steps < window + 1:

@@ -26,7 +26,6 @@ emitted byte is reproducible from (config, seed) alone.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import multiprocessing.connection
@@ -45,15 +44,13 @@ from . import metrics as metrics_mod
 from .market_data import (MarketFrame, align_assets, iso_days, load_manifest, load_ohlc_csv, read_settings, read_text,
                           split_periods)
 from .normalization import DATA_MAX, KINDS, NormalizationScheme, apply_data_max, fit_data_max, scheme_from_kind
-from .policy import init_policy
+from .policy import K1, init_policy
 from .training import Trainer, TrainerConfig, Trajectory, release_free_heap
 
 REPORT_FORMAT_VERSION = 1
 # A run's metrics, in the order runs.tsv lists them; the float ones are aggregated.
 _RUN_METRICS = tuple(f.name for f in fields(metrics_mod.MetricReport))
 _METRIC_NAMES = tuple(name for name, hint in get_type_hints(metrics_mod.MetricReport).items() if hint is float)
-# The policy's first convolution needs a window at least one day wider than its kernel.
-_MIN_WINDOW = inspect.signature(init_policy).parameters["k1"].default + 1
 # Allowed range of each numeric key: (test, description). NaN fails every test.
 _RANGES = {
     "learning_rate": (lambda v: 0 < v < math.inf, "finite and > 0"),
@@ -61,7 +58,7 @@ _RANGES = {
     "sample_bias": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "steps": (lambda v: v >= 0, ">= 0"),
     "online_steps": (lambda v: v >= 0, ">= 0"),
-    "time_window": (lambda v: v >= _MIN_WINDOW, f">= {_MIN_WINDOW}"),
+    "time_window": (lambda v: v >= K1 + 1, f">= {K1 + 1}"),  # a day wider than conv1's kernel
     "commission_rate": (lambda v: 0 <= v < 1, "in [0, 1)"),
     "initial_value": (lambda v: 0 < v < math.inf, "finite and > 0"),
     "weight_decay": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
@@ -76,7 +73,7 @@ class ExperimentConfig:
     """A campaign's settings, one field per config key.
 
     The calendar is the manifest's own (its ``alignment =`` line) and the
-    network has ``init_policy``'s default shape, so neither is a key.
+    network's shape is ``policy.K1, C1, C2``, so neither is a key.
     """
     manifest: str
     train_start: date
@@ -189,10 +186,10 @@ def prepare(config: ExperimentConfig) -> dict[str, Prepared]:
     each test frame carries the (time_window - 1)-row prefix its first
     state needs.
     """
-    entries, manifest_alignment = load_manifest(config.manifest)
+    entries, alignment = load_manifest(config.manifest)
     frames = [load_ohlc_csv(csv_path, ticker) for ticker, csv_path in entries]
     try:
-        frame = align_assets(frames, manifest_alignment or "intersect")
+        frame = align_assets(frames, alignment)
     except ValueError as error:  # an intersect calendar left empty, the one error a manifest reaches here
         raise ValueError(f"{config.manifest}: {error}") from None
     split = split_periods(

@@ -238,7 +238,7 @@ def sorted_frame(path: Path, ticker: str, days: list[date], prices: np.ndarray, 
 ALIGNMENT_POLICIES = ("intersect", "forward_fill")
 
 
-def align_assets(frames: list[MarketFrame], policy: str = "intersect") -> MarketFrame:
+def align_assets(frames: list[MarketFrame], policy: str) -> MarketFrame:
     """Join frames, each with sorted unique dates, onto one calendar; the
     result lists every frame's assets in order.
 
@@ -342,11 +342,11 @@ def read_settings(path: Path, parsers: dict, kind: str) -> tuple[dict, list[tupl
     return values, others
 
 
-def load_manifest(path: str | Path) -> tuple[list[tuple[str, Path]], str | None]:
+def load_manifest(path: str | Path) -> tuple[list[tuple[str, Path]], str]:
     """Read a portfolio manifest: `TICKER PATH` lines plus an optional
-    `alignment = intersect|forward_fill` line. Paths resolve relative to
-    the manifest's directory and must name files. A ticker, or the
-    alignment line, may appear once."""
+    `alignment = intersect|forward_fill` line, the calendar it returns
+    (``intersect`` when absent). Paths resolve relative to the manifest's
+    directory and must name files. A ticker, or the alignment line, may appear once."""
     path = Path(path)
     # index() raises a ValueError on a value that names no policy
     parsers = {"alignment": lambda text: ALIGNMENT_POLICIES[ALIGNMENT_POLICIES.index(text)]}
@@ -368,4 +368,4 @@ def load_manifest(path: str | Path) -> tuple[list[tuple[str, Path]], str | None]
         entries.append((ticker, resolved))
     if not entries:
         raise ValueError(f"{path}: manifest lists no assets")
-    return entries, values.get("alignment")
+    return entries, values.get("alignment", "intersect")

@@ -39,6 +39,8 @@ import numpy as np
 
 from . import autodiff as ad
 
+K1, C1, C2 = 3, 2, 20  # conv1's kernel width and channels, conv2's channels (Jiang et al.)
+
 
 class PolicyParams:
     """Every learnable value in one float64 array ``theta``, the kernels
@@ -89,7 +91,7 @@ def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_policy(n_assets: int, window: int, seed: int, k1: int = 3, c1: int = 2, c2: int = 20) -> PolicyParams:
+def init_policy(n_assets: int, window: int, seed: int, k1: int = K1, c1: int = C1, c2: int = C2) -> PolicyParams:
     """Seed-determined parameters: kernels uniform in +-sqrt(6/(fan_in+fan_out)), biases zero."""
     if n_assets < 1:
         raise ValueError(f"need at least one asset, got {n_assets}")

@@ -143,10 +143,11 @@ class ReplayBuffer:
 
 @dataclass
 class TrainerConfig:
-    learning_rate: float = 5e-5
-    batch_size: int = 200
-    sample_bias: float = 0.002
-    weight_decay: float = 0.01
+    """Optimizer and sampler settings; a campaign takes them from its ExperimentConfig."""
+    learning_rate: float
+    batch_size: int
+    sample_bias: float
+    weight_decay: float
 
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam moment decay rates and denominator guard

@@ -2,13 +2,15 @@
 loader and per-day alignment oracles, the running-peak loop oracle for
 the maximum drawdown, the unfold-and-GEMM oracle for a narrow
 convolution, the finite-difference oracle with mu held constant, and
-the bisection oracle for mu."""
+the bisection oracle for mu, and a TrainerConfig with the campaign's
+defaults."""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
+from dataclasses import fields
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from portrl import training
 from portrl.environment import transaction_factor_batch
+from portrl.experiment import ExperimentConfig
 from portrl.market_data import MarketFrame, read_text
 
 
@@ -181,6 +184,14 @@ def narrow_conv_reference(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     if g is not None:
         return np.dot(g.reshape(c_out, rows * t_out), columns.T).reshape(c_out, c_in, k)
     return np.dot(kernels.reshape(c_out, c_in * k), columns).reshape(c_out, rows, t_out) + bias[:, None, None]
+
+
+def trainer_config(**overrides) -> training.TrainerConfig:
+    """A TrainerConfig holding ExperimentConfig's default for each setting
+    that ``overrides`` does not name: the defaults have that one home."""
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    settings = {f.name: defaults[f.name] for f in fields(training.TrainerConfig)}
+    return training.TrainerConfig(**{**settings, **overrides})
 
 
 def random_simplex(rng: np.random.Generator, size: int) -> np.ndarray:

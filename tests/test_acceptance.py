@@ -13,7 +13,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from helpers import hold_mu, make_frame, max_fd_error, random_simplex, random_walk_frame, transaction_factor_oracle
+from helpers import (hold_mu, make_frame, max_fd_error, random_simplex, random_walk_frame, trainer_config,
+                     transaction_factor_oracle)
 from portrl.environment import (
     env_reset,
     env_step,
@@ -29,7 +30,7 @@ from portrl.normalization import (
     scheme_from_kind,
 )
 from portrl.policy import forward_batch, init_policy, policy_forward
-from portrl.training import ReplayBuffer, Trainer, TrainerConfig, Trajectory, batch_objective, sample_batch
+from portrl.training import ReplayBuffer, Trainer, Trajectory, batch_objective, sample_batch
 
 LAST_CLOSE = scheme_from_kind("last_close")
 
@@ -94,7 +95,7 @@ def test_gradient_correctness_full_policy_objective(monkeypatch):
         frame = random_walk_frame(np.random.default_rng(1000 + candidate), n, 24)
         params = init_policy(n, window, seed=candidate, c1=2, c2=20)
         trainer = Trainer(params, frame, window, LAST_CLOSE, 1e5, commission,
-                          TrainerConfig(batch_size=batch, sample_bias=0.1),
+                          trainer_config(batch_size=batch, sample_bias=0.1),
                           np.random.default_rng(candidate))
         buffer = trainer.fill_buffer()
         start = int(np.random.default_rng(2000 + candidate).integers(0, len(buffer) - batch))
@@ -250,7 +251,7 @@ def test_learning_sanity_on_synthetic_market():
 
     params = init_policy(3, window, seed=0)
     trainer = Trainer(params, frame, window, LAST_CLOSE, 1e5, 0.0025,
-                      TrainerConfig(learning_rate=5e-5, batch_size=40, sample_bias=0.01),
+                      trainer_config(learning_rate=5e-5, batch_size=40, sample_bias=0.01),
                       np.random.default_rng(0))
     trainer.fill_buffer()
     trainer.train(12_000)

@@ -146,15 +146,15 @@ class TestEnvResetStep:
 
     def test_reset_is_deterministic(self):
         frame = random_walk_frame(np.random.default_rng(7), 2, 20)
-        first, obs_a = env_reset(frame, 4, LAST_CLOSE)
-        second, obs_b = env_reset(frame, 4, LAST_CLOSE)
+        first, obs_a = env_reset(frame, 4, LAST_CLOSE, 100_000.0, 0.0025)
+        second, obs_b = env_reset(frame, 4, LAST_CLOSE, 100_000.0, 0.0025)
         assert np.array_equal(first.weights, second.weights)
         assert np.array_equal(obs_a, obs_b)
 
     def test_window_equal_to_frame_length_is_too_short(self):
         frame = random_walk_frame(np.random.default_rng(8), 1, 10)
         with pytest.raises(ValueError, match=re.escape("frame of length 10 allows no step with window 10")):
-            env_reset(frame, 10, LAST_CLOSE)
+            env_reset(frame, 10, LAST_CLOSE, 100_000.0, 0.0025)
 
     def test_holding_through_flat_prices_earns_zero(self):
         flat = np.full((2, 12), 5.0)
@@ -210,7 +210,7 @@ class TestEnvResetStep:
         rng = np.random.default_rng(12)
         frame = random_walk_frame(rng, 2, 30)
         before = [frame.closes.copy(), frame.highs.copy(), frame.lows.copy()]
-        state, _ = env_reset(frame, 4, LAST_CLOSE)
+        state, _ = env_reset(frame, 4, LAST_CLOSE, 100_000.0, 0.0025)
         while not state.terminal:
             state, _, _ = env_step(state, random_simplex(rng, 3))
         for original, now in zip(before, [frame.closes, frame.highs, frame.lows]):
@@ -218,7 +218,7 @@ class TestEnvResetStep:
 
     def test_invalid_actions_rejected(self):
         frame = random_walk_frame(np.random.default_rng(13), 2, 10)
-        state, _ = env_reset(frame, 3, LAST_CLOSE)
+        state, _ = env_reset(frame, 3, LAST_CLOSE, 100_000.0, 0.0025)
         with pytest.raises(InvalidAction):
             env_step(state, np.array([0.7, 0.7, 0.0]))
         with pytest.raises(InvalidAction):
@@ -244,7 +244,7 @@ class TestEnvResetStep:
 
     def test_stepping_after_terminal_raises(self):
         frame = random_walk_frame(np.random.default_rng(14), 1, 5)
-        state, _ = env_reset(frame, 3, LAST_CLOSE)
+        state, _ = env_reset(frame, 3, LAST_CLOSE, 100_000.0, 0.0025)
         cash = np.array([1.0, 0.0])
         while not state.terminal:
             state, _, _ = env_step(state, cash)

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -180,6 +180,10 @@ class TestConfig:
         lines = [line.split("#", 1)[0] for line in path.read_text().splitlines()]
         keys = [line.partition("=")[0].strip() for line in lines if line.strip()]
         assert keys == [f.name for f in fields(ExperimentConfig)]
+        # and gives each defaulted key its ExperimentConfig default, the setting's one home
+        config = load_config(path)
+        defaulted = [f for f in fields(ExperimentConfig) if f.default is not MISSING]
+        assert {f.name: getattr(config, f.name) for f in defaulted} == {f.name: f.default for f in defaulted}
 
     def test_normalization_lists_methods_in_order(self, tmp_path):
         config = load_config(write_config(tmp_path, tmp_path / "portfolio.txt", normalization="data_max,last_close"))

@@ -648,6 +648,8 @@ def test_manifest_parsing(tmp_path):
     assert alignment == "forward_fill"
     assert entries[0][0] == "AAA"
     assert entries[0][1].name == "a.csv"
+    manifest.write_text("AAA a.csv\n")  # no alignment line: the intersect calendar
+    assert load_manifest(manifest)[1] == "intersect"
 
     bad = tmp_path / "portfolio2.txt"
     bad.write_text("files = x\n")

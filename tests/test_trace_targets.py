@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_walk_frame
+from helpers import random_walk_frame, trainer_config
 from portrl import training
 from portrl.normalization import scheme_from_kind
 from portrl.policy import init_policy
@@ -47,7 +47,7 @@ def test_traced_train_step_records_every_layer():
     frame = random_walk_frame(np.random.default_rng(0), 3, 30)
     params = init_policy(3, window, seed=0, k1=k1, c1=2, c2=4)
     trainer = training.Trainer(params, frame, window, scheme_from_kind("last_close"), 1e5, 0.0025,
-                               training.TrainerConfig(batch_size=8), np.random.default_rng(0))
+                               trainer_config(batch_size=8), np.random.default_rng(0))
     trainer.fill_buffer()
     with tracer.Tracer() as trace:
         trainer.train_step()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import hold_mu, make_frame, max_fd_error, random_walk_frame
+from helpers import hold_mu, make_frame, max_fd_error, random_walk_frame, trainer_config
 from portrl import training
 from portrl.environment import build_state, env_reset, env_step, transaction_factor_batch
 from portrl.market_data import price_relatives
@@ -18,7 +18,6 @@ from portrl.training import (
     AdamW,
     NonFiniteLoss,
     Trainer,
-    TrainerConfig,
     batch_objective,
     fill_buffer,
     sample_batch,
@@ -28,7 +27,7 @@ LAST_CLOSE = scheme_from_kind("last_close")
 
 
 def make_trainer(frame, window=5, commission=0.0025, seed=0, **overrides):
-    config = TrainerConfig(**{
+    config = trainer_config(**{
         "learning_rate": 5e-5,
         "batch_size": 8,
         "sample_bias": 0.05,
@@ -151,7 +150,7 @@ class TestPriceTape:
         scheme, train, test = normalized_frames(kind, random_walk_frame(np.random.default_rng(33), 3, 30),
                                                 random_walk_frame(np.random.default_rng(34), 3, 15))
         params = init_policy(3, window, seed=0, c1=2, c2=4)
-        trainer = Trainer(params, train, window, scheme, 1e5, 0.0025, TrainerConfig(batch_size=8),
+        trainer = Trainer(params, train, window, scheme, 1e5, 0.0025, trainer_config(batch_size=8),
                           np.random.default_rng(0))
         buffer = trainer.fill_buffer()
         trainer.backtest(test, online_steps=0)
@@ -175,7 +174,7 @@ class TestPriceTape:
         scheme, train, test = normalized_frames(kind, random_walk_frame(np.random.default_rng(35), 3, 30),
                                                 random_walk_frame(np.random.default_rng(36), 3, 15))
         trainer = Trainer(init_policy(3, window, seed=0, c1=2, c2=4), train, window, scheme, 1e5, 0.0025,
-                          TrainerConfig(batch_size=8), np.random.default_rng(0))
+                          trainer_config(batch_size=8), np.random.default_rng(0))
         buffer = trainer.fill_buffer()
         trainer.backtest(test, online_steps=0)
         expected = [price_relatives(frame, t) for frame in (train, test) for t in range(window, frame.n_steps)]
@@ -207,7 +206,7 @@ def test_buffer_rows_see_no_price_after_their_decision_day(kind, day, factors):
         scheme, train, test = normalized_frames(kind, make_frame(closes[:, :split]),
                                                 make_frame(closes[:, split - window + 1 :]))
         trainer = Trainer(init_policy(3, window, seed=0, c1=2, c2=4), train, window, scheme, 1e5, 0.0025,
-                          TrainerConfig(batch_size=8), np.random.default_rng(0))
+                          trainer_config(batch_size=8), np.random.default_rng(0))
         trainer.fill_buffer()
         trainer.backtest(test, online_steps=0)
         return trainer.buffer
@@ -424,7 +423,7 @@ class TestTrainStep:
                                                 random_walk_frame(np.random.default_rng(35), 9, 60))
         params = init_policy(9, 50, seed=4, c1=2, c2=20)
         trainer = Trainer(params, train, 50, scheme, 100_000.0, 0.0025,
-                          TrainerConfig(batch_size=200, sample_bias=0.02), np.random.default_rng(4))
+                          trainer_config(batch_size=200, sample_bias=0.02), np.random.default_rng(4))
         trainer.fill_buffer()
         batches = record_batches(monkeypatch)
         checked_steps = []
@@ -495,7 +494,7 @@ class TestTrainStep:
         scheme, train, _ = normalized_frames(kind, random_walk_frame(np.random.default_rng(38), 9, 400),
                                              random_walk_frame(np.random.default_rng(39), 9, 60))
         trainer = Trainer(init_policy(9, 50, seed=6, c1=2, c2=20), train, 50, scheme, 100_000.0, 0.0025,
-                          TrainerConfig(batch_size=200), np.random.default_rng(6))
+                          trainer_config(batch_size=200), np.random.default_rng(6))
         trainer.fill_buffer()
         trainer.train_step()  # warm-up
         tracemalloc.start()
@@ -516,7 +515,7 @@ class TestTrainStep:
         import resource
 
         trainer = Trainer(init_policy(9, 50, seed=7, c1=2, c2=20), random_walk_frame(np.random.default_rng(40), 9, 400),
-                          50, LAST_CLOSE, 100_000.0, 0.0025, TrainerConfig(batch_size=200), np.random.default_rng(7))
+                          50, LAST_CLOSE, 100_000.0, 0.0025, trainer_config(batch_size=200), np.random.default_rng(7))
         trainer.fill_buffer()
         trainer.train(10)  # warm-up
         steps = 50
