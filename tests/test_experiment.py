@@ -889,6 +889,15 @@ class TestCli:
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"{csv_path.resolve()}:2: field larger than field limit")
 
+    def test_every_shipped_config_validates_through_the_module_entry_point(self, tmp_path):
+        configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+        assert configs
+        env = {**os.environ, "PYTHONPATH": str(Path(portrl.__file__).parents[1])}
+        for config in configs:
+            done = subprocess.run([sys.executable, "-m", "portrl.cli", "validate", str(config)], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, ""), config
+
     def test_report_on_a_missing_directory_is_its_message_alone_and_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "campaign"
         assert cli.main(["report", str(missing)]) == 2

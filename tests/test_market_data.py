@@ -337,6 +337,21 @@ def test_the_bundled_csvs_load_the_same_through_the_csv_module_when_loadtxt_fail
     assert len(calls) == len(BUNDLED) == 9
 
 
+def test_the_bundled_basket_has_the_same_prices_under_either_calendar():
+    # The manifest's forward_fill matters only where an asset misses a day;
+    # every bundled asset has every day, so intersect must agree bit for bit.
+    entries, alignment = load_manifest(BUNDLED[0].parent / "portfolio.txt")
+    frames = [load_ohlc_csv(path, ticker) for ticker, path in entries]
+    intersect = align_assets(frames, "intersect")
+    forward_fill = align_assets(frames, "forward_fill")
+    assert intersect.dates == forward_fill.dates
+    assert intersect.tickers == forward_fill.tickers
+    assert intersect.prices.tobytes() == forward_fill.prices.tobytes()
+    assert alignment == "forward_fill"
+    assert len(frames) == 9 and len(intersect.dates) == 2191
+    assert all(frame.dates == intersect.dates for frame in frames)
+
+
 def two_series(tmp_path):
     a = series_from_rows(
         tmp_path,
