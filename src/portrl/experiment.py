@@ -360,15 +360,24 @@ def _float_text(value: float) -> str:
     return repr(float(value))
 
 
+def _trajectory_header(n_weights: int) -> str:
+    """A trajectory file's line 1: one column per field, then one per weight, cash first."""
+    return "\t".join(["step", "value", "reward", *(f"w_{i}" for i in range(n_weights))])
+
+
 def _write_trajectory(traj: Trajectory, path: Path) -> None:
-    lines = ["\t".join(["step", "value", "reward", *(f"w_{i}" for i in range(traj.actions.shape[1]))])]
+    lines = [_trajectory_header(traj.actions.shape[1])]
     for step, value, reward, action in zip(traj.steps, traj.values, traj.rewards, traj.actions):
         lines.append("\t".join([str(int(step)), *map(_float_text, (value, reward, *action))]))
     path.write_text("\n".join(lines) + "\n")
 
 
 def _read_trajectory(path: Path) -> Trajectory:
-    rows = [line.split("\t") for line in read_text(path).splitlines()[1:]]
+    header, *lines = read_text(path).splitlines() or [""]
+    expected = _trajectory_header(max(header.count("\t") - 2, 1))
+    if header != expected:
+        raise ValueError(f"{path}:1: expected the header {expected!r}, got {header!r}")
+    rows = [line.split("\t") for line in lines]
     try:
         traj = Trajectory(
             steps=np.array([int(r[0]) for r in rows], dtype=np.int64),
@@ -385,13 +394,20 @@ def _read_trajectory(path: Path) -> Trajectory:
 
 
 def _read_scales(path: Path) -> tuple[float, ...]:
-    """The fitted data_max scales, one per line."""
+    """The fitted data_max scales, one per line, each finite and > 0 as
+    fit_data_max fits them."""
+    lines = read_text(path).splitlines()
+    if not lines:
+        raise ValueError(f"{path}: expected one scale per asset, got none")
     scales = []
-    for number, line in enumerate(read_text(path).splitlines(), start=1):
+    for number, line in enumerate(lines, start=1):
         try:
-            scales.append(float(line))
+            scale = float(line)
         except ValueError:
-            raise ValueError(f"{path}:{number}: expected a scale, got {line!r}") from None
+            scale = math.nan
+        if not 0 < scale < math.inf:
+            raise ValueError(f"{path}:{number}: expected a scale, got {line!r}")
+        scales.append(scale)
     return tuple(scales)
 
 

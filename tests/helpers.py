@@ -2,15 +2,15 @@
 loader and per-day alignment oracles, the running-peak loop oracle for
 the maximum drawdown, the unfold-and-GEMM oracle for a narrow
 convolution, the finite-difference oracle with mu held constant, and
-the bisection oracle for mu, and a TrainerConfig with the campaign's
-defaults."""
+the bisection oracle for mu, a TrainerConfig with the campaign's
+defaults, and a short campaign of the shipped config."""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from portrl import training
 from portrl.environment import transaction_factor_batch
-from portrl.experiment import ExperimentConfig
+from portrl.experiment import ExperimentConfig, load_config
 from portrl.market_data import MarketFrame, read_text
 
 
@@ -192,6 +192,17 @@ def trainer_config(**overrides) -> training.TrainerConfig:
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     settings = {f.name: defaults[f.name] for f in fields(training.TrainerConfig)}
     return training.TrainerConfig(**{**settings, **overrides})
+
+
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synth_crypto.cfg"
+
+
+def bundled_campaign(**changes) -> ExperimentConfig:
+    """The shipped config on the bundled basket at paper shape, with all
+    three methods and a test range that ends on 2023-01-05 (4 decisions),
+    then ``changes``."""
+    return replace(load_config(SHIPPED_CONFIG), normalization="last_close, last_price, data_max",
+                   test_end=date(2023, 1, 5), **changes)
 
 
 def random_simplex(rng: np.random.Generator, size: int) -> np.ndarray:

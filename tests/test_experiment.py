@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import portrl
+from helpers import SHIPPED_CONFIG, bundled_campaign
 from portrl import cli
 from portrl.market_data import MarketFrame
 from portrl.metrics import MetricReport
@@ -176,12 +177,11 @@ class TestConfig:
             load_config(path)
 
     def test_the_shipped_config_names_every_key(self):
-        path = Path(__file__).resolve().parents[1] / "configs" / "synth_crypto.cfg"
-        lines = [line.split("#", 1)[0] for line in path.read_text().splitlines()]
+        lines = [line.split("#", 1)[0] for line in SHIPPED_CONFIG.read_text().splitlines()]
         keys = [line.partition("=")[0].strip() for line in lines if line.strip()]
         assert keys == [f.name for f in fields(ExperimentConfig)]
         # and gives each defaulted key its ExperimentConfig default, the setting's one home
-        config = load_config(path)
+        config = load_config(SHIPPED_CONFIG)
         defaulted = [f for f in fields(ExperimentConfig) if f.default is not MISSING]
         assert {f.name: getattr(config, f.name) for f in defaulted} == {f.name: f.default for f in defaulted}
 
@@ -356,7 +356,7 @@ class TestCampaign:
         assert [r.seed for r in method.results] == [0]
         assert method.failures == [(1, "RuntimeError: synthetic failure")]
 
-    def test_the_pool_starts_no_more_workers_than_jobs(self, tmp_path, tiny_config, monkeypatch):
+    def test_a_campaign_starts_no_more_job_processes_than_jobs(self, tmp_path, tiny_config, monkeypatch):
         tiny_config.runs = 1
         serial = run_campaign(tiny_config)
         started, alive = record_job_processes(monkeypatch)
@@ -368,8 +368,12 @@ class TestCampaign:
         emit_report(parallel, parallel_dir)
         assert non_timing_files(parallel_dir) == non_timing_files(serial_dir)
 
-    def test_multi_method_campaign_is_one_report_serial_or_parallel(self, tmp_path, capsys):
-        config = replace(load_config(write_config(tmp_path, write_market(tmp_path))), normalization=ALL_METHODS)
+    @pytest.mark.parametrize("bundled", [False, True], ids=["write_market", "bundled_basket"])
+    def test_multi_method_campaign_is_one_report_serial_or_parallel(self, tmp_path, capsys, bundled):
+        if bundled:  # paper shape: 9 assets, window 50, batch 200
+            config = bundled_campaign(runs=2, steps=2, online_steps=1, workers=1)
+        else:
+            config = replace(load_config(write_config(tmp_path, write_market(tmp_path))), normalization=ALL_METHODS)
         serial = run_campaign(config)
         assert capsys.readouterr().err.count(" done\n") == 6  # one progress line per (method, seed)
         parallel = run_campaign(replace(config, workers=2))
@@ -411,15 +415,16 @@ class TestCampaign:
         message = f"ChildProcessError: the process running this job {how}"
         assert {kind: method.failures for kind, method in report.methods.items()} == {
             "last_close": [], "last_price": [(0, message)], "data_max": []}
-        emit_report(report, tmp_path / "pool")
-        serial, pool = non_timing_files(tmp_path / "serial"), non_timing_files(tmp_path / "pool")
+        emit_report(report, tmp_path / "parallel")
+        serial, parallel = non_timing_files(tmp_path / "serial"), non_timing_files(tmp_path / "parallel")
         per_run = [name for name in serial if name.startswith("traj_") or name == "data_max_scales.txt"]
         assert len(per_run) == 7
         per_run.remove("traj_last_price_00000.tsv")
-        assert {name: pool[name] for name in per_run} == {name: serial[name] for name in per_run}
-        assert pool["failed_last_price_00000.txt"] == (message + "\n").encode()
-        assert sorted(pool) == sorted(per_run + ["failed_last_price_00000.txt", "config_resolved.txt", "summary.json",
-                                                 "runs.tsv", *(f"fapv_{kind}.txt" for kind in KINDS)])
+        assert {name: parallel[name] for name in per_run} == {name: serial[name] for name in per_run}
+        assert parallel["failed_last_price_00000.txt"] == (message + "\n").encode()
+        assert sorted(parallel) == sorted(per_run + ["failed_last_price_00000.txt", "config_resolved.txt",
+                                                     "summary.json", "runs.tsv",
+                                                     *(f"fapv_{kind}.txt" for kind in KINDS)])
 
     def test_without_a_crash_each_job_is_submitted_once(self, tmp_path, monkeypatch):
         started, alive = record_job_processes(monkeypatch)
@@ -474,7 +479,7 @@ class TestCampaign:
         assert pickled == []
 
     @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
-    def test_a_pool_under_a_non_fork_start_method_emits_the_serial_bytes(self, tmp_path, start_method):
+    def test_job_processes_under_a_non_fork_start_method_emit_the_serial_bytes(self, tmp_path, start_method):
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {start_method} start method on this platform")
         config_path = write_config(tmp_path, write_market(tmp_path), normalization="last_close, data_max")
@@ -485,12 +490,12 @@ class TestCampaign:
                 "multiprocessing.set_start_method(sys.argv[1])\n"
                 "emit_report(run_campaign(replace(load_config(sys.argv[2]), workers=2)), sys.argv[3])\n")
         env = {**os.environ, "PYTHONPATH": str(Path(portrl.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code, start_method, str(config_path), str(tmp_path / "pool")],
+        done = subprocess.run([sys.executable, "-c", code, start_method, str(config_path), str(tmp_path / "parallel")],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stderr.count(" done\n") == 4
-        serial, pool = non_timing_files(tmp_path / "serial"), non_timing_files(tmp_path / "pool")
-        assert pool == serial
+        serial, parallel = non_timing_files(tmp_path / "serial"), non_timing_files(tmp_path / "parallel")
+        assert parallel == serial
 
     def test_a_multi_method_campaign_parses_each_csv_once(self, tmp_path, monkeypatch):
         config = load_config(write_config(tmp_path, write_market(tmp_path), normalization=ALL_METHODS))
@@ -1073,6 +1078,16 @@ class TestCli:
         trajectory.write_text(f"{header}\n1\tx\t0.0\n")
         assert self.report_error(out_dir, capsys).startswith(f"{trajectory}: could not convert string to float")
 
+    @pytest.mark.parametrize("renamed", [False, True], ids=["deleted", "renamed"])
+    def test_report_on_a_trajectory_without_its_header_names_the_file_and_line_1(self, tmp_path, capsys, renamed):
+        out_dir = self.emitted_campaign(tmp_path, capsys)
+        trajectory = out_dir / "traj_last_close_00000.tsv"
+        header, *rows = trajectory.read_text().splitlines()
+        first = header.replace("value", "wealth") if renamed else rows.pop(0)
+        trajectory.write_text("\n".join([first, *rows]) + "\n")
+        assert self.report_error(out_dir, capsys) == (
+            f"{trajectory}:1: expected the header {header!r}, got {first!r}\n")
+
     def test_report_on_a_trajectory_row_with_columns_missing_names_the_file(self, tmp_path, capsys):
         out_dir = self.emitted_campaign(tmp_path, capsys)
         trajectory = out_dir / "traj_last_close_00000.tsv"
@@ -1120,20 +1135,25 @@ class TestCli:
         assert non_timing_files(out_dir) == before
         assert (path.read_bytes() if path.exists() else None) == timings
 
-    @pytest.mark.parametrize("malformed", [False, True], ids=["missing", "malformed"])
+    # line 2 of the file, or None for the file missing and "" for it empty: a scale is finite and > 0
+    @pytest.mark.parametrize("line", [None, "1.5x", "nan", "inf", "0", "-1", ""],
+                             ids=["missing", "malformed", "nan", "inf", "0", "-1", "empty"])
     def test_report_on_missing_or_malformed_data_max_scales_names_the_file(self, tmp_path, capsys, monkeypatch,
-                                                                          malformed):
+                                                                          line):
         out_dir, _ = self.failing_campaign(tmp_path, capsys, monkeypatch)
         scales = out_dir / "data_max_scales.txt"
-        if malformed:
-            lines = scales.read_text().splitlines()
-            lines[1] = "1.5x"
-            scales.write_text("\n".join(lines) + "\n")
-            assert self.report_error(out_dir, capsys) == f"{scales}:2: expected a scale, got '1.5x'\n"
-        else:
+        if line is None:
             scales.unlink()
             err = self.report_error(out_dir, capsys)
             assert str(scales) in err and "No such file" in err
+        elif line == "":
+            scales.write_text("")
+            assert self.report_error(out_dir, capsys) == f"{scales}: expected one scale per asset, got none\n"
+        else:
+            lines = scales.read_text().splitlines()
+            lines[1] = line
+            scales.write_text("\n".join(lines) + "\n")
+            assert self.report_error(out_dir, capsys) == f"{scales}:2: expected a scale, got {line!r}\n"
 
     @pytest.mark.parametrize("name, line", [("traj_last_close_00000.tsv", 2), ("failed_last_price_00001.txt", 1),
                                             ("config_resolved.txt", 3), ("data_max_scales.txt", 2)],
